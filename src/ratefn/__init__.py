@@ -8,7 +8,7 @@ quantities in closed form on finite discrete distributions and validates the
 tail asymptotics by Monte Carlo.
 
 The primary data type is the numpy array behind a small set of frozen
-dataclasses; all public operations are pure functions of immutable inputs.
+types; all public operations are pure functions of immutable inputs.
 """
 
 from .analysis import (

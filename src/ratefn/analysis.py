@@ -11,6 +11,7 @@ stands in for the training loss.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -299,11 +300,8 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
     """
     if grid is None:
         grid = LambdaGrid.default()
-    sizes: dict[str, int] = {}
-    for rec in ds_grouped.records:
-        if rec.group_id is not None:
-            sizes[rec.group_id] = sizes.get(rec.group_id, 0) + 1
     reduced = reduce_augmented(ds_grouped)  # raises MissingGroupId when ungrouped
+    sizes = Counter(ds_grouped.group_ids)
     flat_curve = cumulant_curve(ds_grouped, grid)
     reduced_curve = cumulant_curve(reduced, grid)
     gaps = tuple(jf - jr for jf, jr in zip(flat_curve.j_values, reduced_curve.j_values))
@@ -389,10 +387,10 @@ def covariance_taylor(
         raise InvalidLambda(f"tilt must be a real number, got {lam!r}") from None
     if not math.isfinite(lam) or lam <= 0.0:
         raise InvalidLambda(f"tilt must be finite and positive, got {lam!r}")
-    if any(rec.grad_theta is None for rec in ds.records):
+    grads = ds.grad_theta
+    if grads is None:
         raise MissingGradients("every record needs a grad_theta vector")
     delta = np.asarray([float(x) for x in theta_minus_theta0])
-    grads = np.asarray([rec.grad_theta for rec in ds.records], dtype=np.float64)
     if grads.shape[1] != delta.shape[0]:
         raise DimensionMismatch(
             f"gradient vectors have length {grads.shape[1]}, displacement has {delta.shape[0]}"
@@ -431,9 +429,10 @@ def gradient_norm_bound(
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise InvalidS(f"budget must be finite and positive, got {s!r}")
-    if any(rec.grad_norm_sq is None for rec in ds.records):
+    norms = ds.grad_norm_sq
+    if norms is None or np.isnan(norms).any():
         raise MissingGradNorms("every record needs a grad_norm_sq value")
-    g2 = math.fsum(rec.grad_norm_sq for rec in ds.records) / len(ds)
+    g2 = math.fsum(norms.tolist()) / len(ds)
     coefficient = m_const * g2
     bound_j = None
     if lam is not None:

@@ -9,7 +9,9 @@ the offending flag or input), 1 computation failure.
 Seeded subcommands are bit-reproducible: rerunning with the same flags and
 seed writes byte-identical files. ``--threads`` is accepted for interface
 stability; evaluation is vectorized in-process and results never depend on
-it. A ``--config`` JSON file, when given, overrides the corresponding flags.
+it. A ``--config`` JSON file, when given, overrides the corresponding flags;
+its values are converted and checked as command-line values are, and an
+unknown key is a validation problem.
 """
 
 from __future__ import annotations
@@ -478,7 +480,41 @@ _HANDLERS = {
 }
 
 
-def _apply_config(args):
+def _config_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The subcommand's actions that a config key may set, by dest and long flag name."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {}
+    for action in commands.choices[command]._actions:
+        if action.dest in ("help", "config"):
+            continue
+        for name in (action.dest, *(opt.lstrip("-") for opt in action.option_strings)):
+            actions[name.replace("-", "_")] = action
+    return actions
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert one config value as argparse would convert it from the command line."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"--config: key {key!r} needs a string or a number, got {value!r}")
+    text = value if isinstance(value, str) else repr(value)
+    try:
+        converted = text if action.type is None else action.type(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ValidationError(f"--config: key {key!r} has an invalid value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValidationError(
+            f"--config: key {key!r} must be one of {', '.join(map(str, action.choices))}, got {value!r}"
+        )
+    return converted
+
+
+def _apply_config(args, parser: argparse.ArgumentParser) -> None:
+    """Override flags with the ``--config`` JSON object.
+
+    Keys name flags (``tol``, ``a-grid`` or ``a_grid``). Each value goes
+    through the flag's own type and choices; a repeatable flag takes a list
+    or a single value. Unknown keys and bad values raise ``ValidationError``.
+    """
     if getattr(args, "config", None) is None:
         return
     path = Path(args.config)
@@ -490,8 +526,16 @@ def _apply_config(args):
         raise ParseError(f"--config: {path}: invalid JSON: {exc.msg}") from None
     if not isinstance(overrides, dict):
         raise ParseError("--config: expected a JSON object of flag overrides")
+    actions = _config_actions(parser, args.command)
     for key, value in overrides.items():
-        setattr(args, key.replace("-", "_"), value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValidationError(f"--config: unknown key {key!r} for {args.command}")
+        if isinstance(action, argparse._AppendAction):
+            values = value if isinstance(value, list) else [value]
+            setattr(args, action.dest, [_config_value(action, key, v) for v in values])
+        else:
+            setattr(args, action.dest, _config_value(action, key, value))
 
 
 def run(argv=None) -> int:
@@ -503,7 +547,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     command = args.command
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         summary, text = _HANDLERS[command](args)
         if getattr(args, "output", None) and text is not None:
             serialize.atomic_write_text(args.output, text)

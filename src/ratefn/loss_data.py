@@ -1,18 +1,22 @@
 """Loading, validation, and summaries of per-sample loss data.
 
 Losses are natural-log losses (nats) and must be non-negative and finite.
-A dataset keeps its records in order, but every statistic derived from it
-depends only on the multiset of loss values, so reordering records never
-changes downstream estimates.
+A dataset holds its samples in order as read-only columns: a float64 loss
+array, sample ids, and optional group ids, squared input-gradient norms and
+parameter-gradient vectors. Every statistic derived from it depends only on
+the multiset of loss values, so reordering samples never changes downstream
+estimates. The summary is computed once per dataset and cached on it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -83,53 +87,204 @@ class ModelMeta:
             raise InvalidMeta(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
 
 
-def _check_loss(value: float, where: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{where}: loss must be finite, got {value!r}")
-    if value < 0.0:
-        raise ValidationError(f"{where}: loss must be non-negative, got {value!r}")
-    return value
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+def _optional_floats(values) -> tuple[np.ndarray | None, int | None]:
+    """A float column with NaN marking absent values, or ``None`` when every
+    value is absent; also the index of the first present value that is not
+    finite and non-negative (``None`` when there is none).
+
+    ``values`` holds floats and ``None``s, or is a float array that already
+    marks absent values with NaN.
+    """
+    if values is None:
+        return None, None
+    if isinstance(values, np.ndarray):
+        column = np.asarray(values, dtype=np.float64)
+        present = ~np.isnan(column)
+    else:
+        present = np.fromiter((v is not None for v in values), dtype=bool, count=len(values))
+        column = np.array([math.nan if v is None else float(v) for v in values], dtype=np.float64)
+    if not present.any():
+        return None, None
+    bad = np.flatnonzero(present & ~(np.isfinite(column) & (column >= 0.0)))
+    return _read_only(column), (int(bad[0]) if bad.size else None)
+
+
+def _vector_column(vectors) -> tuple[np.ndarray | None, tuple | None, bool]:
+    """A ``(count, dim)`` float array of gradient vectors, or ``None`` when no
+    sample has one; also ``(index, length, dim)`` for the first vector whose
+    length differs from the first one's, and whether some samples lack a
+    vector while others have one.
+
+    ``vectors`` holds sequences and ``None``s, or is already a 2-D array.
+    """
+    if vectors is None:
+        return None, None, False
+    if isinstance(vectors, np.ndarray):
+        if vectors.ndim != 2:
+            raise ValidationError(f"grad_theta must be a 2-D array, got shape {vectors.shape}")
+        return _read_only(np.asarray(vectors, dtype=np.float64)), None, False
+    lengths = [None if v is None else len(v) for v in vectors]
+    dim = next((k for k in lengths if k is not None), None)
+    if dim is None:
+        return None, None, False
+    for i, k in enumerate(lengths):
+        if k is not None and k != dim:
+            return None, (i, k, dim), False
+    if None in lengths:
+        return None, None, True
+    return _read_only(np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)), None, False
+
+
 class LossDataset:
-    """An ordered, immutable collection of loss records for one model."""
+    """An ordered, immutable set of per-sample losses for one model, held as columns.
 
-    records: tuple[LossRecord, ...]
-    model_id: str = "model"
+    ``losses`` is a read-only float64 array. ``group_ids`` is a tuple of
+    ``str | None`` per sample, or ``None`` when no sample has a group.
+    ``grad_norm_sq`` is a read-only float64 array with NaN where a sample has
+    no value, or ``None`` when none has one; ``grad_theta`` is a read-only
+    ``(count, dim)`` array, or ``None``. Sample ids default to ``s0, s1, ...``
+    and are only spelled out when first read.
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
+    ``LossDataset(records)`` builds the columns from :class:`LossRecord`
+    objects; ``records`` and iteration give them back as a tuple of records
+    built on first access.
+    """
+
+    __slots__ = ("losses", "model_id", "group_ids", "grad_norm_sq", "grad_theta",
+                 "_sample_ids", "_records", "_summary")
+
+    def __init__(self, records: Iterable[LossRecord] = (), model_id: str = "model"):
+        records = tuple(records)
+        self._set_columns(
+            model_id,
+            np.array([float(r.loss) for r in records], dtype=np.float64),
+            sample_ids=tuple(r.sample_id for r in records),
+            group_ids=[r.group_id for r in records],
+            grad_norm_sq=[r.grad_norm_sq for r in records],
+            grad_theta=[r.grad_theta for r in records],
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        losses: np.ndarray,
+        model_id: str = "model",
+        sample_ids: Sequence[str] | None = None,
+        group_ids: Sequence[str | None] | None = None,
+        grad_norm_sq: Sequence[float | None] | np.ndarray | None = None,
+        grad_theta: Sequence[Sequence[float] | None] | np.ndarray | None = None,
+    ) -> "LossDataset":
+        """Build a dataset from columns, validated as ``LossDataset(records)`` is.
+
+        ``losses`` is taken as a float64 array without a copy and made
+        read-only, so the caller must not keep a writeable reference to it.
+        Optional columns may hold ``None`` for absent values; a float array
+        for ``grad_norm_sq`` marks absent values with NaN.
+        """
+        ds = cls.__new__(cls)
+        ds._set_columns(model_id, losses, sample_ids, group_ids, grad_norm_sq, grad_theta)
+        return ds
+
+    def _set_columns(self, model_id, losses, sample_ids=None, group_ids=None, grad_norm_sq=None, grad_theta=None):
+        set_ = object.__setattr__
+        losses = np.asarray(losses, dtype=np.float64)
+        if losses.ndim != 1:
+            raise ValidationError(f"losses must form a one-dimensional sequence, got shape {losses.shape}")
+        count = losses.shape[0]
+        if count == 0:
             raise EmptyDataset("a dataset must contain at least one record")
-        dim = None
-        for i, rec in enumerate(self.records):
-            where = f"record {i} ({rec.sample_id!r})"
-            _check_loss(rec.loss, where)
-            if rec.grad_norm_sq is not None:
-                g = float(rec.grad_norm_sq)
-                if not math.isfinite(g) or g < 0.0:
-                    raise ValidationError(f"{where}: grad_norm_sq must be finite and non-negative")
-            if rec.grad_theta is not None:
-                if dim is None:
-                    dim = len(rec.grad_theta)
-                elif len(rec.grad_theta) != dim:
-                    raise ValidationError(
-                        f"{where}: grad_theta has length {len(rec.grad_theta)}, expected {dim}"
-                    )
-        if dim is not None and any(r.grad_theta is None for r in self.records):
+        if sample_ids is not None:
+            sample_ids = tuple(sample_ids)
+        for name, column in (("sample_ids", sample_ids), ("group_ids", group_ids),
+                             ("grad_norm_sq", grad_norm_sq), ("grad_theta", grad_theta)):
+            if column is not None and len(column) != count:
+                raise ValidationError(f"{name} has {len(column)} entries for {count} losses")
+        if group_ids is not None:
+            group_ids = tuple(group_ids)
+            if all(g is None for g in group_ids):
+                group_ids = None
+        norms, bad_norm = _optional_floats(grad_norm_sq)
+        vectors, bad_length, partial = _vector_column(grad_theta)
+
+        set_(self, "losses", _read_only(losses))
+        set_(self, "model_id", model_id)
+        set_(self, "_sample_ids", sample_ids)
+        set_(self, "group_ids", group_ids)
+        set_(self, "grad_norm_sq", norms)
+        set_(self, "grad_theta", vectors)
+        set_(self, "_records", None)
+        set_(self, "_summary", None)
+
+        # Report the first faulty sample, checking each one's loss, then its
+        # gradient norm, then its gradient length, as a record-by-record scan would.
+        problems = []
+        bad_loss = np.flatnonzero(~np.isfinite(losses) | (losses < 0.0))
+        if bad_loss.size:
+            i = int(bad_loss[0])
+            value = float(losses[i])
+            problems.append((i, 0, f"loss must be {'finite' if not math.isfinite(value) else 'non-negative'}, "
+                                   f"got {value!r}"))
+        if bad_norm is not None:
+            problems.append((bad_norm, 1, "grad_norm_sq must be finite and non-negative"))
+        if bad_length is not None:
+            i, length, dim = bad_length
+            problems.append((i, 2, f"grad_theta has length {length}, expected {dim}"))
+        if problems:
+            i, _, message = min(problems)
+            raise ValidationError(f"record {i} ({self.sample_ids[i]!r}): {message}")
+        if partial:
             raise ValidationError("grad_theta must be present on all records or none")
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __len__(self) -> int:
-        return len(self.records)
+        return self.losses.shape[0]
 
     def __iter__(self):
         return iter(self.records)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.model_id == other.model_id and self.records == other.records
+
+    def __hash__(self):
+        return hash((self.model_id, len(self)))
+
+    def __reduce__(self):
+        # Attribute assignment is blocked, so copies and pickles rebuild from the columns.
+        return LossDataset.from_columns, (self.losses, self.model_id, self._sample_ids, self.group_ids,
+                                          self.grad_norm_sq, self.grad_theta)
+
+    def __repr__(self) -> str:
+        return f"LossDataset(model_id={self.model_id!r}, count={len(self)})"
+
     @property
-    def losses(self) -> np.ndarray:
-        return np.asarray([r.loss for r in self.records], dtype=np.float64)
+    def sample_ids(self) -> tuple[str, ...]:
+        """One id per sample; ``s0, s1, ...`` unless given, spelled out on first access."""
+        if self._sample_ids is None:
+            object.__setattr__(self, "_sample_ids", tuple(f"s{i}" for i in range(len(self))))
+        return self._sample_ids
+
+    @property
+    def records(self) -> tuple[LossRecord, ...]:
+        """The samples as frozen :class:`LossRecord` objects, built on first access."""
+        if self._records is None:
+            groups = repeat(None) if self.group_ids is None else self.group_ids
+            norms = _absent_as_none(self.grad_norm_sq)
+            vectors = repeat(None) if self.grad_theta is None else map(tuple, self.grad_theta.tolist())
+            records = tuple(map(LossRecord, self.sample_ids, self.losses.tolist(), groups, norms, vectors))
+            object.__setattr__(self, "_records", records)
+        return self._records
 
 
 def from_losses(
@@ -137,19 +292,18 @@ def from_losses(
     model_id: str = "model",
     group_ids: Sequence[str] | None = None,
 ) -> LossDataset:
-    """Build a dataset from bare loss values, with optional group labels."""
-    values = list(losses)
+    """Build a dataset from bare loss values, with optional group labels.
+
+    Sample ids are ``s0, s1, ...``. The losses are copied, so the caller's
+    array stays writeable and later changes to it do not reach the dataset.
+    """
+    if isinstance(losses, np.ndarray):
+        values = np.array(losses, dtype=np.float64)
+    else:
+        values = np.fromiter(map(float, losses), dtype=np.float64)
     if group_ids is not None and len(group_ids) != len(values):
         raise ValidationError("group_ids must match the number of losses")
-    records = tuple(
-        LossRecord(
-            sample_id=f"s{i}",
-            loss=float(v),
-            group_id=None if group_ids is None else group_ids[i],
-        )
-        for i, v in enumerate(values)
-    )
-    return LossDataset(records, model_id=model_id)
+    return LossDataset.from_columns(values, model_id=model_id, group_ids=group_ids)
 
 
 def summarize(ds: LossDataset) -> DatasetSummary:
@@ -157,18 +311,38 @@ def summarize(ds: LossDataset) -> DatasetSummary:
 
     The true arithmetic mean can never fall below the minimum, so rounding
     that puts it there is snapped back; a dataset whose losses all tie at the
-    minimum reports exactly zero variance.
+    minimum reports exactly zero variance. A variance beyond the float64
+    range is reported as ``math.inf``; a sum of losses beyond it raises
+    ``ValidationError``. The summary is computed on the first call and cached
+    on the dataset.
     """
-    values = [r.loss for r in ds.records]
+    summary = ds._summary
+    if summary is None:
+        summary = _summary_of(ds.losses)
+        object.__setattr__(ds, "_summary", summary)
+    return summary
+
+
+def _summary_of(losses: np.ndarray) -> DatasetSummary:
+    # Python floats and math.fsum keep every figure identical to a plain loop
+    # over the values: numpy's (x - mean)**2 differs from Python's ** in the
+    # last bit for some elements.
+    values = losses.tolist()
     count = len(values)
-    mean = math.fsum(values) / count
+    try:
+        mean = math.fsum(values) / count
+    except OverflowError:
+        raise ValidationError("the sum of the losses overflows float64") from None
     lo = min(values)
     mean = max(mean, lo)
-    ties = sum(1 for v in values if v - lo <= TIE_TOL)
+    ties = int(np.count_nonzero(losses - lo <= TIE_TOL))
     if ties == count:
         variance = 0.0
     else:
-        variance = math.fsum((v - mean) ** 2 for v in values) / count
+        try:
+            variance = math.fsum((v - mean) ** 2 for v in values) / count
+        except OverflowError:
+            variance = math.inf
     return DatasetSummary(count, mean, lo, ties, variance)
 
 
@@ -180,23 +354,27 @@ def reduce_augmented(ds: LossDataset) -> LossDataset:
     allowed (each group still contributes its own mean) but warned about,
     because only equal sizes preserve the grand mean exactly.
     """
-    groups: dict[str, list[float]] = {}
-    for i, rec in enumerate(ds.records):
-        if rec.group_id is None:
-            raise MissingGroupId(f"record {i} ({rec.sample_id!r}) has no group_id")
-        groups.setdefault(rec.group_id, []).append(rec.loss)
-    sizes = {len(v) for v in groups.values()}
-    if len(sizes) > 1:
+    groups = ds.group_ids
+    if groups is None or None in groups:
+        i = 0 if groups is None else groups.index(None)
+        raise MissingGroupId(f"record {i} ({ds.sample_ids[i]!r}) has no group_id")
+    position = {g: k for k, g in enumerate(dict.fromkeys(groups))}
+    codes = np.fromiter(map(position.__getitem__, groups), dtype=np.intp, count=len(groups))
+    sizes = np.bincount(codes)
+    distinct = set(sizes.tolist())
+    if len(distinct) > 1:
         warnings.warn(
             UnequalGroupsWarning(
-                f"group sizes differ ({sorted(sizes)}); grand mean becomes a mean of group means"
+                f"group sizes differ ({sorted(distinct)}); grand mean becomes a mean of group means"
             )
         )
-    records = tuple(
-        LossRecord(sample_id=gid, loss=math.fsum(vals) / len(vals))
-        for gid, vals in groups.items()
-    )
-    return LossDataset(records, model_id=ds.model_id)
+    # math.fsum is correctly rounded, so summing each group in sorted order
+    # gives the same mean as summing it in record order.
+    by_group = ds.losses[np.argsort(codes, kind="stable")].tolist()
+    ends = np.cumsum(sizes).tolist()
+    means = [math.fsum(by_group[start:end]) / (end - start) for start, end in zip([0, *ends], ends)]
+    return LossDataset.from_columns(np.array(means, dtype=np.float64), model_id=ds.model_id,
+                                    sample_ids=tuple(position))
 
 
 def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> LossDataset:
@@ -206,11 +384,18 @@ def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> Lo
     output of a previous :func:`reduce_augmented`, whose sample ids are the
     inner group ids).
     """
-    for i, rec in enumerate(ds.records):
-        if rec.sample_id not in outer_group_map:
-            raise UnknownSampleId(f"record {i}: sample id {rec.sample_id!r} missing from map")
-    records = tuple(replace(rec, group_id=outer_group_map[rec.sample_id]) for rec in ds.records)
-    return LossDataset(records, model_id=ds.model_id)
+    ids = ds.sample_ids
+    if not all(map(outer_group_map.__contains__, ids)):
+        i = next(i for i, sid in enumerate(ids) if sid not in outer_group_map)
+        raise UnknownSampleId(f"record {i}: sample id {ids[i]!r} missing from map")
+    return LossDataset.from_columns(
+        ds.losses,
+        model_id=ds.model_id,
+        sample_ids=ids,
+        group_ids=[outer_group_map[sid] for sid in ids],
+        grad_norm_sq=ds.grad_norm_sq,
+        grad_theta=ds.grad_theta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +440,17 @@ def load_dataset(path: str | Path, format: str | None = None) -> LossDataset:
         raise ParseError(f"{path}: no such file")
     fmt = format if format is not None else _infer_format(path)
     if fmt == "csv":
-        records = _load_csv(path)
+        columns = _load_csv(path)
     elif fmt == "jsonl":
-        records = _load_jsonl(path)
+        columns = _load_jsonl(path)
     else:
         raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
-    if not records:
+    if len(columns["losses"]) == 0:
         raise EmptyDataset(f"{path}: no data rows")
-    return LossDataset(tuple(records), model_id=path.stem)
+    return LossDataset.from_columns(model_id=path.stem, **columns)
 
 
-def _load_csv(path: Path) -> list[LossRecord]:
-    records = []
+def _load_csv(path: Path) -> dict:
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -277,35 +461,92 @@ def _load_csv(path: Path) -> list[LossRecord]:
             raise ParseError(
                 f"line 1: header must be one of {['|'.join(h) for h in _CSV_HEADERS]}, got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            loss = _parse_float(row[1], "loss", lineno)
-            if not math.isfinite(loss) or loss < 0.0:
-                raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {row[1]!r}")
-            group = None
-            grad_norm_sq = None
-            if len(header) >= 3 and row[2] != "":
-                group = row[2]
-            if len(header) == 4 and row[3] != "":
-                grad_norm_sq = _parse_float(row[3], "grad_norm_sq", lineno)
-            records.append(LossRecord(row[0], loss, group_id=group, grad_norm_sq=grad_norm_sq))
-    return records
+        body = handle.read()
+    width = len(header)
+    return _split_csv_body(body, width) or _read_csv_rows(csv.reader(io.StringIO(body, newline="")), width)
 
 
-def _load_jsonl(path: Path) -> list[LossRecord]:
-    records = []
+def _split_csv_body(body: str, width: int) -> dict | None:
+    """Columns of well-formed data rows by plain string splitting, or ``None``.
+
+    Without quotes, carriage returns or NUL characters the csv module splits
+    exactly at newlines and commas, so splitting the whole text gives the
+    same fields. ``None`` (read the rows with the csv module instead) covers
+    those characters, blank lines and every malformed or invalid row, so
+    that the row-by-row reader reports the first fault with its line number.
+    """
+    if body.endswith("\n"):
+        body = body[:-1]
+    if not body or body.startswith("\n") or any(c in body for c in ('"', "\r", "\0", "\n\n")):
+        return None
+    if set(map(str.count, body.split("\n"), repeat(","))) != {width - 1}:
+        return None
+    fields = body.replace("\n", ",").split(",")
+    count = len(fields) // width
+    try:
+        losses = np.fromiter(map(float, fields[1::width]), dtype=np.float64, count=count)
+        norms = [float(t) if t else None for t in fields[3::width]] if width == 4 else None
+    except ValueError:
+        return None
+    if not np.all((losses >= 0.0) & (losses < math.inf)):
+        return None
+    groups = [g or None for g in fields[2::width]] if width >= 3 else None
+    return {"losses": losses, "sample_ids": fields[0::width], "group_ids": groups, "grad_norm_sq": norms}
+
+
+def _read_csv_rows(reader, width: int) -> dict:
+    ids, losses = [], []
+    groups = [] if width >= 3 else None
+    norms = [] if width == 4 else None
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        loss = _parse_float(row[1], "loss", lineno)
+        if not 0.0 <= loss < math.inf:
+            raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {row[1]!r}")
+        ids.append(row[0])
+        losses.append(loss)
+        if groups is not None:
+            groups.append(row[2] or None)
+        if norms is not None:
+            norms.append(_parse_float(row[3], "grad_norm_sq", lineno) if row[3] else None)
+    return {"losses": np.array(losses, dtype=np.float64), "sample_ids": ids, "group_ids": groups,
+            "grad_norm_sq": norms}
+
+
+# What json.loads runs once leading whitespace is skipped; see _parse_json_line.
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
+def _parse_json_line(line: str, lineno: int):
+    """``json.loads`` of a stripped line, without its per-call overhead.
+
+    With no whitespace around the text, a scan that consumes the whole line
+    gives exactly what ``json.loads`` gives; anything else goes to
+    ``json.loads`` itself, so the error messages are its own.
+    """
+    try:
+        obj, end = _SCAN_JSON(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from None
+
+
+def _load_jsonl(path: Path) -> dict:
+    ids, losses, groups, norms, vectors = [], [], [], [], []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from None
+            obj = _parse_json_line(line, lineno)
             if not isinstance(obj, dict):
                 raise ParseError(f"line {lineno}: expected an object, got {type(obj).__name__}")
             if "sample_id" not in obj or "loss" not in obj:
@@ -313,7 +554,11 @@ def _load_jsonl(path: Path) -> list[LossRecord]:
             loss = obj["loss"]
             if isinstance(loss, bool) or not isinstance(loss, (int, float)):
                 raise ParseError(f"line {lineno}: 'loss' must be a number, got {loss!r}")
-            if not math.isfinite(float(loss)) or float(loss) < 0.0:
+            try:
+                value = float(loss)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not 0.0 <= value < math.inf:
                 raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {loss!r}")
             grad_theta = obj.get("grad_theta")
             if grad_theta is not None:
@@ -321,52 +566,61 @@ def _load_jsonl(path: Path) -> list[LossRecord]:
                     isinstance(x, (int, float)) and not isinstance(x, bool) for x in grad_theta
                 ):
                     raise ParseError(f"line {lineno}: 'grad_theta' must be an array of numbers")
-                grad_theta = tuple(float(x) for x in grad_theta)
-            records.append(
-                LossRecord(
-                    sample_id=str(obj["sample_id"]),
-                    loss=float(loss),
-                    group_id=None if obj.get("group_id") is None else str(obj["group_id"]),
-                    grad_norm_sq=None if obj.get("grad_norm_sq") is None else float(obj["grad_norm_sq"]),
-                    grad_theta=grad_theta,
-                )
-            )
-    return records
+                grad_theta = [float(x) for x in grad_theta]
+            group = obj.get("group_id")
+            norm = obj.get("grad_norm_sq")
+            if norm is not None:
+                try:
+                    norm = float(norm)
+                except (TypeError, ValueError):
+                    raise ParseError(f"line {lineno}: 'grad_norm_sq' must be a number, got {norm!r}") from None
+            ids.append(str(obj["sample_id"]))
+            losses.append(value)
+            groups.append(None if group is None else str(group))
+            norms.append(norm)
+            vectors.append(grad_theta)
+    return {"losses": np.array(losses, dtype=np.float64), "sample_ids": ids, "group_ids": groups,
+            "grad_norm_sq": norms, "grad_theta": vectors}
+
+
+def _absent_as_none(column: np.ndarray | None):
+    """Per-sample values of an optional float column, with ``None`` where absent."""
+    if column is None:
+        return repeat(None)
+    return [None if math.isnan(v) else v for v in column.tolist()]
 
 
 def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None:
     """Write a dataset back to disk; vector annotations require JSONL."""
     path = Path(path)
+    groups = repeat(None) if ds.group_ids is None else ds.group_ids
     if format == "csv":
-        if any(r.grad_theta is not None for r in ds.records):
+        if ds.grad_theta is not None:
             raise ValidationError("grad_theta vectors do not fit CSV; use jsonl")
-        has_group = any(r.group_id is not None for r in ds.records)
-        has_norm = any(r.grad_norm_sq is not None for r in ds.records)
         header = ["sample_id", "loss"]
-        if has_group or has_norm:
+        columns = [ds.sample_ids, map(repr, ds.losses.tolist())]
+        if ds.group_ids is not None or ds.grad_norm_sq is not None:
             header.append("group_id")
-        if has_norm:
+            columns.append("" if g is None else g for g in groups)
+        if ds.grad_norm_sq is not None:
             header.append("grad_norm_sq")
+            columns.append("" if v is None else repr(v) for v in _absent_as_none(ds.grad_norm_sq))
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for rec in ds.records:
-                row = [rec.sample_id, repr(rec.loss)]
-                if len(header) >= 3:
-                    row.append("" if rec.group_id is None else rec.group_id)
-                if len(header) == 4:
-                    row.append("" if rec.grad_norm_sq is None else repr(rec.grad_norm_sq))
-                writer.writerow(row)
+            writer.writerows(zip(*columns))
     elif format == "jsonl":
+        vectors = repeat(None) if ds.grad_theta is None else ds.grad_theta.tolist()
+        rows = zip(ds.sample_ids, ds.losses.tolist(), groups, _absent_as_none(ds.grad_norm_sq), vectors)
         with open(path, "w", encoding="utf-8") as handle:
-            for rec in ds.records:
-                obj: dict = {"sample_id": rec.sample_id, "loss": rec.loss}
-                if rec.group_id is not None:
-                    obj["group_id"] = rec.group_id
-                if rec.grad_norm_sq is not None:
-                    obj["grad_norm_sq"] = rec.grad_norm_sq
-                if rec.grad_theta is not None:
-                    obj["grad_theta"] = list(rec.grad_theta)
+            for sample_id, loss, group, norm, vector in rows:
+                obj: dict = {"sample_id": sample_id, "loss": loss}
+                if group is not None:
+                    obj["group_id"] = group
+                if norm is not None:
+                    obj["grad_norm_sq"] = norm
+                if vector is not None:
+                    obj["grad_theta"] = vector
                 handle.write(json.dumps(obj) + "\n")
     else:
         raise ValidationError(f"unknown format {format!r}; expected 'csv' or 'jsonl'")

@@ -24,11 +24,12 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
-from .loss_data import LossDataset, LossRecord
+from .loss_data import LossDataset
 
 PROB_TOL = 1e-12        # probabilities must sum to one within this
 _ORACLE_CAP = 1e12      # tilt cap for the oracle's own refinement search
 _TRIAL_CHUNK = 16384    # trials simulated per batch; fixed so streams are reproducible
+_BLOCK_DRAWS = 1 << 14  # draws held in memory at once, in whole samples (128 KB each)
 
 
 @dataclass(frozen=True)
@@ -230,13 +231,30 @@ def _draw_losses(
     return np.asarray(dist.values)[idx]
 
 
+def _sample_means(
+    dist: DiscreteLossDistribution, gen: np.random.Generator, trials: int, n: int, probs=None
+) -> np.ndarray:
+    """Means of ``trials`` samples of ``n`` draws each, drawn in blocks of about
+    ``_BLOCK_DRAWS`` draws.
+
+    The generator hands out draws in the same sequence however the requests
+    are split, and each mean reduces its own sample's row alone, so the means
+    equal those of one ``(trials, n)`` draw without holding it in memory.
+    """
+    means = np.empty(trials)
+    rows = max(1, _BLOCK_DRAWS // n)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        means[start:stop] = _draw_losses(dist, gen, (stop - start, n), probs).mean(axis=1)
+    return means
+
+
 def sample_dataset(dist: DiscreteLossDistribution, n: int, seed: int) -> LossDataset:
     """Draw ``n`` i.i.d. losses by inverse CDF on a Philox stream keyed by ``seed``."""
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
     losses = _draw_losses(dist, _generator(seed), n)
-    records = tuple(LossRecord(sample_id=f"s{i}", loss=float(v)) for i, v in enumerate(losses))
-    return LossDataset(records, model_id=f"sampled-{seed}")
+    return LossDataset.from_columns(losses, model_id=f"sampled-{seed}")
 
 
 def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossDataset:
@@ -252,10 +270,11 @@ def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossD
                 f"probability {p!r} times denominator {denominator} is not a positive integer"
             )
         counts.append(int(count))
-    records = []
-    for i, (v, c) in enumerate(zip(dist.values, counts)):
-        records.extend(LossRecord(sample_id=f"v{i}c{j}", loss=v) for j in range(c))
-    return LossDataset(tuple(records), model_id=f"expanded-{denominator}")
+    return LossDataset.from_columns(
+        np.repeat(np.asarray(dist.values, dtype=np.float64), counts),
+        model_id=f"expanded-{denominator}",
+        sample_ids=[f"v{i}c{j}" for i, c in enumerate(counts) for j in range(c)],
+    )
 
 
 def cramer_tail(
@@ -301,8 +320,7 @@ def cramer_tail(
     remaining = trials
     while remaining > 0:
         take = min(_TRIAL_CHUNK, remaining)
-        losses = _draw_losses(dist, gen, (take, n))
-        sample_means = losses.mean(axis=1)
+        sample_means = _sample_means(dist, gen, take, n)
         hits += int(np.count_nonzero(mean - sample_means >= a))
         remaining -= take
     p_hat = hits / trials
@@ -334,8 +352,7 @@ def _tilted_tail(dist, n, a, trials, seed) -> TiltedCramerReport:
     remaining = trials
     while remaining > 0:
         take = min(_TRIAL_CHUNK, remaining)
-        losses = _draw_losses(dist, gen, (take, n), tilted)
-        dev = mean - losses.mean(axis=1)
+        dev = mean - _sample_means(dist, gen, take, n, tilted)
         r = np.exp(-n * lam * (dev[dev >= a] - a))
         hits += r.size
         r_sum += float(r.sum())
@@ -380,7 +397,7 @@ def estimator_bias_probe(
     gen = _generator(seed)
     estimates = np.empty(replicates)
     done = 0
-    rows_per_chunk = max(1, _TRIAL_CHUNK * 16 // max(n, 1))
+    rows_per_chunk = max(1, _BLOCK_DRAWS // n)
     while done < replicates:
         take = min(rows_per_chunk, replicates - done)
         losses = _draw_losses(dist, gen, (take, n))

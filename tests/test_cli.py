@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,5 +342,37 @@ class TestConfigOverride:
         payload = json.loads(capsys.readouterr().out)
         assert payload["a"] == 0.3
 
+    def test_scalar_for_repeatable_flag(self, two_point_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"a": 0.3}')
+        assert run(["rate", "--input", str(two_point_csv), "--a", "0.1", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["a"] == 0.3
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [('{"tol": "x"}', "tol"), ('{"gird": "1:2:3:log"}', "gird"), ('{"format": "xml"}', "format")],
+    )
+    def test_bad_key_or_value_exit_2(self, two_point_csv, tmp_path, capsys, overrides, key):
+        config = tmp_path / "config.json"
+        config.write_text(overrides)
+        assert run(["rate", "--input", str(two_point_csv), "--a", "0.1", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert run(["no-such-command"]) == 2
+
+
+def test_overflowing_variance_prints_no_traceback(tmp_path):
+    # Finite losses whose squared deviations overflow float64.
+    path = tmp_path / "huge.csv"
+    path.write_text("sample_id,loss\ns0,0.0\ns1,3e299\ns2,1e300\ns3,2.5e300\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratefn.cli", "rate", "--input", str(path), "--a", "1e299"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr

@@ -1,6 +1,8 @@
 """Dataset ingestion, validation, summaries, and augmentation-group algebra."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -96,6 +98,33 @@ class TestLoading:
         path.write_text('{"sample_id": "a", "loss": 0.5}\n')
         assert len(load_dataset(path)) == 1
 
+    def test_quoted_blank_and_crlf_rows_read_like_plain_rows(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("sample_id,loss,group_id\na,0.5,g1\nb,1_0,\nc,0.25,g2\n")
+        other = tmp_path / "other.csv"
+        other.write_bytes(b'sample_id,loss,group_id\r\n"a",0.5,g1\r\n\r\nb,1_0,\r\nc,0.25,"g2"\r\n')
+        old_mac = tmp_path / "old_mac.csv"
+        old_mac.write_bytes(b"sample_id,loss,group_id\ra,0.5,g1\rb,1_0,\rc,0.25,g2\r")
+        a, b, c = load_dataset(plain), load_dataset(other), load_dataset(old_mac)
+        assert a.records == b.records == c.records
+        assert a.losses.tolist() == [0.5, 10.0, 0.25]
+        assert a.group_ids == ("g1", None, "g2")
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("sample_id,loss\ns1,0.5\ns2,-0.1\ns3,0.2\ns4,oops\n")
+        with pytest.raises(ValidationError, match="line 3"):
+            load_dataset(path, "csv")
+        path.write_text("sample_id,loss\ns1,0.5\n\ns2,oops\ns3,-0.1\n")
+        with pytest.raises(ParseError, match="line 4"):
+            load_dataset(path, "csv")
+
+    def test_jsonl_trailing_data_rejected(self, tmp_path):
+        path = tmp_path / "losses.jsonl"
+        path.write_text('{"sample_id": "a", "loss": 0.5}\n{"sample_id": "b", "loss": 0.5} 7\n')
+        with pytest.raises(ParseError, match="line 2: invalid JSON: Extra data"):
+            load_dataset(path, "jsonl")
+
     def test_round_trip_dump(self, tmp_path):
         ds = from_losses([0.1, 0.2, 0.3], group_ids=["g1", "g1", "g2"])
         for fmt, name in (("csv", "out.csv"), ("jsonl", "out.jsonl")):
@@ -126,6 +155,11 @@ class TestValidation:
     def test_partial_gradients_rejected(self):
         records = (LossRecord("a", 0.5, grad_theta=(1.0,)), LossRecord("b", 0.5))
         with pytest.raises(ValidationError):
+            LossDataset(records)
+
+    def test_first_faulty_record_is_reported(self):
+        records = (LossRecord("a", 0.5, grad_norm_sq=-1.0), LossRecord("b", -0.5, grad_norm_sq=1.0))
+        with pytest.raises(ValidationError, match=r"record 0 \('a'\): grad_norm_sq"):
             LossDataset(records)
 
     def test_model_meta(self):
@@ -173,6 +207,76 @@ class TestSummaries:
     def test_tie_tolerance(self):
         s = summarize(from_losses([0.5, 0.5 + 1e-13, 0.6]))
         assert s.min_loss_count == 2
+
+    def test_overflowing_variance_is_infinite(self):
+        s = summarize(from_losses(1e300 * np.array([0.0, 0.3, 1.0, 2.5])))
+        assert s.variance == math.inf
+        assert s.empirical_loss == math.fsum([0.0, 0.3e300, 1e300, 2.5e300]) / 4
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValidationError, match="sum of the losses overflows float64"):
+            summarize(from_losses([1.5e308, 1.5e308]))
+
+
+def _loop_summary(values):
+    """The summary's definition as a plain loop over Python floats."""
+    count = len(values)
+    mean = max(math.fsum(values) / count, min(values))
+    lo = min(values)
+    ties = sum(1 for v in values if v - lo <= 1e-12)
+    variance = 0.0 if ties == count else math.fsum((v - mean) ** 2 for v in values) / count
+    return count, mean, lo, ties, variance
+
+
+class TestColumnarDataset:
+    def test_losses_are_read_only_and_cached(self, two_point_ds):
+        assert two_point_ds.losses is two_point_ds.losses
+        assert not two_point_ds.losses.flags.writeable
+        with pytest.raises(ValueError):
+            two_point_ds.losses[0] = 1.0
+
+    def test_summary_is_cached(self, two_point_ds):
+        assert summarize(two_point_ds) is summarize(two_point_ds)
+
+    def test_from_losses_copies_its_input(self):
+        values = np.array([0.5, 1.5])
+        ds = from_losses(values)
+        values[0] = 9.0
+        assert ds.losses.tolist() == [0.5, 1.5]
+        assert values.flags.writeable
+
+    def test_records_view_round_trips(self, tmp_path):
+        path = tmp_path / "full.jsonl"
+        path.write_text(
+            '{"sample_id": "a", "loss": 0.5, "group_id": "g1", "grad_norm_sq": 4.0, "grad_theta": [1, -1]}\n'
+            '{"sample_id": "b", "loss": 0.25, "group_id": null, "grad_theta": [0.5, 0.5]}\n'
+        )
+        ds = load_dataset(path)
+        again = LossDataset(ds.records, model_id=ds.model_id)
+        assert again == ds
+        assert list(again) == list(ds.records)
+        assert again.sample_ids == ("a", "b")
+        assert again.group_ids == ("g1", None)
+        assert np.array_equal(again.grad_norm_sq, [4.0, np.nan], equal_nan=True)
+        assert again.grad_theta.tolist() == [[1.0, -1.0], [0.5, 0.5]]
+        assert ds.records[1] == LossRecord("b", 0.25, None, None, (0.5, 0.5))
+        assert pickle.loads(pickle.dumps(ds)) == copy.deepcopy(ds) == ds
+
+    def test_summary_matches_python_loop_bit_for_bit(self):
+        # (v - mean) ** 2 rounds differently from (v - mean) * (v - mean), which
+        # is what numpy's ** 2 computes, for this element under glibc's pow.
+        losses = [0.0, 2.6321290821318515]
+        deviation = losses[1] - math.fsum(losses) / 2
+        assert deviation ** 2 != deviation * deviation
+        s = summarize(from_losses(losses))
+        got = (s.count, s.empirical_loss, s.min_loss, s.min_loss_count, s.variance)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in _loop_summary(losses)]
+
+    def test_summary_matches_python_loop_on_a_sample(self):
+        losses = np.random.default_rng(3).exponential(1.0, 5000).tolist()
+        s = summarize(from_losses(losses))
+        got = (s.count, s.empirical_loss, s.min_loss, s.min_loss_count, s.variance)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in _loop_summary(losses)]
 
 
 class TestReduceAugmented:

@@ -1,0 +1,242 @@
+"""Byte-identity guard: every subcommand's output on small fixed inputs.
+
+Each case runs one ``ratefn`` subcommand in-process on the fixture files in
+``tests/data`` and hashes both the ``--output`` file and the stdout summary
+(with the temporary directory replaced by ``<tmp>``). The recorded SHA-256
+digests pin every output byte, so a refactor that moves any digit fails here.
+
+When an output is meant to change, print the new digests with
+``PYTHONPATH=src python tests/test_output_digests.py`` and update ``DIGESTS``
+in the same change, saying why.
+"""
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from ratefn.cli import run
+
+DATA = Path(__file__).parent / "data"
+A, B = str(DATA / "a.csv"), str(DATA / "b.csv")
+GROUPED, GRADS, LAW = str(DATA / "grouped.csv"), str(DATA / "grads.jsonl"), str(DATA / "law.json")
+META = ["--p", "10", "--n", "1000", "--delta", "0.05"]
+
+# name -> (argv without --output, output file name)
+CASES = {
+    "cumulant-json": (["cumulant", "--input", A], "out.json"),
+    "cumulant-csv": (["cumulant", "--input", A, "--format", "csv", "--grid", "0.01:100:16:log"], "out.csv"),
+    "cumulant-jsonl-input": (["cumulant", "--input", GRADS, "--grid", "0.1:10:9:linear"], "out.json"),
+    "rate-json": (["rate", "--input", A, "--a", "0.2"], "out.json"),
+    "rate-csv": (["rate", "--input", A, "--a", "0.2", "--format", "csv"], "out.csv"),
+    "rate-grid-json": (["rate", "--input", A, "--a-grid", "0.1:1.5:8:linear"], "out.json"),
+    "rate-grid-csv": (["rate", "--input", A, "--a-grid", "0.1:1.5:8:linear", "--format", "csv"], "out.csv"),
+    "inverse-rate-json": (["inverse-rate", "--input", A, "--s", "0.05"], "out.json"),
+    "inverse-rate-csv": (["inverse-rate", "--input", A, "--s", "0.05", "--format", "csv"], "out.csv"),
+    "inverse-rate-many-json": (["inverse-rate", "--input", A, "--s", "0.01", "--s", "0.1", "--s", "50"], "out.json"),
+    "inverse-rate-many-csv": (
+        ["inverse-rate", "--input", A, "--s", "0.01", "--s", "0.1", "--s", "50", "--format", "csv"], "out.csv"),
+    "grid-inverse-rate-json": (["grid-inverse-rate", "--input", A, "--s", "0.05"], "out.json"),
+    "grid-inverse-rate-csv": (
+        ["grid-inverse-rate", "--input", A, "--s", "0.05", "--grid", "0.1:10:7:log", "--format", "csv"], "out.csv"),
+    "bound": (["bound", "--input", A, *META], "out.json"),
+    "bound-train-loss": (["bound", "--input", B, *META, "--train-loss", "0.1"], "out.json"),
+    "compare": (["compare", "--input-a", A, "--input-b", B], "out.json"),
+    "compare-beta": (["compare", "--input-a", B, "--input-b", A, "--a-grid", "0.05:0.4:6:linear",
+                      "--beta", "0.2"], "out.json"),
+    "interpolator-check": (["interpolator-check", "--input-a", A, "--input-b", B, "--train-loss-a", "0",
+                            *META, "--epsilon", "0.01"], "out.json"),
+    "augment-csv": (["augment", "--input", GROUPED], "out.csv"),
+    "augment-jsonl": (["augment", "--input", GRADS, "--format", "jsonl"], "out.jsonl"),
+    "da-check-json": (["da-check", "--input", GROUPED], "out.json"),
+    "da-check-csv": (["da-check", "--input", GRADS, "--format", "csv", "--grid", "0.1:10:9:log"], "out.csv"),
+    "taylor-j": (["taylor", "--input", A, "--mode", "j", "--x", "0.5"], "out.json"),
+    "taylor-rate": (["taylor", "--input", A, "--mode", "rate", "--x", "0.1"], "out.json"),
+    "taylor-inverse-rate": (["taylor", "--input", B, "--mode", "inverse-rate", "--x", "0.05"], "out.json"),
+    "taylor-covariance": (["taylor", "--input", GRADS, "--mode", "covariance", "--x", "0.5",
+                           "--theta-delta", "0.1,-0.2,0.3", "--s-budget", "0.05"], "out.json"),
+    "grad-bound": (["grad-bound", "--input", GROUPED, "--m-const", "2", "--s", "0.1", "--lambda", "0.5"], "out.json"),
+    "grad-bound-jsonl": (["grad-bound", "--input", GRADS, "--m-const", "0.5", "--s", "0.01"], "out.json"),
+    "oracle-exact-json": (["oracle-exact", "--dist", LAW, "--lambda", "0.5", "--a", "0.3"], "out.json"),
+    "oracle-exact-csv": (["oracle-exact", "--dist", LAW, "--a", "0.3", "--format", "csv"], "out.csv"),
+    "simulate-cramer-json": (["simulate-cramer", "--dist", LAW, "--n", "80", "--a", "0.2",
+                              "--trials", "3000", "--seed", "7"], "out.json"),
+    "simulate-cramer-csv": (["simulate-cramer", "--dist", LAW, "--n", "80", "--a", "0.2",
+                             "--trials", "3000", "--seed", "7", "--format", "csv"], "out.csv"),
+    "bias-probe-json": (["bias-probe", "--dist", LAW, "--n", "1200", "--lambda", "1.0",
+                         "--replicates", "60", "--seed", "3"], "out.json"),
+    "bias-probe-csv": (["bias-probe", "--dist", LAW, "--n", "1200", "--lambda", "1.0",
+                        "--replicates", "60", "--seed", "3", "--format", "csv"], "out.csv"),
+}
+
+# name -> (sha256 of the --output file, sha256 of stdout)
+DIGESTS = {
+    "cumulant-json": (
+        "dafbfff23b8f168b0ec41c79e82b9c324639d3bd9dea8875dbd5d9d03c2979ec",
+        "1228a76d47c0d112bc4fa3029b285a14e0ea9f16f376f6871194064c983f1a7b",
+    ),
+    "cumulant-csv": (
+        "8712ba575b4e869ea2ec2a1b114967a79eef94a27ddb66ead3bc88fbf8e4f75d",
+        "93a0ebe498950ea994914d7afe48c9e2a48fab169ec4c58a7c3c19f493938eec",
+    ),
+    "cumulant-jsonl-input": (
+        "1b6f033df3003500cb3054415105fc0730d2d6afbf42f6cee84fe01fc73e8d33",
+        "459ee9150bff6a30ce690b5f5caa387201a3dfdbe30f1f480d222e5f1580650c",
+    ),
+    "rate-json": (
+        "43f457b189b3be4d2a53a7c956bc8df552e872aef403697aeca78df21a22fefb",
+        "dddac729d9b56a7112a7c45437b9d8baca8005a189cbc972236c84613c647cd8",
+    ),
+    "rate-csv": (
+        "cbdcde3f2de92783f3baecfe448eaa39ea15ba1cb62df3448f64fbaa05eea88e",
+        "dddac729d9b56a7112a7c45437b9d8baca8005a189cbc972236c84613c647cd8",
+    ),
+    "rate-grid-json": (
+        "2e998d2c80b7d3e0d437d52e5e278ba25c11373c6db92f1f1975663421ab09b6",
+        "789288fe947df17d2a6bd014674cb628bf6a6d35d569883e03368d20cbe0402d",
+    ),
+    "rate-grid-csv": (
+        "5994328a0819ffd13a2bb5a2da43d04391274bc38493f716a8da6041f1c083ff",
+        "789288fe947df17d2a6bd014674cb628bf6a6d35d569883e03368d20cbe0402d",
+    ),
+    "inverse-rate-json": (
+        "888aafa9b053d1049a6c166b6e33ce4505c4fb9d62ffb53253d073f5cc6ab7e6",
+        "69535b83a71cd2f54080672c27d3e9b3f7031a083c15e16e544c2ca75cf116ed",
+    ),
+    "inverse-rate-csv": (
+        "e6ece592096ec24549006eeee8625cbdc6a9e5f19a32e4a15dcba15cbb5f680c",
+        "69535b83a71cd2f54080672c27d3e9b3f7031a083c15e16e544c2ca75cf116ed",
+    ),
+    "inverse-rate-many-json": (
+        "8c9cb6769f8c6bbbfa16389462f499eb939d70f151b70b3802e04cd29b137434",
+        "fa0740c9655a9a90d2590c4231745ab0f5d9991961e86df18bfe44aff593fc20",
+    ),
+    "inverse-rate-many-csv": (
+        "3c6680704c1315a7ced1e4ac232334230435c1ae9c542c4dcd729efdf2352e0c",
+        "fa0740c9655a9a90d2590c4231745ab0f5d9991961e86df18bfe44aff593fc20",
+    ),
+    "grid-inverse-rate-json": (
+        "12a9bed96844cfea6ff778266a5fefda46ea725357fcd1b83c3d46e6880c9190",
+        "5172a2176855b4de75609ed3d0446b8fcbcdfefd7f038190463fe580b915d3ee",
+    ),
+    "grid-inverse-rate-csv": (
+        "03809a337f87de4de5c9309321e190ccc99d2617fa17252d48df95b0da32e331",
+        "9d561c938a1f34813eb3518460c916a1615b6dc9e520faf8d18ad26f70c27c22",
+    ),
+    "bound": (
+        "f50f84e4a088093921c70d185d3ae4d26a1f4856a02c6779786505a926d49dd6",
+        "0398c91f568a0fa819e22e22382dd0d069901b4573d1103b36efb41f8c772425",
+    ),
+    "bound-train-loss": (
+        "71f1ad25f35a3ae2348642b627c0ef12935f4826778f705e4ed390951bfe7c77",
+        "e60153ca154c1e5a65af3f2fdb2a17e769ca6fbaf3b308cf3aebc763961df2d4",
+    ),
+    "compare": (
+        "b18680bd9a8e6f3daf06a32899ef32f799958134b433cf985353da81feec630e",
+        "b1a7538215410a5afc308d29a471ebdef87de7db7d3b88e1b92662aefcf065f3",
+    ),
+    "compare-beta": (
+        "14d886c2084df9991a4a936f5a1e13c0412ce18d3427f9a0303c954b5b966664",
+        "a38a26b21fea02af7f382aa7be91e6a8b811327c80e98bcdf9cd96485809a003",
+    ),
+    "interpolator-check": (
+        "a346965e7796a13e98831b2ac3a1d8ed1e4af58973373114231217df9d7690c6",
+        "f73271c4d9bd190def0f6d14c2461dbc726d9d3f68778ef13d2e1ae6094270f7",
+    ),
+    "augment-csv": (
+        "adea88960e816c9a505af1471ed9ecc9f4589f8b0504f1889ad076c8b5cd31a2",
+        "a1aae8fafaa3c718081579b492be365f1aec71d1c5c2bafb005cb709a2273cf9",
+    ),
+    "augment-jsonl": (
+        "ac82a7025f74b6005132262d9b8af68b2a65df1599fef82f415cfda7a73e5885",
+        "405763119b415f152f816d3f288c5839a2d4f515cf50f119122d82e254145ca5",
+    ),
+    "da-check-json": (
+        "955a3b90b70c4691f12b5738c557f3ab464f341ce03a7a2381590efdf89f3cbb",
+        "debd4d3aa91443608cc3e21f7bc251382a8d35398354f2126749e6ef793dc252",
+    ),
+    "da-check-csv": (
+        "e1ebb3676a0d4b50ea9ea4d4ff1c154c703775f286afd5b17d646abaf398994e",
+        "428d6a3aba0bfa8956a9b3a2ba81a5738137a73d53f974dc3d223c5801031eff",
+    ),
+    "taylor-j": (
+        "981d63a3d91cbe2e2821f76e040390942da309d84c82d1f171ecbbe45dad1117",
+        "252c12fcc052405d07c4a3414b8fa9ad48656d42440ae68791765c51805586d8",
+    ),
+    "taylor-rate": (
+        "f79b9a4996cff169b04c990f3bb10f8f6f13622f930d0280d0cb26a0f1278a39",
+        "2e286e61eaed590532bf6897c1e3816c949eef25bcb140f0ce12e34728959600",
+    ),
+    "taylor-inverse-rate": (
+        "17547e1cb9fd4c63890388d212467a741c7f7b0a61d0bb8ef143e3770f32c428",
+        "0e27d5b0a83728a6e3f8f9fd549f3d9aff291241f2aae4dccb89d88437720acc",
+    ),
+    "taylor-covariance": (
+        "a3bd516d874498ed2baf58469c6f902d154f2d5ceed774fa067f65aaa1aae208",
+        "8e31dac2025b6f75b3a9667f9fee0f26213cadd01d1ab09e2876d830d8036915",
+    ),
+    "grad-bound": (
+        "283b28be7bba0f698ee7daaccb42eea6b5fbf1ffb267d16c74279cd38c5611e5",
+        "5f53a94e802a5e2e777d752131efbdb175008769a15f9fc4a606786a003f33d4",
+    ),
+    "grad-bound-jsonl": (
+        "809c35b49a82b2162430187aa4fd25357a9491db1e07ffb76a49a9838dcd6f72",
+        "db380d438ab2ea7550c642aaf7906756af6ac043508b67a0f0fbf00284f3a857",
+    ),
+    "oracle-exact-json": (
+        "7320e2f92aedf4d01f2513de3ce67b22bc0a7bb1aa5163bb29be7c73a988c2ab",
+        "fe2ce6d1d9eb67dca85a7b111ee85ae43f33851cad0dd510d8e8f4fc094be92f",
+    ),
+    "oracle-exact-csv": (
+        "ebdde2e1b6a7d0d5c3796a4c0bb4af0ae2c2f441eb155f7593f0328a4043f49e",
+        "3ce94124c222f18c3ab278899cdf8f0857655654467cc1fb355dac90a51a4644",
+    ),
+    "simulate-cramer-json": (
+        "49a36fa0578cefc6e93fe47fddfa9c423052c1fa3fee287913a7ebfffd5796d3",
+        "ce8a78ae44fc074e8d82bc6b92590cd574426f2a1b327027973e0a779b607dac",
+    ),
+    "simulate-cramer-csv": (
+        "d6893f7407b2ae7fcb41dad7dd952106e2aa78fa14a524e4f061a4bfb00f10a4",
+        "ce8a78ae44fc074e8d82bc6b92590cd574426f2a1b327027973e0a779b607dac",
+    ),
+    "bias-probe-json": (
+        "6a176bab68bd44686ec46fe9dd0645230b155e94712bdce5e162cb987c219f5c",
+        "5b1ef65ca09318483f8bd928d9627d1fb7f08a537a283ba2833d533d0d4b9370",
+    ),
+    "bias-probe-csv": (
+        "2b508f79c98fb4e421d45266a13165f0b50bbb56ead0b653c8f0ef1ebe174d9f",
+        "5b1ef65ca09318483f8bd928d9627d1fb7f08a537a283ba2833d533d0d4b9370",
+    ),
+}
+
+
+def case_digests(name: str, workdir: Path) -> tuple[str, str]:
+    """Run one case in ``workdir``; return the digests of its output file and stdout."""
+    argv, filename = CASES[name]
+    out = workdir / filename
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run([*argv, "--output", str(out)]) == 0
+    summary = stdout.getvalue().replace(str(workdir), "<tmp>")
+    return hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(summary.encode()).hexdigest()
+
+
+def test_every_subcommand_is_covered():
+    commands = {argv[0] for argv, _ in CASES.values()}
+    assert len(commands) == 14
+    assert set(DIGESTS) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_unchanged(name, tmp_path):
+    assert case_digests(name, tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            output, summary = case_digests(case, Path(tmp))
+            print(f'    "{case}": (\n        "{output}",\n        "{summary}",\n    ),')
