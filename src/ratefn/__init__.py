@@ -36,8 +36,10 @@ from .cumulant import (
     estimate_cumulant,
 )
 from .errors import (
+    ComputeError,
     DimensionMismatch,
     EmptyDataset,
+    InputError,
     InternalConsistencyError,
     InvalidA,
     InvalidLambda,

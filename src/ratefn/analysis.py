@@ -27,6 +27,7 @@ from .errors import (
     MissingGradNorms,
     ValidationError,
     ZeroVariance,
+    check_real,
 )
 from .loss_data import LossDataset, ModelMeta, reduce_augmented, summarize
 from .rate import InverseRateEvaluation, inverse_rate, rate
@@ -159,12 +160,14 @@ def generalization_bound(
     ``ds`` should hold per-sample losses on data not used for training. When
     ``train_loss`` is omitted the dataset's own mean is used and flagged.
     """
+    used_dataset_mean = train_loss is None
+    if not used_dataset_mean:
+        train_loss = check_real(train_loss, ValidationError, "train_loss", "non-negative")
     s = (meta.param_count / meta.train_size) * math.log(2.0 / meta.delta)
     s_union = (meta.param_count * math.log(2.0) + math.log(1.0 / meta.delta)) / meta.train_size
     inv = inverse_rate(ds, s)
     summary = summarize(ds)
-    used_dataset_mean = train_loss is None
-    base = summary.empirical_loss if used_dataset_mean else float(train_loss)
+    base = summary.empirical_loss if used_dataset_mean else train_loss
     return BoundReport(
         meta=meta,
         empirical_loss=summary.empirical_loss,
@@ -217,8 +220,8 @@ def compare_smoothness(
         grid = LambdaGrid.default()
     if a_values is None:
         a_values = _default_a_values(ds_a, ds_b)
-    a_values = tuple(float(a) for a in a_values)
-    if any(a <= 0 for a in a_values) or any(b <= a for a, b in zip(a_values, a_values[1:])):
+    a_values = tuple(check_real(a, InvalidA, "deviation a") for a in a_values)
+    if any(b <= a for a, b in zip(a_values, a_values[1:])):
         raise InvalidA("a_values must be positive and strictly increasing")
 
     curve_a = cumulant_curve(ds_a, grid)
@@ -227,7 +230,7 @@ def compare_smoothness(
         ja <= jb + DOMINANCE_SLACK for ja, jb in zip(curve_a.j_values, curve_b.j_values)
     )
 
-    beta_eff = float(beta) if beta is not None else a_values[-1]
+    beta_eff = check_real(beta, InvalidA, "beta") if beta is not None else a_values[-1]
     rate_dominance_on = 0.0
     for a in a_values:
         if not _rate_dominates(ds_a, ds_b, a):
@@ -266,13 +269,14 @@ def interpolator_ordering(
     asks A's rate to dominate B's on deviations up to ``beta``. A violated
     training-loss premise is reported, not raised.
     """
-    eps = meta.epsilon if epsilon is None else float(epsilon)
-    train_loss_a = float(train_loss_a)
+    eps = meta.epsilon if epsilon is None else check_real(epsilon, ValidationError, "epsilon", "non-negative")
+    train_loss_a = check_real(train_loss_a, ValidationError, "train_loss_a", "non-negative")
     premise_ok = train_loss_a <= eps
     s = (meta.param_count / meta.train_size) * math.log(2.0 / meta.delta)
     beta = inverse_rate(ds_a, s).value
     if a_values is None:
         a_values = tuple(beta * k / 8 for k in range(1, 9)) if beta > 0 else (1e-6,)
+    a_values = [check_real(a, InvalidA, "deviation a", "non-negative") for a in a_values]
     beta_smooth_ok = all(_rate_dominates(ds_a, ds_b, a) for a in a_values if a > 0)
     mean_a = summarize(ds_a).empirical_loss
     mean_b = summarize(ds_b).empirical_loss
@@ -322,12 +326,7 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
 def variance_taylor(ds: LossDataset, lam: float) -> ApproxReport:
     """Compare the cumulant at ``lam`` against its small-tilt quadratic
     ``lam**2 * variance / 2``."""
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError):
-        raise InvalidLambda(f"tilt must be a real number, got {lam!r}") from None
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise InvalidLambda(f"tilt must be finite and positive, got {lam!r}")
+    lam = check_real(lam, InvalidLambda, "tilt")
     summary = summarize(ds)
     exact = estimate_cumulant(ds, lam)
     approx = 0.5 * lam * lam * summary.variance
@@ -343,24 +342,14 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
     """
     summary = summarize(ds)
     if mode == "rate":
-        try:
-            x = float(x)
-        except (TypeError, ValueError):
-            raise InvalidA(f"deviation must be a real number, got {x!r}") from None
-        if not math.isfinite(x) or x <= 0.0:
-            raise InvalidA(f"deviation must be finite and positive, got {x!r}")
+        x = check_real(x, InvalidA, "deviation")
         if summary.variance == 0.0:
             raise ZeroVariance("rate approximation needs positive loss variance")
         approx = x * x / (2.0 * summary.variance)
         exact = rate(ds, x).value
         return ApproxReport("a", x, exact, approx, abs(exact - approx))
     if mode == "inverse_rate":
-        try:
-            x = float(x)
-        except (TypeError, ValueError):
-            raise InvalidS(f"budget must be a real number, got {x!r}") from None
-        if not math.isfinite(x) or x <= 0.0:
-            raise InvalidS(f"budget must be finite and positive, got {x!r}")
+        x = check_real(x, InvalidS, "budget")
         approx = math.sqrt(2.0 * x * summary.variance)
         exact = inverse_rate(ds, x).value
         return ApproxReport("s", x, exact, approx, abs(exact - approx))
@@ -381,16 +370,11 @@ def covariance_taylor(
     budget ``s`` is supplied, the matching inverse-rate approximation is
     ``sqrt(2*s*q)``.
     """
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError):
-        raise InvalidLambda(f"tilt must be a real number, got {lam!r}") from None
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise InvalidLambda(f"tilt must be finite and positive, got {lam!r}")
+    lam = check_real(lam, InvalidLambda, "tilt")
     grads = ds.grad_theta
     if grads is None:
         raise MissingGradients("every record needs a grad_theta vector")
-    delta = np.asarray([float(x) for x in theta_minus_theta0])
+    delta = np.asarray([check_real(x, ValidationError, "displacement", "any") for x in theta_minus_theta0])
     if grads.shape[1] != delta.shape[0]:
         raise DimensionMismatch(
             f"gradient vectors have length {grads.shape[1]}, displacement has {delta.shape[0]}"
@@ -403,9 +387,7 @@ def covariance_taylor(
     report = ApproxReport("lambda", lam, exact, approx, abs(exact - approx))
     inv_approx = None
     if s is not None:
-        s = float(s)
-        if not math.isfinite(s) or s <= 0.0:
-            raise InvalidS(f"budget must be finite and positive, got {s!r}")
+        s = check_real(s, InvalidS, "budget")
         inv_approx = math.sqrt(2.0 * s * quad)
     return CovarianceTaylor(report=report, quadratic_form=quad, inverse_rate_approx=inv_approx)
 
@@ -423,12 +405,8 @@ def gradient_norm_bound(
     ``m_const`` comes from a smoothness assumption the caller owns, so the
     bounds are reported without being checked against the data.
     """
-    m_const = float(m_const)
-    if not math.isfinite(m_const) or m_const <= 0.0:
-        raise ValidationError(f"m_const must be finite and positive, got {m_const!r}")
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise InvalidS(f"budget must be finite and positive, got {s!r}")
+    m_const = check_real(m_const, ValidationError, "m_const")
+    s = check_real(s, InvalidS, "budget")
     norms = ds.grad_norm_sq
     if norms is None or np.isnan(norms).any():
         raise MissingGradNorms("every record needs a grad_norm_sq value")
@@ -436,9 +414,7 @@ def gradient_norm_bound(
     coefficient = m_const * g2
     bound_j = None
     if lam is not None:
-        lam = float(lam)
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise InvalidLambda(f"tilt must be finite and positive, got {lam!r}")
+        lam = check_real(lam, InvalidLambda, "tilt")
         bound_j = coefficient * lam * lam
     return GradNormBound(
         m_const=m_const,

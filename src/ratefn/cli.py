@@ -3,15 +3,15 @@
 Each analysis is a subcommand. Results go to ``--output`` (written
 atomically), in which case stdout carries a one-line summary; without
 ``--output`` the payload itself is printed to stdout. Progress and errors go
-to stderr. Exit codes: 0 success, 2 validation problem (the message names
-the offending flag or input), 1 computation failure.
+to stderr as ``<command>: <error class>: <message>``. Exit codes: 0 success,
+2 for an ``InputError`` (invalid input or parameters; the message names the
+offending flag or input), 1 for a ``ComputeError`` (a computation that could
+not complete) and for an operating-system error such as an unwritable output.
 
 Seeded subcommands are bit-reproducible: rerunning with the same flags and
-seed writes byte-identical files. ``--threads`` is accepted for interface
-stability; evaluation is vectorized in-process and results never depend on
-it. A ``--config`` JSON file, when given, overrides the corresponding flags;
-its values are converted and checked as command-line values are, and an
-unknown key is a validation problem.
+seed writes byte-identical files. A ``--config`` JSON file, when given,
+overrides the corresponding flags; its values are converted and checked as
+command-line values are, and an unknown key is a validation problem.
 """
 
 from __future__ import annotations
@@ -23,45 +23,12 @@ from pathlib import Path
 
 from . import analysis, oracle, serialize
 from .cumulant import LambdaGrid, cumulant_curve
-from .errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    InternalConsistencyError,
-    InvalidA,
-    InvalidLambda,
-    InvalidMeta,
-    InvalidS,
-    MissingGradients,
-    MissingGradNorms,
-    MissingGroupId,
-    NonRationalProbs,
-    ParseError,
-    RatefnError,
-    SolverFailure,
-    UnknownSampleId,
-    ValidationError,
-    ZeroVariance,
-)
+from .errors import InputError, InvalidA, InvalidS, ParseError, RatefnError, ValidationError, check_real, not_utf8
 from .loss_data import ModelMeta, dump_dataset, load_dataset, reduce_augmented
 from .rate import grid_inverse_rate, inverse_rate, rate_curve
 
-_VALIDATION_ERRORS = (
-    ParseError,
-    ValidationError,
-    EmptyDataset,
-    MissingGroupId,
-    UnknownSampleId,
-    InvalidLambda,
-    InvalidA,
-    InvalidS,
-    InvalidMeta,
-    MissingGradients,
-    MissingGradNorms,
-    DimensionMismatch,
-    NonRationalProbs,
-    ZeroVariance,
-)
-_COMPUTE_ERRORS = (SolverFailure, InternalConsistencyError, OSError)
+_RATE_COLUMNS = ("a", "value", "lambda_star", "saturated")
+_INVERSE_RATE_COLUMNS = ("s", "value", "lambda_star", "saturated", "b_max")
 
 
 def parse_grid_spec(spec: str) -> LambdaGrid:
@@ -87,18 +54,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _row_csv(columns: list[str], values: list) -> str:
-    rendered = [
-        serialize.fmt17(v) if isinstance(v, float) else str(v).lower() if isinstance(v, bool) else str(v)
-        for v in values
-    ]
-    return (
-        f"# columns: {','.join(columns)}\n"
-        + ",".join(columns)
-        + "\n"
-        + ",".join(rendered)
-        + "\n"
-    )
+def _fields_csv(columns: tuple[str, ...], reports) -> str:
+    """CSV of the named fields of each report, one row per report."""
+    return serialize.to_csv_text(columns, ([getattr(r, c) for c in columns] for r in reports))
 
 
 def _add_io_args(sub, dataset_input=True):
@@ -108,7 +66,6 @@ def _add_io_args(sub, dataset_input=True):
     sub.add_argument("--output", default=None, help="write the result here (atomic)")
     sub.add_argument("--format", choices=("csv", "json"), default="json")
     sub.add_argument("--config", default=None, help="JSON file whose keys override flags")
-    sub.add_argument("--threads", type=_positive_int, default=None, help="accepted; results never depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--output", default=None)
     sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     sub.add_argument("--config", default=None)
-    sub.add_argument("--threads", type=_positive_int, default=None)
 
     sub = commands.add_parser("da-check", help="per-tilt augmentation inequality gaps")
     _add_io_args(sub)
@@ -247,19 +203,16 @@ def _cmd_rate(args):
         raise InvalidA("--a or --a-grid is required")
     a_values = sorted(set(a_values))
     evals = rate_curve(ds, a_values, tol=args.tol)
+    if args.format == "csv":
+        text = _fields_csv(_RATE_COLUMNS, evals)
+    elif len(evals) == 1:
+        text = serialize.to_json_text(evals[0], kind="rate")
+    else:
+        text = serialize.to_json_text({"evaluations": evals}, kind="rate_curve")
     if len(evals) == 1:
         ev = evals[0]
-        text = (
-            _row_csv(["a", "value", "lambda_star", "saturated"], [ev.a, ev.value, ev.lambda_star, ev.saturated])
-            if args.format == "csv"
-            else serialize.to_json_text(ev, kind="rate")
-        )
-        summary = f"rate: a={ev.a:g} value={serialize.fmt17(ev.value)} saturated={str(ev.saturated).lower()}"
-    else:
-        text = serialize.rate_curve_to_csv(evals) if args.format == "csv" else serialize.rate_curve_to_json(evals)
-        n_sat = sum(e.saturated for e in evals)
-        summary = f"rate: {len(evals)} deviations, {n_sat} saturated"
-    return summary, text
+        return f"rate: a={ev.a:g} value={serialize.fmt17(ev.value)} saturated={str(ev.saturated).lower()}", text
+    return f"rate: {len(evals)} deviations, {sum(e.saturated for e in evals)} saturated", text
 
 
 def _cmd_inverse_rate(args):
@@ -268,40 +221,24 @@ def _cmd_inverse_rate(args):
     if not s_values:
         raise InvalidS("--s is required")
     evals = [inverse_rate(ds, s, tol=args.tol) for s in sorted(set(s_values))]
+    if args.format == "csv":
+        text = _fields_csv(_INVERSE_RATE_COLUMNS, evals)
+    elif len(evals) == 1:
+        text = serialize.to_json_text(evals[0], kind="inverse_rate")
+    else:
+        text = serialize.to_json_text({"evaluations": evals}, kind="inverse_rate_curve")
     if len(evals) == 1:
         ev = evals[0]
-        text = (
-            _row_csv(
-                ["s", "value", "lambda_star", "saturated", "b_max"],
-                [ev.s, ev.value, ev.lambda_star, ev.saturated, ev.b_max],
-            )
-            if args.format == "csv"
-            else serialize.inverse_rate_to_json(ev)
-        )
         summary = f"inverse-rate: s={ev.s:g} value={serialize.fmt17(ev.value)} saturated={str(ev.saturated).lower()}"
-    else:
-        if args.format == "csv":
-            lines = ["# columns: s,value,lambda_star,saturated,b_max", "s,value,lambda_star,saturated,b_max"]
-            for ev in evals:
-                lines.append(
-                    f"{serialize.fmt17(ev.s)},{serialize.fmt17(ev.value)},"
-                    f"{serialize.fmt17(ev.lambda_star)},{str(ev.saturated).lower()},{serialize.fmt17(ev.b_max)}"
-                )
-            text = "\n".join(lines) + "\n"
-        else:
-            text = serialize.to_json_text({"evaluations": evals}, kind="inverse_rate_curve")
-        summary = f"inverse-rate: {len(evals)} budgets"
-    return summary, text
+        return summary, text
+    return f"inverse-rate: {len(evals)} budgets", text
 
 
 def _cmd_grid_inverse_rate(args):
     ds = _load_input(args)
     ev = grid_inverse_rate(ds, args.s, parse_grid_spec(args.grid))
     text = (
-        _row_csv(
-            ["s", "value", "lambda_star", "saturated", "b_max"],
-            [ev.s, ev.value, ev.lambda_star, ev.saturated, ev.b_max],
-        )
+        _fields_csv(_INVERSE_RATE_COLUMNS, [ev])
         if args.format == "csv"
         else serialize.to_json_text(ev, kind="grid_inverse_rate")
     )
@@ -358,12 +295,10 @@ def _cmd_da_check(args):
     ds = _load_input(args)
     report = analysis.da_inequality_check(ds, parse_grid_spec(args.grid))
     if args.format == "csv":
-        lines = ["# columns: lambda,j_flat,j_reduced,gap", "lambda,j_flat,j_reduced,gap"]
-        for lam, jf, jr, gap in zip(report.lambdas, report.j_flat, report.j_reduced, report.gaps):
-            lines.append(
-                f"{serialize.fmt17(lam)},{serialize.fmt17(jf)},{serialize.fmt17(jr)},{serialize.fmt17(gap)}"
-            )
-        text = "\n".join(lines) + "\n"
+        text = serialize.to_csv_text(
+            ("lambda", "j_flat", "j_reduced", "gap"),
+            zip(report.lambdas, report.j_flat, report.j_reduced, report.gaps),
+        )
     else:
         text = serialize.to_json_text(report, kind="da_check")
     return (
@@ -384,7 +319,7 @@ def _cmd_taylor(args):
     else:
         if not args.theta_delta:
             raise ValidationError("--theta-delta: required for covariance mode")
-        delta = [float(part) for part in args.theta_delta.split(",")]
+        delta = [check_real(part, ValidationError, "--theta-delta", "any") for part in args.theta_delta.split(",")]
         cov = analysis.covariance_taylor(ds, delta, args.x, s=args.s_budget)
         report = cov.report
         text = serialize.to_json_text(cov, kind="taylor_covariance")
@@ -418,7 +353,7 @@ def _cmd_oracle_exact(args):
         raise ValidationError("--lambda or --a: at least one is required")
     if args.format == "csv":
         columns = sorted(fields)
-        text = _row_csv(columns, [fields[c] for c in columns])
+        text = serialize.to_csv_text(columns, [[fields[c] for c in columns]])
     else:
         text = serialize.to_json_text(fields, kind="oracle_exact")
     return "oracle-exact: " + " ".join(parts), text
@@ -432,11 +367,7 @@ def _cmd_simulate_cramer(args):
     )
     report = oracle.cramer_tail(dist, args.n, args.a, args.trials, args.seed)
     if args.format == "csv":
-        text = _row_csv(
-            ["n", "a", "trials", "hit_count", "p_hat", "neg_log_rate", "exact_rate", "seed"],
-            [report.n, report.a, report.trials, report.hit_count, report.p_hat,
-             report.neg_log_rate, report.exact_rate, report.seed],
-        )
+        text = _fields_csv(("n", "a", "trials", "hit_count", "p_hat", "neg_log_rate", "exact_rate", "seed"), [report])
     else:
         text = serialize.to_json_text(report, kind="cramer_tail")
     return (
@@ -449,10 +380,8 @@ def _cmd_bias_probe(args):
     dist = oracle.load_distribution(args.dist)
     report = oracle.estimator_bias_probe(dist, args.n, args.lam, args.replicates, args.seed)
     if args.format == "csv":
-        text = _row_csv(
-            ["n", "lam", "replicates", "mean_estimate", "stderr", "exact_value", "underestimates", "seed"],
-            [report.n, report.lam, report.replicates, report.mean_estimate, report.stderr,
-             report.exact_value, report.underestimates, report.seed],
+        text = _fields_csv(
+            ("n", "lam", "replicates", "mean_estimate", "stderr", "exact_value", "underestimates", "seed"), [report]
         )
     else:
         text = serialize.to_json_text(report, kind="bias_probe")
@@ -522,6 +451,8 @@ def _apply_config(args, parser: argparse.ArgumentParser) -> None:
         raise ParseError(f"--config: {path}: no such file")
     try:
         overrides = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ParseError(f"--config: {not_utf8(path)}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"--config: {path}: invalid JSON: {exc.msg}") from None
     if not isinstance(overrides, dict):
@@ -557,15 +488,9 @@ def run(argv=None) -> int:
         else:
             print(summary)
         return 0
-    except _VALIDATION_ERRORS as exc:
+    except (RatefnError, OSError) as exc:
         print(f"{command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except _COMPUTE_ERRORS as exc:
-        print(f"{command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except RatefnError as exc:
-        print(f"{command}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidLambda, ValidationError
+from .errors import InternalConsistencyError, InvalidLambda, ValidationError, check_real
 from .loss_data import DatasetSummary, LossDataset, summarize
 
 # J >= 0 is a theorem; round-off below zero is clamped, anything beyond this
@@ -30,6 +30,13 @@ DEFAULT_GRID_HI = 1e3
 DEFAULT_GRID_SIZE = 64
 
 
+def _grid_args(lo, hi, count) -> tuple[float, float, int]:
+    """A grid factory's ends, which must be finite and positive, and its count."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValidationError(f"grid count must be a positive integer, got {count!r}")
+    return check_real(lo, ValidationError, "grid start"), check_real(hi, ValidationError, "grid stop"), count
+
+
 @dataclass(frozen=True)
 class LambdaGrid:
     """A strictly increasing grid of positive tilt values."""
@@ -38,27 +45,25 @@ class LambdaGrid:
     spacing: str = "log"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
+        values = tuple(check_real(v, ValidationError, "grid value") for v in self.values)
+        object.__setattr__(self, "values", values)
+        if not values:
             raise ValidationError("a tilt grid must be non-empty")
         if self.spacing not in ("linear", "log"):
             raise ValidationError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        prev = 0.0
-        for v in self.values:
-            if not math.isfinite(v) or v <= prev:
-                raise ValidationError("grid values must be finite, positive, strictly increasing")
-            prev = v
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValidationError("grid values must be finite, positive, strictly increasing")
 
     def __len__(self) -> int:
         return len(self.values)
 
     @staticmethod
     def linear(lo: float, hi: float, count: int) -> "LambdaGrid":
-        return LambdaGrid(tuple(np.linspace(lo, hi, count)), spacing="linear")
+        return LambdaGrid(tuple(np.linspace(*_grid_args(lo, hi, count))), spacing="linear")
 
     @staticmethod
     def log_spaced(lo: float, hi: float, count: int) -> "LambdaGrid":
-        return LambdaGrid(tuple(np.geomspace(lo, hi, count)), spacing="log")
+        return LambdaGrid(tuple(np.geomspace(*_grid_args(lo, hi, count))), spacing="log")
 
     @staticmethod
     def default() -> "LambdaGrid":
@@ -76,36 +81,24 @@ class CumulantCurve:
     summary: DatasetSummary
 
 
-def _check_lambda(lam) -> float:
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError):
-        raise InvalidLambda(f"tilt must be a real number, got {lam!r}") from None
-    if not math.isfinite(lam) or lam < 0.0:
-        raise InvalidLambda(f"tilt must be finite and non-negative, got {lam!r}")
-    return lam
+def cumulant_pair(losses: np.ndarray, lam: float, mean: float, lo: float) -> tuple[float, float]:
+    """Cumulant and its derivative at tilt ``lam`` for a loss array with precomputed
+    mean and minimum, from one exp pass.
 
-
-def cumulant_given(losses: np.ndarray, lam: float, mean: float, lo: float) -> float:
-    """Cumulant at tilt ``lam`` for a loss array with precomputed mean and minimum."""
+    The derivative is the mean minus the exponentially tilted mean, clamped
+    to [0, mean - min].
+    """
     if lam == 0.0:
-        return 0.0
+        return 0.0, 0.0
     z = np.exp(-lam * (losses - lo))
-    value = lam * (mean - lo) + math.log(float(z.sum())) - math.log(losses.size)
+    total = float(z.sum())
+    value = lam * (mean - lo) + math.log(total) - math.log(losses.size)
     if value < 0.0:
         if value <= -NEG_TOL:
             raise InternalConsistencyError(f"cumulant came out {value!r} < -{NEG_TOL}")
         value = 0.0
-    return value
-
-
-def derivative_given(losses: np.ndarray, lam: float, mean: float, lo: float) -> float:
-    """Cumulant derivative at ``lam``: mean minus the exponentially tilted mean."""
-    if lam == 0.0:
-        return 0.0
-    w = np.exp(-lam * (losses - lo))
-    tilted = float(w @ losses) / float(w.sum())
-    return min(max(mean - tilted, 0.0), mean - lo)
+    tilted = float(z @ losses) / total
+    return value, min(max(mean - tilted, 0.0), mean - lo)
 
 
 def estimate_cumulant(ds: LossDataset, lam: float) -> float:
@@ -113,16 +106,16 @@ def estimate_cumulant(ds: LossDataset, lam: float) -> float:
 
     ``lam = 0`` returns exactly 0 without computation.
     """
-    lam = _check_lambda(lam)
+    lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
     s = summarize(ds)
-    return cumulant_given(ds.losses, lam, s.empirical_loss, s.min_loss)
+    return cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)[0]
 
 
 def cumulant_derivative(ds: LossDataset, lam: float) -> float:
     """Derivative of the plug-in cumulant at tilt ``lam``; lies in [0, mean - min]."""
-    lam = _check_lambda(lam)
+    lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
     s = summarize(ds)
-    return derivative_given(ds.losses, lam, s.empirical_loss, s.min_loss)
+    return cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)[1]
 
 
 def cumulant_curve(ds: LossDataset, grid: LambdaGrid | None = None) -> CumulantCurve:
@@ -131,6 +124,5 @@ def cumulant_curve(ds: LossDataset, grid: LambdaGrid | None = None) -> CumulantC
         grid = LambdaGrid.default()
     s = summarize(ds)
     losses = ds.losses
-    j_values = tuple(cumulant_given(losses, lam, s.empirical_loss, s.min_loss) for lam in grid.values)
-    j_derivs = tuple(derivative_given(losses, lam, s.empirical_loss, s.min_loss) for lam in grid.values)
+    j_values, j_derivs = zip(*(cumulant_pair(losses, lam, s.empirical_loss, s.min_loss) for lam in grid.values))
     return CumulantCurve(grid=grid, j_values=j_values, j_derivs=j_derivs, summary=s)

@@ -29,6 +29,8 @@ from .errors import (
     ParseError,
     UnknownSampleId,
     ValidationError,
+    check_real,
+    not_utf8,
 )
 
 # Values within this absolute distance of the minimum count as attaining it;
@@ -83,8 +85,7 @@ class ModelMeta:
             raise InvalidMeta(f"train_size must be a positive integer, got {self.train_size!r}")
         if not (isinstance(self.delta, (int, float)) and 0.0 < self.delta < 1.0):
             raise InvalidMeta(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise InvalidMeta(f"epsilon must be a finite non-negative real, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, InvalidMeta, "epsilon", "non-negative"))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -234,6 +235,9 @@ class LossDataset:
         if bad_length is not None:
             i, length, dim = bad_length
             problems.append((i, 2, f"grad_theta has length {length}, expected {dim}"))
+        bad_vector = np.flatnonzero(~np.isfinite(vectors).all(axis=1)) if vectors is not None else ()
+        if len(bad_vector):
+            problems.append((int(bad_vector[0]), 2, "grad_theta values must be finite"))
         if problems:
             i, _, message = min(problems)
             raise ValidationError(f"record {i} ({self.sample_ids[i]!r}): {message}")
@@ -439,12 +443,12 @@ def load_dataset(path: str | Path, format: str | None = None) -> LossDataset:
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     fmt = format if format is not None else _infer_format(path)
-    if fmt == "csv":
-        columns = _load_csv(path)
-    elif fmt == "jsonl":
-        columns = _load_jsonl(path)
-    else:
+    if fmt not in ("csv", "jsonl"):
         raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
+    try:
+        columns = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     if len(columns["losses"]) == 0:
         raise EmptyDataset(f"{path}: no data rows")
     return LossDataset.from_columns(model_id=path.stem, **columns)

@@ -23,6 +23,8 @@ from .errors import (
     ParseError,
     SolverFailure,
     ValidationError,
+    check_real,
+    not_utf8,
 )
 from .loss_data import LossDataset
 
@@ -40,18 +42,13 @@ class DiscreteLossDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if not self.values:
             raise ValidationError("a distribution needs at least one atom")
         if len(self.values) != len(self.probs):
             raise ValidationError("values and probs must have the same length")
-        for v in self.values:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"loss values must be finite and non-negative, got {v!r}")
-        for p in self.probs:
-            if not math.isfinite(p) or p <= 0.0:
-                raise ValidationError(f"probabilities must be positive, got {p!r}")
+        values = tuple(check_real(v, ValidationError, "loss values", "non-negative") for v in self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", tuple(check_real(p, ValidationError, "probabilities") for p in self.probs))
         total = math.fsum(self.probs)
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
@@ -125,19 +122,9 @@ class BiasProbeReport:
     seed: int
 
 
-def _check_lambda(lam) -> float:
-    try:
-        lam = float(lam)
-    except (TypeError, ValueError):
-        raise InvalidLambda(f"tilt must be a real number, got {lam!r}") from None
-    if not math.isfinite(lam) or lam < 0.0:
-        raise InvalidLambda(f"tilt must be finite and non-negative, got {lam!r}")
-    return lam
-
-
 def exact_cumulant(dist: DiscreteLossDistribution, lam: float) -> float:
     """Exact cumulant ``log E[exp(lam*(mean - loss))]`` of a discrete distribution."""
-    lam = _check_lambda(lam)
+    lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
     if lam == 0.0:
         return 0.0
     values = np.asarray(dist.values)
@@ -164,12 +151,7 @@ def exact_rate(dist: DiscreteLossDistribution, a: float, resolution: int = 2048)
     is ``-log(mass at the minimum)``, the finite boundary of a finite-support
     distribution.
     """
-    try:
-        a = float(a)
-    except (TypeError, ValueError):
-        raise InvalidA(f"deviation a must be a real number, got {a!r}") from None
-    if not math.isfinite(a) or a <= 0.0:
-        raise InvalidA(f"deviation a must be finite and positive, got {a!r}")
+    a = check_real(a, InvalidA, "deviation a")
     if resolution < 8:
         raise ValidationError(f"resolution must be at least 8, got {resolution}")
     gap = dist.mean - dist.min_value
@@ -300,12 +282,9 @@ def cramer_tail(
     most ``exp(-n*I(a))``, so the relative error stays bounded as the tail
     shrinks.
     """
-    try:
-        a = float(a)
-    except (TypeError, ValueError):
-        raise InvalidA(f"deviation a must be a real number, got {a!r}") from None
+    a = check_real(a, InvalidA, "deviation a")
     gap = dist.mean - dist.min_value
-    if not math.isfinite(a) or a <= 0.0 or a >= gap:
+    if a >= gap:
         raise InvalidA(f"deviation a must lie in (0, {gap!r}), got {a!r}")
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be at least 1")
@@ -388,7 +367,7 @@ def estimator_bias_probe(
     seed: int,
 ) -> BiasProbeReport:
     """Replicate the plug-in cumulant on fresh samples and compare to the exact value."""
-    lam = _check_lambda(lam)
+    lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
     if replicates < 30:
         raise ValidationError(f"replicates must be at least 30, got {replicates}")
     if n < 1:
@@ -429,8 +408,13 @@ def load_distribution(path: str | Path) -> DiscreteLossDistribution:
         raise ParseError(f"{path}: no such file")
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict) or "values" not in obj or "probs" not in obj:
         raise ParseError(f"{path}: expected an object with 'values' and 'probs'")
+    for key in ("values", "probs"):
+        if not isinstance(obj[key], list):
+            raise ParseError(f"{path}: {key!r} must be an array, got {obj[key]!r}")
     return DiscreteLossDistribution(tuple(obj["values"]), tuple(obj["probs"]))

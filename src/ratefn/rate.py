@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cumulant import LambdaGrid, cumulant_given, derivative_given
-from .errors import InvalidA, InvalidS, SolverFailure
+from .cumulant import LambdaGrid, cumulant_pair
+from .errors import InvalidA, InvalidS, SolverFailure, ValidationError, check_real
 from .loss_data import LossDataset, summarize
 
 DEFAULT_TOL = 1e-10
@@ -69,13 +69,14 @@ class _Curve:
         self.b_max = math.log(s.count) - math.log(s.min_loss_count)
 
     def j(self, lam: float) -> float:
-        return cumulant_given(self.losses, lam, self.mean, self.lo)
+        return cumulant_pair(self.losses, lam, self.mean, self.lo)[0]
 
     def dj(self, lam: float) -> float:
-        return derivative_given(self.losses, lam, self.mean, self.lo)
+        return cumulant_pair(self.losses, lam, self.mean, self.lo)[1]
 
     def bregman(self, lam: float) -> float:
-        return lam * self.dj(lam) - self.j(lam)
+        j, dj = cumulant_pair(self.losses, lam, self.mean, self.lo)
+        return lam * dj - j
 
 
 def _bisect_increasing(f: Callable[[float], float], target: float, tol: float) -> float | None:
@@ -106,16 +107,6 @@ def _bisect_increasing(f: Callable[[float], float], target: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
-def _check_positive(x, exc, name: str) -> float:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise exc(f"{name} must be a real number, got {x!r}") from None
-    if not math.isfinite(x) or x <= 0.0:
-        raise exc(f"{name} must be finite and positive, got {x!r}")
-    return x
-
-
 def _rate_on(curve: _Curve, a: float, tol: float) -> RateEvaluation:
     if a >= curve.gap - tol:
         return RateEvaluation(a=a, value=math.inf, lambda_star=math.inf, saturated=True)
@@ -134,8 +125,8 @@ def rate(ds: LossDataset, a: float, tol: float = DEFAULT_TOL) -> RateEvaluation:
     Deviations at or beyond ``mean - min`` (within ``tol``) saturate to an
     infinite rate; elsewhere the optimizer solves ``J'(lam) = a``.
     """
-    a = _check_positive(a, InvalidA, "deviation a")
-    return _rate_on(_Curve(ds), a, tol)
+    a = check_real(a, InvalidA, "deviation a")
+    return _rate_on(_Curve(ds), a, check_real(tol, ValidationError, "tol", "non-negative"))
 
 
 def _inverse_on(curve: _Curve, s: float, tol: float) -> InverseRateEvaluation:
@@ -159,8 +150,8 @@ def inverse_rate(ds: LossDataset, s: float, tol: float = DEFAULT_TOL) -> Inverse
     saturate to the empirical gap; elsewhere the optimizer solves
     ``lam*J'(lam) - J(lam) = s`` and the value never exceeds the mean loss.
     """
-    s = _check_positive(s, InvalidS, "budget s")
-    return _inverse_on(_Curve(ds), s, tol)
+    s = check_real(s, InvalidS, "budget s")
+    return _inverse_on(_Curve(ds), s, check_real(tol, ValidationError, "tol", "non-negative"))
 
 
 def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRateEvaluation:
@@ -170,7 +161,7 @@ def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRat
     unrestricted one and may exceed the mean loss when the grid misses the
     optimum; the result is never flagged saturated.
     """
-    s = _check_positive(s, InvalidS, "budget s")
+    s = check_real(s, InvalidS, "budget s")
     curve = _Curve(ds)
     candidates = [(curve.j(lam) + s) / lam for lam in grid.values]
     best = int(np.argmin(candidates))
@@ -185,8 +176,9 @@ def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRat
 
 def rate_curve(ds: LossDataset, a_values: Sequence[float], tol: float = DEFAULT_TOL) -> list[RateEvaluation]:
     """Rate evaluations over an increasing sequence of deviations."""
-    checked = [_check_positive(a, InvalidA, "deviation a") for a in a_values]
+    checked = [check_real(a, InvalidA, "deviation a") for a in a_values]
     if any(b <= a for a, b in zip(checked, checked[1:])):
         raise InvalidA("a_values must be strictly increasing")
+    tol = check_real(tol, ValidationError, "tol", "non-negative")
     curve = _Curve(ds)
     return [_rate_on(curve, a, tol) for a in checked]

@@ -15,11 +15,10 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .cumulant import CumulantCurve
 from .errors import ParseError
-from .rate import InverseRateEvaluation, RateEvaluation
 
 SCHEMA_VERSION = "1"
 
@@ -72,11 +71,25 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def cumulant_curve_to_csv(curve: CumulantCurve) -> str:
-    lines = ["# columns: lambda,j,j_deriv", "lambda,j,j_deriv"]
-    for lam, j, dj in zip(curve.grid.values, curve.j_values, curve.j_derivs):
-        lines.append(f"{fmt17(lam)},{fmt17(j)},{fmt17(dj)}")
+def _cell(value: Any) -> str:
+    if isinstance(value, float):
+        return fmt17(value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def to_csv_text(columns: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
+    """Render a table as CSV: a ``# columns:`` comment, the header, one line per row.
+
+    Floats get 17 significant digits (``fmt17``), booleans are lower case and
+    every other value is written with ``str``.
+    """
+    lines = [f"# columns: {','.join(columns)}", ",".join(columns)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def cumulant_curve_to_csv(curve: CumulantCurve) -> str:
+    return to_csv_text(("lambda", "j", "j_deriv"), zip(curve.grid.values, curve.j_values, curve.j_derivs))
 
 
 def cumulant_curve_to_json(curve: CumulantCurve) -> str:
@@ -105,20 +118,3 @@ def load_cumulant_curve_csv(path: str | Path) -> tuple[list[float], list[float],
         js.append(float(parts[1]))
         djs.append(float(parts[2]))
     return lams, js, djs
-
-
-def rate_curve_to_csv(evaluations: Sequence[RateEvaluation]) -> str:
-    lines = ["# columns: a,value,lambda_star,saturated", "a,value,lambda_star,saturated"]
-    for ev in evaluations:
-        lines.append(
-            f"{fmt17(ev.a)},{fmt17(ev.value)},{fmt17(ev.lambda_star)},{str(ev.saturated).lower()}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def rate_curve_to_json(evaluations: Sequence[RateEvaluation]) -> str:
-    return to_json_text({"evaluations": list(evaluations)}, kind="rate_curve")
-
-
-def inverse_rate_to_json(evaluation: InverseRateEvaluation) -> str:
-    return to_json_text(evaluation, kind="inverse_rate")

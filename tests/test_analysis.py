@@ -7,6 +7,7 @@ import pytest
 
 from ratefn import (
     DimensionMismatch,
+    InvalidA,
     LambdaGrid,
     LossRecord,
     LossDataset,
@@ -149,6 +150,11 @@ class TestInterpolatorOrdering:
         assert claim.holdout_mean_a == claim.holdout_mean_b == 0.5
         assert claim.holdout_consistent
         assert claim.beta <= 0.5
+
+    def test_non_finite_deviation_is_rejected_not_skipped(self, bernoulli_ds):
+        for bad in (math.nan, math.inf, -0.1):
+            with pytest.raises(InvalidA):
+                interpolator_ordering(0.0, bernoulli_ds, bernoulli_ds, ModelMeta(10, 100, 0.05), a_values=[bad])
 
 
 class TestDACheck:

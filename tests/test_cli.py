@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ratefn
+from ratefn import cli
 from ratefn.cli import parse_grid_spec, run
-from ratefn.errors import ValidationError
+from ratefn.errors import ComputeError, InputError, RatefnError, ValidationError, check_real
 from ratefn.serialize import load_cumulant_curve_csv
 
 LN2 = math.log(2.0)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -376,3 +379,106 @@ def test_overflowing_variance_prints_no_traceback(tmp_path):
     )
     assert proc.returncode in (0, 1, 2)
     assert "Traceback" not in proc.stderr
+
+
+# Files for the rejected-input cases below, written into the test's directory.
+BAD_INPUTS = {
+    "text-value.json": '{"values": [0, "x"], "probs": [0.5, 0.5]}',
+    "scalar-values.json": '{"values": 5, "probs": [1]}',
+    "null-value.json": '{"values": [0, null], "probs": [0.5, 0.5]}',
+    "inf-grad.jsonl": '{"sample_id": "a", "loss": 0.5, "grad_theta": [1e999999]}\n'
+                      '{"sample_id": "b", "loss": 0.7, "grad_theta": [1.0]}\n',
+}
+META = ["--p", "10", "--n", "1000", "--delta", "0.05"]
+
+
+class TestRejectedScalars:
+    """Malformed or out-of-range arguments and input values exit 2 with a message
+    naming them, never with a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["inverse-rate", "--input", "{data}/a.csv", "--s", "0.1", "--tol", "inf"], "tol"),
+        (["inverse-rate", "--input", "{data}/a.csv", "--s", "0.1", "--tol", "-1"], "tol"),
+        (["rate", "--input", "{data}/a.csv", "--a", "0.1", "--tol", "nan"], "tol"),
+        (["bound", "--input", "{data}/a.csv", *META, "--train-loss", "nan"], "train_loss"),
+        (["interpolator-check", "--input-a", "{data}/a.csv", "--input-b", "{data}/b.csv",
+          "--train-loss-a", "nan", *META], "train_loss_a"),
+        (["compare", "--input-a", "{data}/a.csv", "--input-b", "{data}/b.csv", "--beta", "nan"], "beta"),
+        (["cumulant", "--input", "{data}/a.csv", "--grid", "0:1:4:log"], "grid start"),
+        (["cumulant", "--input", "{data}/a.csv", "--grid", "1:2:-1:linear"], "grid count"),
+        (["rate", "--input", "{data}/a.csv", "--a-grid", "0.1:0.2:0:log"], "grid count"),
+        (["taylor", "--input", "{data}/grads.jsonl", "--mode", "covariance", "--x", "0.5",
+          "--theta-delta", "a,b"], "--theta-delta"),
+        (["taylor", "--input", "{data}/grads.jsonl", "--mode", "covariance", "--x", "0.5",
+          "--theta-delta", "1,nan,2"], "--theta-delta"),
+        (["oracle-exact", "--dist", "{tmp}/text-value.json", "--lambda", "1"], "values"),
+        (["oracle-exact", "--dist", "{tmp}/scalar-values.json", "--lambda", "1"], "values"),
+        (["oracle-exact", "--dist", "{tmp}/null-value.json", "--lambda", "1"], "values"),
+        (["taylor", "--input", "{tmp}/inf-grad.jsonl", "--mode", "covariance", "--x", "0.5",
+          "--theta-delta", "1"], "record 0 ('a'): grad_theta"),
+    ])
+    def test_exit_2_naming_the_argument(self, argv, named, tmp_path, capsys):
+        for name, text in BAD_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(data=DATA, tmp=tmp_path) for arg in argv]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("losses.csv", ["rate", "--input", "{path}", "--a", "0.1"]),
+        ("losses.jsonl", ["rate", "--input", "{path}", "--a", "0.1"]),
+        ("law.json", ["oracle-exact", "--dist", "{path}", "--lambda", "1"]),
+        ("config.json", ["rate", "--input", "{data}/a.csv", "--config", "{path}"]),
+    ])
+    def test_non_utf8_file_is_parse_error(self, name, argv, tmp_path, capsys):
+        # Bytes 0-8 decode; byte 9 is a lone 0xff.
+        path = tmp_path / name
+        path.write_bytes(b"sample_id\xff,loss\n")
+        argv = [arg.format(path=path, data=DATA) for arg in argv]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"ParseError: {'--config: ' if name == 'config.json' else ''}{path}: not UTF-8 text" in err
+        assert "byte 0xff at offset 9" in err
+
+
+class TestErrorClasses:
+    EXPORTED = [
+        obj for obj in vars(ratefn).values()
+        if isinstance(obj, type) and issubclass(obj, RatefnError) and obj not in (RatefnError, InputError, ComputeError)
+    ]
+
+    def test_each_error_is_an_input_or_a_compute_error(self):
+        assert len(self.EXPORTED) == 16
+        for cls in self.EXPORTED:
+            assert issubclass(cls, InputError) != issubclass(cls, ComputeError), cls
+
+    @pytest.mark.parametrize("cls", EXPORTED, ids=lambda cls: cls.__name__)
+    def test_run_maps_the_class_to_its_exit_code(self, cls, monkeypatch, capsys):
+        def fail(args):
+            raise cls("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "cumulant", fail)
+        assert run(["cumulant", "--input", "unused.csv"]) == (2 if issubclass(cls, InputError) else 1)
+        assert capsys.readouterr().err == f"cumulant: {cls.__name__}: boom\n"
+
+    def test_check_real_messages(self):
+        assert check_real("2.5", ValidationError, "x") == 2.5
+        assert check_real(0, ValidationError, "x", "non-negative") == 0.0
+        assert check_real(-3, ValidationError, "x", "any") == -3.0
+        for value, sign, message in [
+            ("y", "positive", "x must be a real number, got 'y'"),
+            (None, "any", "x must be a real number, got None"),
+            (0, "positive", "x must be finite and positive, got 0.0"),
+            (-1, "non-negative", "x must be finite and non-negative, got -1.0"),
+            (math.inf, "any", "x must be finite, got inf"),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                check_real(value, ValidationError, "x", sign)
+            assert str(info.value) == message
+
+    def test_os_error_exits_1(self, two_point_csv, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "out.json"
+        assert run(["rate", "--input", str(two_point_csv), "--a", "0.1", "--output", str(out)]) == 1
+        assert "FileNotFoundError" in capsys.readouterr().err

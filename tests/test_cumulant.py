@@ -7,6 +7,7 @@ import pytest
 
 from ratefn import (
     DiscreteLossDistribution,
+    InternalConsistencyError,
     InvalidLambda,
     LambdaGrid,
     ValidationError,
@@ -20,6 +21,7 @@ from ratefn import (
     summarize,
 )
 from conftest import random_dataset, random_distribution
+from ratefn.cumulant import NEG_TOL, cumulant_pair
 
 LN2 = math.log(2.0)
 
@@ -123,6 +125,63 @@ class TestCurve:
             fd = (curve.j_values[i + 1] - curve.j_values[i - 1]) / (2 * h)
             tol = max(1e-6, 1e-3 * abs(curve.j_derivs[i]))
             assert abs(curve.j_derivs[i] - fd) <= tol
+
+
+def _two_pass_cumulant(losses, lam, mean, lo):
+    """Reference: the cumulant from an exp pass of its own."""
+    if lam == 0.0:
+        return 0.0
+    z = np.exp(-lam * (losses - lo))
+    value = lam * (mean - lo) + math.log(float(z.sum())) - math.log(losses.size)
+    if value < 0.0:
+        if value <= -NEG_TOL:
+            raise InternalConsistencyError(f"cumulant came out {value!r} < -{NEG_TOL}")
+        value = 0.0
+    return value
+
+
+def _two_pass_derivative(losses, lam, mean, lo):
+    """Reference: the derivative from an exp pass of its own."""
+    if lam == 0.0:
+        return 0.0
+    w = np.exp(-lam * (losses - lo))
+    tilted = float(w @ losses) / float(w.sum())
+    return min(max(mean - tilted, 0.0), mean - lo)
+
+
+class TestOnePassKernel:
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e6, 1e100])
+    def test_bitwise_equal_to_two_passes(self, scale):
+        rng = np.random.default_rng(23)
+        base = np.concatenate([[0.0, 0.0], rng.exponential(size=997), [30.0]])
+        losses = rng.permutation(base) * scale
+        s = summarize(from_losses(losses))
+        tilts = [0.0, *(t / scale for t in np.geomspace(1e-4, 1e5, 104))]
+        for lam in tilts:
+            expected = (
+                _two_pass_cumulant(losses, lam, s.empirical_loss, s.min_loss),
+                _two_pass_derivative(losses, lam, s.empirical_loss, s.min_loss),
+            )
+            got = cumulant_pair(losses, lam, s.empirical_loss, s.min_loss)
+            assert list(map(repr, got)) == list(map(repr, expected)), (scale, lam)
+
+    def test_consistency_check_is_kept(self):
+        # A mean passed below its true value makes the cumulant negative beyond round-off.
+        losses = np.array([0.0, 1.0])
+        with pytest.raises(InternalConsistencyError):
+            _two_pass_cumulant(losses, 1.0, 0.1, 0.0)
+        with pytest.raises(InternalConsistencyError):
+            cumulant_pair(losses, 1.0, 0.1, 0.0)
+
+    def test_curve_uses_the_kernel(self):
+        rng = np.random.default_rng(29)
+        ds = random_dataset(rng, size=50)
+        s = summarize(ds)
+        curve = cumulant_curve(ds)
+        for lam, j, dj in zip(curve.grid.values, curve.j_values, curve.j_derivs):
+            assert (j, dj) == cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)
+            assert estimate_cumulant(ds, lam) == j
+            assert cumulant_derivative(ds, lam) == dj
 
 
 class TestAgainstOracle:

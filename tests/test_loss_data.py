@@ -157,6 +157,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LossDataset(records)
 
+    def test_non_finite_grad_theta_rejected(self):
+        losses = np.array([0.5, 0.7, 0.9])
+        for vectors in ([[1.0, 2.0], [3.0, math.inf], [math.nan, 0.0]],
+                        np.array([[1.0, 2.0], [3.0, -math.inf], [math.nan, 0.0]])):
+            with pytest.raises(ValidationError, match=r"record 1 \('s1'\): grad_theta values must be finite"):
+                LossDataset.from_columns(losses.copy(), grad_theta=vectors)
+
+    def test_jsonl_overflowing_grad_theta_rejected(self, tmp_path):
+        path = tmp_path / "grads.jsonl"
+        path.write_text('{"sample_id": "a", "loss": 0.5, "grad_theta": [1e999999]}\n')
+        with pytest.raises(ValidationError, match=r"record 0 \('a'\): grad_theta values must be finite"):
+            load_dataset(path)
+
     def test_first_faulty_record_is_reported(self):
         records = (LossRecord("a", 0.5, grad_norm_sq=-1.0), LossRecord("b", -0.5, grad_norm_sq=1.0))
         with pytest.raises(ValidationError, match=r"record 0 \('a'\): grad_norm_sq"):
