@@ -30,7 +30,7 @@ from .errors import (
     check_real,
 )
 from .loss_data import LossDataset, ModelMeta, reduce_augmented, summarize
-from .rate import InverseRateEvaluation, inverse_rate, rate
+from .rate import InverseRateEvaluation, RateSolver, inverse_rate, rate
 
 DOMINANCE_SLACK = 1e-12
 
@@ -180,12 +180,12 @@ def generalization_bound(
     )
 
 
-def _rate_dominates(ds_a: LossDataset, ds_b: LossDataset, a: float) -> bool:
+def _rate_dominates(solver_a: RateSolver, solver_b: RateSolver, a: float) -> bool:
     # A saturated rate is infinite, so it dominates anything.
-    eval_a = rate(ds_a, a)
+    eval_a = solver_a.rate(a)
     if eval_a.saturated:
         return True
-    eval_b = rate(ds_b, a)
+    eval_b = solver_b.rate(a)
     if eval_b.saturated:
         return False
     return eval_a.value >= eval_b.value - DOMINANCE_SLACK
@@ -232,8 +232,9 @@ def compare_smoothness(
 
     beta_eff = check_real(beta, InvalidA, "beta") if beta is not None else a_values[-1]
     rate_dominance_on = 0.0
+    solver_a, solver_b = RateSolver(ds_a), RateSolver(ds_b)
     for a in a_values:
-        if not _rate_dominates(ds_a, ds_b, a):
+        if not _rate_dominates(solver_a, solver_b, a):
             break
         rate_dominance_on = a
 
@@ -273,11 +274,13 @@ def interpolator_ordering(
     train_loss_a = check_real(train_loss_a, ValidationError, "train_loss_a", "non-negative")
     premise_ok = train_loss_a <= eps
     s = (meta.param_count / meta.train_size) * math.log(2.0 / meta.delta)
-    beta = inverse_rate(ds_a, s).value
+    solver_a = RateSolver(ds_a)
+    beta = solver_a.inverse_rate(s).value
     if a_values is None:
         a_values = tuple(beta * k / 8 for k in range(1, 9)) if beta > 0 else (1e-6,)
     a_values = [check_real(a, InvalidA, "deviation a", "non-negative") for a in a_values]
-    beta_smooth_ok = all(_rate_dominates(ds_a, ds_b, a) for a in a_values if a > 0)
+    solver_b = RateSolver(ds_b)
+    beta_smooth_ok = all(_rate_dominates(solver_a, solver_b, a) for a in a_values if a > 0)
     mean_a = summarize(ds_a).empirical_loss
     mean_b = summarize(ds_b).empirical_loss
     return OrderingClaim(

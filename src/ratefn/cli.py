@@ -84,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(sub)
     sub.add_argument("--a", type=float, action="append", default=None, help="deviation (repeatable)")
     sub.add_argument("--a-grid", default=None, help="start:stop:count:linear|log")
-    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--tol", type=float, default=1e-10,
+                     help="tolerance relative to the gap mean - min: on J'(lambda) - a and for saturation")
 
     sub = commands.add_parser("inverse-rate", help="inverse rate at one or more budgets")
     _add_io_args(sub)
     sub.add_argument("--s", type=float, action="append", default=None, help="budget (repeatable)")
-    sub.add_argument("--tol", type=float, default=1e-10)
+    sub.add_argument("--tol", type=float, default=1e-10,
+                     help="tolerance on the Bregman gap and for saturation at b_max, in nats at any loss scale")
 
     sub = commands.add_parser("grid-inverse-rate", help="inverse rate restricted to a tilt grid")
     _add_io_args(sub)

@@ -81,6 +81,29 @@ class CumulantCurve:
     summary: DatasetSummary
 
 
+def tilted_moments(x: np.ndarray, t: float, lo: float, curvature: bool = False) -> tuple[float, ...]:
+    """One exp pass over ``x`` at tilt ``t``: ``log(sum(exp(-t*(x - lo))))`` and
+    the mean of ``x`` under weights proportional to ``exp(-t*x)``.
+
+    With ``curvature`` a third value, the variance of ``x`` under the same
+    weights, comes from the same pass. It squares ``x``, so pass values of
+    order one with ``lo = 0``, as the rate solvers do. Holds one temporary
+    array the size of ``x``.
+    """
+    if lo:
+        z = x - lo
+        z *= -t
+    else:
+        z = x * -t
+    np.exp(z, out=z)
+    total = float(z.sum())
+    tilted = float(z @ x) / total
+    if not curvature:
+        return math.log(total), tilted
+    z *= x
+    return math.log(total), tilted, max(float(z @ x) / total - tilted * tilted, 0.0)
+
+
 def cumulant_pair(losses: np.ndarray, lam: float, mean: float, lo: float) -> tuple[float, float]:
     """Cumulant and its derivative at tilt ``lam`` for a loss array with precomputed
     mean and minimum, from one exp pass.
@@ -90,14 +113,12 @@ def cumulant_pair(losses: np.ndarray, lam: float, mean: float, lo: float) -> tup
     """
     if lam == 0.0:
         return 0.0, 0.0
-    z = np.exp(-lam * (losses - lo))
-    total = float(z.sum())
-    value = lam * (mean - lo) + math.log(total) - math.log(losses.size)
+    log_total, tilted = tilted_moments(losses, lam, lo)
+    value = lam * (mean - lo) + log_total - math.log(losses.size)
     if value < 0.0:
         if value <= -NEG_TOL:
             raise InternalConsistencyError(f"cumulant came out {value!r} < -{NEG_TOL}")
         value = 0.0
-    tilted = float(z @ losses) / total
     return value, min(max(mean - tilted, 0.0), mean - lo)
 
 

@@ -33,9 +33,10 @@ from .errors import (
     not_utf8,
 )
 
-# Values within this absolute distance of the minimum count as attaining it;
-# covers losses perturbed by file round-trips.
-TIE_TOL = 1e-12
+# Values within this fraction of the gap (mean - min) above the minimum count
+# as attaining it, so ties do not depend on the loss scale; at a gap of 0.1
+# or more it covers losses perturbed by 1e-12 in file round trips.
+TIE_TOL = 1e-11
 
 
 class UnequalGroupsWarning(UserWarning):
@@ -339,7 +340,7 @@ def _summary_of(losses: np.ndarray) -> DatasetSummary:
         raise ValidationError("the sum of the losses overflows float64") from None
     lo = min(values)
     mean = max(mean, lo)
-    ties = int(np.count_nonzero(losses - lo <= TIE_TOL))
+    ties = int(np.count_nonzero(losses - lo <= TIE_TOL * (mean - lo)))
     if ties == count:
         variance = 0.0
     else:

@@ -1,11 +1,25 @@
-"""Rate function and inverse rate function via convex scalar bisection.
+"""Rate function and inverse rate function via a safeguarded Newton solver.
 
 The rate of a deviation ``a`` is ``sup_{lam>0} lam*a - J(lam)``; its inverse
-at a budget ``s`` is ``inf_{lam>0} (J(lam)+s)/lam``. Both optima are located
-by bisection on a monotone statistic: the cumulant derivative for the rate,
-and the Bregman gap ``B(lam) = lam*J'(lam) - J(lam)`` for the inverse.
-Saturation (the requested ``a`` or ``s`` falling outside the empirical
-domain) is detected analytically before any solving.
+at a budget ``s`` is ``inf_{lam>0} (J(lam)+s)/lam``. Both are solved on the
+dataset's cumulant in normalized units: with ``gap = mean - min``, the
+losses ``d = (loss - min)/gap`` have minimum 0 and mean 1, and the tilt
+``mu = lam*gap`` gives ``K(mu) = J(lam)``, ``K'(mu) = J'(lam)/gap`` and
+``K''(mu) = J''(lam)/gap**2``. One exp pass returns all three, so every
+figure below is free of the loss scale.
+
+The optima solve an increasing equation: ``K'(mu) = a/gap`` for the rate
+and the Bregman gap ``B(mu) = mu*K'(mu) - K(mu) = s`` (slope ``mu*K''``) for
+the inverse. Newton steps are kept inside a bracket that every evaluation
+narrows; a step that leaves the bracket, or does not halve the one before,
+falls back to bisection (geometric while the bracket spans more than a
+factor of four, and a fourfold expansion while no point above the root is
+known), so the solver always converges (``rtsafe`` in Numerical Recipes).
+It typically takes 3 to 10 passes. ``tol`` bounds the residual of ``K'``,
+that is of ``J'`` relative to the gap, and of ``B``, which is in nats; the
+tilt cap ``TILT_CAP`` is on ``mu``. Saturation (the requested ``a`` or
+``s`` falling outside the empirical domain) is detected analytically before
+any solving.
 """
 
 from __future__ import annotations
@@ -16,13 +30,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cumulant import LambdaGrid, cumulant_pair
+from .cumulant import LambdaGrid, cumulant_pair, tilted_moments
 from .errors import InvalidA, InvalidS, SolverFailure, ValidationError, check_real
-from .loss_data import LossDataset, summarize
+from .loss_data import DatasetSummary, LossDataset, summarize
 
 DEFAULT_TOL = 1e-10
-LAMBDA_CAP = 1e9
-_MAX_BISECT = 200
+# Largest normalized tilt lam*(mean - min) the solver tries.
+TILT_CAP = 1e9
+_MAX_STEPS = 200
+# Once a Newton step is shorter than this fraction of the tilt, the solver
+# stops as soon as the residual no longer halves: it has reached rounding.
+_STEP_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,90 +75,131 @@ class InverseRateEvaluation:
     b_max: float
 
 
-class _Curve:
-    """Per-dataset arrays and scalars shared by repeated solver evaluations."""
+def _b_max(s: DatasetSummary) -> float:
+    return math.log(s.count) - math.log(s.min_loss_count)
+
+
+def _newton(fdf: Callable[[float], tuple[float, float, float]], target: float, mu: float, lo: float,
+            tol: float) -> tuple[float, float] | None:
+    """Solve ``f(mu) = target`` for an increasing ``f`` with ``f(lo) <= target``.
+
+    ``fdf(mu)`` returns ``f``, ``f'`` and the log-mean ``ell`` of the pass.
+    Starts at ``mu``. Stops on a residual within ``tol``, on a residual
+    that no longer halves after a Newton step shorter than ``_STEP_RTOL`` of
+    the tilt, or on a bracket exhausted at machine precision; returns the
+    tilt with the smallest residual seen, with its ``ell``. Returns ``None``
+    when ``f(TILT_CAP) < target``.
+    """
+    hi, dx_old, best, previous, near = math.inf, math.inf, math.inf, math.inf, False
+    for _ in range(_MAX_STEPS):
+        f, df, ell = fdf(mu)
+        residual = f - target
+        if abs(residual) < best:
+            point, best = (mu, ell), abs(residual)
+        if best <= tol or (near and abs(residual) > 0.5 * previous):
+            break
+        previous = abs(residual)
+        if residual < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        if lo >= TILT_CAP:
+            return None
+        new = mu - residual / df if df > 0.0 else math.nan
+        near = abs(new - mu) <= _STEP_RTOL * mu
+        if not near and (not lo < new < hi or abs(new - mu) > 0.5 * dx_old):
+            if hi == math.inf:  # every point so far lies below the root: expand
+                new = min(new if new > 4.0 * lo else 4.0 * lo, TILT_CAP)
+            else:
+                new = math.sqrt(lo * hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        if not lo < new < hi:
+            break
+        dx_old, mu = abs(new - mu), new
+    return point
+
+
+class RateSolver:
+    """Rate and inverse-rate solves on one dataset's cumulant in normalized units.
+
+    Holds the normalized losses ``d`` (one array of the dataset's length), so
+    repeated solves on a dataset share them; each evaluation adds one array
+    of the same length for its exp pass.
+    """
 
     def __init__(self, ds: LossDataset):
         s = summarize(ds)
-        self.losses = ds.losses
         self.mean = s.empirical_loss
-        self.lo = s.min_loss
         self.gap = max(s.empirical_loss - s.min_loss, 0.0)
-        self.b_max = math.log(s.count) - math.log(s.min_loss_count)
+        self.b_max = _b_max(s)
+        if self.gap > 0.0:
+            d = ds.losses - s.min_loss
+            d /= self.gap
+            self.d = d
+            self.log_count = math.log(s.count)
+            # K''(0) is the variance of d, at least 1/(count - 1) with min 0 and
+            # mean 1 (the floor absorbs rounding); K'' <= max(d)**2/4 everywhere.
+            self.var = max(float(d @ d) / d.size - 1.0, 1.0 / d.size)
+            self.top = float(d.max())
 
-    def j(self, lam: float) -> float:
-        return cumulant_pair(self.losses, lam, self.mean, self.lo)[0]
+    def terms(self, mu: float) -> tuple[float, float, float]:
+        """At normalized tilt ``mu``, from one exp pass: ``ell = log(mean(exp(-mu*d)))``,
+        so ``K = mu + ell``, and the tilted mean and variance of ``d``, so
+        ``K' = 1 - mean`` and ``K'' = variance``."""
+        log_total, tilted, variance = tilted_moments(self.d, mu, 0.0, curvature=True)
+        return log_total - self.log_count, tilted, variance
 
-    def dj(self, lam: float) -> float:
-        return cumulant_pair(self.losses, lam, self.mean, self.lo)[1]
+    def _slope(self, mu: float) -> tuple[float, float, float]:
+        ell, tilted, variance = self.terms(mu)
+        return 1.0 - tilted, variance, ell
 
-    def bregman(self, lam: float) -> float:
-        j, dj = cumulant_pair(self.losses, lam, self.mean, self.lo)
-        return lam * dj - j
+    def _bregman(self, mu: float) -> tuple[float, float, float]:
+        # B = mu*K' - K = -mu*mean - ell, without the cancellation of mu*K' and K.
+        ell, tilted, variance = self.terms(mu)
+        return -mu * tilted - ell, mu * variance, ell
 
+    def rate(self, a: float, tol: float = DEFAULT_TOL) -> RateEvaluation:
+        """Rate at a checked deviation ``a``; see ``rate``."""
+        if a >= self.gap * (1.0 - tol):
+            return RateEvaluation(a=a, value=math.inf, lambda_star=math.inf, saturated=True)
+        alpha = a / self.gap
+        # K' <= mu*max(d)**2/4 keeps the root above `lo`; the start is K' ~ mu*var.
+        lo = 4.0 * alpha / self.top**2
+        solved = _newton(self._slope, alpha, min(alpha / self.var, TILT_CAP), lo, tol)
+        if solved is None:
+            raise SolverFailure(
+                f"no tilt below {TILT_CAP / self.gap:g} reaches derivative {a!r} (gap {self.gap!r})"
+            )
+        mu, ell = solved
+        # mu*alpha - K, with K = mu + ell
+        value = max(0.0, -(mu * (1.0 - alpha) + ell))
+        return RateEvaluation(a=a, value=value, lambda_star=mu / self.gap, saturated=False)
 
-def _bisect_increasing(f: Callable[[float], float], target: float, tol: float) -> float | None:
-    """Solve ``f(lam) = target`` for an increasing ``f`` with ``f(0) <= target``.
-
-    Doubles an upper bracket from 1.0; returns ``None`` when no bracket exists
-    below the tilt cap. Stops on a residual within ``tol`` or on interval
-    exhaustion at machine precision.
-    """
-    hi = 1.0
-    while f(hi) < target:
-        hi *= 2.0
-        if hi > LAMBDA_CAP:
-            return None
-    lo = 0.0
-    mid = 0.5 * hi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        value = f(mid)
-        if abs(value - target) <= tol:
-            return mid
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _rate_on(curve: _Curve, a: float, tol: float) -> RateEvaluation:
-    if a >= curve.gap - tol:
-        return RateEvaluation(a=a, value=math.inf, lambda_star=math.inf, saturated=True)
-    lam = _bisect_increasing(curve.dj, a, tol)
-    if lam is None:
-        raise SolverFailure(
-            f"no tilt below {LAMBDA_CAP:g} reaches derivative {a!r} (gap {curve.gap!r})"
-        )
-    value = max(0.0, lam * a - curve.j(lam))
-    return RateEvaluation(a=a, value=value, lambda_star=lam, saturated=False)
+    def inverse_rate(self, s: float, tol: float = DEFAULT_TOL) -> InverseRateEvaluation:
+        """Inverse rate at a checked budget ``s``; see ``inverse_rate``."""
+        if s >= self.b_max - tol or self.gap == 0.0:
+            return InverseRateEvaluation(s=s, value=self.gap, lambda_star=math.inf, saturated=True, b_max=self.b_max)
+        # B <= mu**2*max(d)**2/8 keeps the root above `lo`; the start is B ~ mu**2*var/2.
+        lo = math.sqrt(8.0 * s) / self.top
+        solved = _newton(self._bregman, s, min(math.sqrt(2.0 * s / self.var), TILT_CAP), lo, tol)
+        if solved is None:
+            raise SolverFailure(
+                f"no tilt below {TILT_CAP / self.gap:g} reaches Bregman gap {s!r} (sup {self.b_max!r})"
+            )
+        mu, ell = solved
+        # gap*(K + s)/mu, with K = mu + ell
+        value = min(self.gap * (1.0 + (ell + s) / mu), self.mean)
+        return InverseRateEvaluation(s=s, value=value, lambda_star=mu / self.gap, saturated=False, b_max=self.b_max)
 
 
 def rate(ds: LossDataset, a: float, tol: float = DEFAULT_TOL) -> RateEvaluation:
     """Rate of deviating ``a`` below the mean: ``sup_{lam>0} lam*a - J(lam)``.
 
-    Deviations at or beyond ``mean - min`` (within ``tol``) saturate to an
-    infinite rate; elsewhere the optimizer solves ``J'(lam) = a``.
+    Deviations at or beyond ``(mean - min)*(1 - tol)`` saturate to an
+    infinite rate; elsewhere the optimizer solves ``J'(lam) = a`` to within
+    ``tol*(mean - min)``.
     """
     a = check_real(a, InvalidA, "deviation a")
-    return _rate_on(_Curve(ds), a, check_real(tol, ValidationError, "tol", "non-negative"))
-
-
-def _inverse_on(curve: _Curve, s: float, tol: float) -> InverseRateEvaluation:
-    if s >= curve.b_max - tol:
-        return InverseRateEvaluation(
-            s=s, value=curve.gap, lambda_star=math.inf, saturated=True, b_max=curve.b_max
-        )
-    lam = _bisect_increasing(curve.bregman, s, tol)
-    if lam is None:
-        raise SolverFailure(
-            f"no tilt below {LAMBDA_CAP:g} reaches Bregman gap {s!r} (sup {curve.b_max!r})"
-        )
-    value = min((curve.j(lam) + s) / lam, curve.mean)
-    return InverseRateEvaluation(s=s, value=value, lambda_star=lam, saturated=False, b_max=curve.b_max)
+    return RateSolver(ds).rate(a, check_real(tol, ValidationError, "tol", "non-negative"))
 
 
 def inverse_rate(ds: LossDataset, s: float, tol: float = DEFAULT_TOL) -> InverseRateEvaluation:
@@ -151,7 +210,7 @@ def inverse_rate(ds: LossDataset, s: float, tol: float = DEFAULT_TOL) -> Inverse
     ``lam*J'(lam) - J(lam) = s`` and the value never exceeds the mean loss.
     """
     s = check_real(s, InvalidS, "budget s")
-    return _inverse_on(_Curve(ds), s, check_real(tol, ValidationError, "tol", "non-negative"))
+    return RateSolver(ds).inverse_rate(s, check_real(tol, ValidationError, "tol", "non-negative"))
 
 
 def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRateEvaluation:
@@ -162,15 +221,18 @@ def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRat
     optimum; the result is never flagged saturated.
     """
     s = check_real(s, InvalidS, "budget s")
-    curve = _Curve(ds)
-    candidates = [(curve.j(lam) + s) / lam for lam in grid.values]
+    summary = summarize(ds)
+    candidates = [
+        (cumulant_pair(ds.losses, lam, summary.empirical_loss, summary.min_loss)[0] + s) / lam
+        for lam in grid.values
+    ]
     best = int(np.argmin(candidates))
     return InverseRateEvaluation(
         s=s,
         value=candidates[best],
         lambda_star=grid.values[best],
         saturated=False,
-        b_max=curve.b_max,
+        b_max=_b_max(summary),
     )
 
 
@@ -180,5 +242,5 @@ def rate_curve(ds: LossDataset, a_values: Sequence[float], tol: float = DEFAULT_
     if any(b <= a for a, b in zip(checked, checked[1:])):
         raise InvalidA("a_values must be strictly increasing")
     tol = check_real(tol, ValidationError, "tol", "non-negative")
-    curve = _Curve(ds)
-    return [_rate_on(curve, a, tol) for a in checked]
+    solver = RateSolver(ds)
+    return [solver.rate(a, tol) for a in checked]

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .cumulant import CumulantCurve
-from .errors import ParseError
+from .errors import ParseError, not_utf8
 
 SCHEMA_VERSION = "1"
 
@@ -106,15 +106,27 @@ def cumulant_curve_to_json(curve: CumulantCurve) -> str:
 
 
 def load_cumulant_curve_csv(path: str | Path) -> tuple[list[float], list[float], list[float]]:
-    """Reload an emitted cumulant curve; returns (lambdas, j, j_deriv)."""
+    """Reload an emitted cumulant curve; returns (lambdas, j, j_deriv).
+
+    A row without three numbers, or a file that is not UTF-8, raises
+    ``ParseError``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     lams, js, djs = [], [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#") or line.startswith("lambda"):
             continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        lams.append(float(parts[0]))
-        js.append(float(parts[1]))
-        djs.append(float(parts[2]))
+        try:
+            lam, j, dj = map(float, parts)
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected 3 numbers, got {line!r}") from None
+        lams.append(lam)
+        js.append(j)
+        djs.append(dj)
     return lams, js, djs

@@ -139,6 +139,18 @@ class TestCumulantCommand:
         ds = from_losses([0.0, LN2])
         assert js == [estimate_cumulant(ds, lam) for lam in lams]  # bitwise round trip
 
+    def test_curve_reload_names_the_non_numeric_line(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("# columns: lambda,j,j_deriv\nlambda,j,j_deriv\n0.5,0.1,0.2\n1.0,x,0.3\n")
+        with pytest.raises(ratefn.ParseError, match=r"^line 4: expected 3 numbers, got '1.0,x,0.3'$"):
+            load_cumulant_curve_csv(path)
+
+    def test_curve_reload_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"lambda,j,j_deriv\n0.5,0.1,0.2\xff\n")
+        with pytest.raises(ratefn.ParseError, match="not UTF-8 text: byte 0xff at offset 28"):
+            load_cumulant_curve_csv(path)
+
     def test_json_has_schema_version(self, two_point_csv, capsys):
         assert run(["cumulant", "--input", str(two_point_csv), "--grid", "0.5:1.5:3:linear"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -13,11 +13,14 @@ argument checks that changes any of them fails here.
 
 import contextlib
 import io
+import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from ratefn import from_losses, inverse_rate
 from ratefn.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -29,8 +32,10 @@ INPUTS = {
     "negative.csv": "sample_id,loss\ns0,0.5\ns1,-1\n",
     "header.csv": "sample_id,loss\n",
     "constant.csv": "sample_id,loss\ns0,0.7\ns1,0.7\n",
-    # {0, .3, 1, 2.5} scaled by 1e-12: the solver finds no bracket below its tilt cap.
+    # {0, .3, 1, 2.5} scaled by 1e-12: solves like the unscaled set.
     "tiny.csv": "sample_id,loss\ns0,0.0\ns1,3e-13\ns2,1e-12\ns3,2.5e-12\n",
+    # Two minima 1e-9 apart: a deviation 1e-12 short of the gap needs a tilt past the cap.
+    "near-tie.csv": "sample_id,loss\ns0,0.0\ns1,1e-9\ns2,2.0\n",
 }
 
 # name -> argv
@@ -67,7 +72,7 @@ CASES = {
     "dimension-mismatch": ["taylor", "--input", GRADS, "--mode", "covariance", "--x", "0.5",
                            "--theta-delta", "1,2"],
     "zero-variance": ["taylor", "--input", "{tmp}/constant.csv", "--mode", "rate", "--x", "0.1"],
-    "solver-failure": ["inverse-rate", "--input", "{tmp}/tiny.csv", "--s", "0.05"],
+    "solver-failure": ["rate", "--input", "{tmp}/near-tie.csv", "--a", "0.666666666999", "--tol", "1e-16"],
 }
 
 # name -> (exit code, stderr)
@@ -98,7 +103,7 @@ ERRORS = {
     'missing-grad-norms': (2, 'grad-bound: MissingGradNorms: every record needs a grad_norm_sq value\n'),
     'dimension-mismatch': (2, 'taylor: DimensionMismatch: gradient vectors have length 3, displacement has 2\n'),
     'zero-variance': (2, 'taylor: ZeroVariance: rate approximation needs positive loss variance\n'),
-    'solver-failure': (1, 'inverse-rate: SolverFailure: no tilt below 1e+09 reaches Bregman gap 0.05 (sup 0.2876820724517808)\n'),
+    'solver-failure': (1, 'rate: SolverFailure: no tilt below 1.5e+09 reaches derivative 0.666666666999 (gap 0.666666667)\n'),
 }
 
 
@@ -120,6 +125,21 @@ def test_error_path_unchanged(name, tmp_path):
 
 def test_every_case_is_recorded():
     assert set(ERRORS) == set(CASES)
+
+
+def test_tiny_scale_inverse_rate_succeeds(tmp_path):
+    # The solver works on normalized losses, so a 1e-12 loss scale does not make it fail.
+    (tmp_path / "tiny.csv").write_text(INPUTS["tiny.csv"], encoding="utf-8")
+    out = tmp_path / "out.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["inverse-rate", "--input", str(tmp_path / "tiny.csv"), "--s", "0.05", "--output", str(out)]) == 0
+    result = json.loads(out.read_text())
+    unscaled = inverse_rate(from_losses([0.0, 0.3, 1.0, 2.5]), 0.05)
+    assert result["saturated"] is False
+    assert result["b_max"] == math.log(4.0)
+    assert result["value"] / 1e-12 == pytest.approx(unscaled.value, rel=1e-12)
+    assert result["value"] / 1e-12 == pytest.approx(0.29150, abs=5e-6)
+    assert result["lambda_star"] * 1e-12 == pytest.approx(unscaled.lambda_star, rel=1e-9)
 
 
 if __name__ == "__main__":

@@ -87,35 +87,35 @@ DIGESTS = {
         "459ee9150bff6a30ce690b5f5caa387201a3dfdbe30f1f480d222e5f1580650c",
     ),
     "rate-json": (
-        "43f457b189b3be4d2a53a7c956bc8df552e872aef403697aeca78df21a22fefb",
-        "dddac729d9b56a7112a7c45437b9d8baca8005a189cbc972236c84613c647cd8",
+        "cb560c9fdc81e810eee30b440a088a5cd323fb7c677192e369922e5fbffa4415",
+        "b0f246b812eaae936a01157e8ae4565dcb59d88c05602e3c03db1e82aab026b5",
     ),
     "rate-csv": (
-        "cbdcde3f2de92783f3baecfe448eaa39ea15ba1cb62df3448f64fbaa05eea88e",
-        "dddac729d9b56a7112a7c45437b9d8baca8005a189cbc972236c84613c647cd8",
+        "77db64e8efaceeb3991feed5479f9140eed773dfcf3fe33a2184973fc222c03d",
+        "b0f246b812eaae936a01157e8ae4565dcb59d88c05602e3c03db1e82aab026b5",
     ),
     "rate-grid-json": (
-        "2e998d2c80b7d3e0d437d52e5e278ba25c11373c6db92f1f1975663421ab09b6",
+        "ef11a853862401574f1f5294505eaf4d907d60fbe94c3189f783b895ac8b27e9",
         "789288fe947df17d2a6bd014674cb628bf6a6d35d569883e03368d20cbe0402d",
     ),
     "rate-grid-csv": (
-        "5994328a0819ffd13a2bb5a2da43d04391274bc38493f716a8da6041f1c083ff",
+        "f7609f2a517b87b0339ebf91834eaecfc4a1689cf10a22b9f81bb4dbc0341c99",
         "789288fe947df17d2a6bd014674cb628bf6a6d35d569883e03368d20cbe0402d",
     ),
     "inverse-rate-json": (
-        "888aafa9b053d1049a6c166b6e33ce4505c4fb9d62ffb53253d073f5cc6ab7e6",
-        "69535b83a71cd2f54080672c27d3e9b3f7031a083c15e16e544c2ca75cf116ed",
+        "0dba43393be1becdaf807b6dfde625d4e7fe17a6eb98214b5b6f217a682ad968",
+        "59826f4ff952a2d59f6fbdaa82a2df1ad2ee149c6133bbc08e7d80f320529529",
     ),
     "inverse-rate-csv": (
-        "e6ece592096ec24549006eeee8625cbdc6a9e5f19a32e4a15dcba15cbb5f680c",
-        "69535b83a71cd2f54080672c27d3e9b3f7031a083c15e16e544c2ca75cf116ed",
+        "dcb0ae37256eca50e6c008a6286f5f9d0781ba4df72cf23c588bef76dcd5b58b",
+        "59826f4ff952a2d59f6fbdaa82a2df1ad2ee149c6133bbc08e7d80f320529529",
     ),
     "inverse-rate-many-json": (
-        "8c9cb6769f8c6bbbfa16389462f499eb939d70f151b70b3802e04cd29b137434",
+        "fced567027135d1e7d82afcbac328acbfe65a1232843e77ff604cd36371bf865",
         "fa0740c9655a9a90d2590c4231745ab0f5d9991961e86df18bfe44aff593fc20",
     ),
     "inverse-rate-many-csv": (
-        "3c6680704c1315a7ced1e4ac232334230435c1ae9c542c4dcd729efdf2352e0c",
+        "463b38a285fc980e9918b4c80624747e597f17827fe975d36c7297a27d296af6",
         "fa0740c9655a9a90d2590c4231745ab0f5d9991961e86df18bfe44aff593fc20",
     ),
     "grid-inverse-rate-json": (
@@ -127,12 +127,12 @@ DIGESTS = {
         "9d561c938a1f34813eb3518460c916a1615b6dc9e520faf8d18ad26f70c27c22",
     ),
     "bound": (
-        "f50f84e4a088093921c70d185d3ae4d26a1f4856a02c6779786505a926d49dd6",
-        "0398c91f568a0fa819e22e22382dd0d069901b4573d1103b36efb41f8c772425",
+        "f3097ce6c8ecebc07f89880e08783edb9b32934ed9d4bb1e293c91ed7bb85541",
+        "632c8d2b1fab02634be47e3b7486ba508e8e2eec90924a7b42ac7aaa1e1c1c8e",
     ),
     "bound-train-loss": (
-        "71f1ad25f35a3ae2348642b627c0ef12935f4826778f705e4ed390951bfe7c77",
-        "e60153ca154c1e5a65af3f2fdb2a17e769ca6fbaf3b308cf3aebc763961df2d4",
+        "ca5f5a0427916a5a943f090c7ef6ed57bae786e0fa8d92a95458649c6c74b4fe",
+        "b40da11354afcbdc6fbc7a14780b8974e94b7fb3249dd23f369f55a1596c7a4f",
     ),
     "compare": (
         "b18680bd9a8e6f3daf06a32899ef32f799958134b433cf985353da81feec630e",
@@ -143,8 +143,8 @@ DIGESTS = {
         "a38a26b21fea02af7f382aa7be91e6a8b811327c80e98bcdf9cd96485809a003",
     ),
     "interpolator-check": (
-        "a346965e7796a13e98831b2ac3a1d8ed1e4af58973373114231217df9d7690c6",
-        "f73271c4d9bd190def0f6d14c2461dbc726d9d3f68778ef13d2e1ae6094270f7",
+        "ffd8ea2b2f708c189b39bd1a6c9b7afca4ca8ab1fcf7412cb9c022e17b93f8a9",
+        "f25afdfd397f2b868d5d0b8cb57610a8909799dcd132448acdde53c73a487647",
     ),
     "augment-csv": (
         "adea88960e816c9a505af1471ed9ecc9f4589f8b0504f1889ad076c8b5cd31a2",
@@ -167,12 +167,12 @@ DIGESTS = {
         "252c12fcc052405d07c4a3414b8fa9ad48656d42440ae68791765c51805586d8",
     ),
     "taylor-rate": (
-        "f79b9a4996cff169b04c990f3bb10f8f6f13622f930d0280d0cb26a0f1278a39",
-        "2e286e61eaed590532bf6897c1e3816c949eef25bcb140f0ce12e34728959600",
+        "628399b8227164b06bdbc2199ca1fd22928954f1d45e51ee4a6da5081f0c1487",
+        "1d0216b465ea704a1dd3da0f699b93530bad175bf710d902337f2f136d25d242",
     ),
     "taylor-inverse-rate": (
-        "17547e1cb9fd4c63890388d212467a741c7f7b0a61d0bb8ef143e3770f32c428",
-        "0e27d5b0a83728a6e3f8f9fd549f3d9aff291241f2aae4dccb89d88437720acc",
+        "35a82d0ac0df50478003c8dfc5a2ac6732a6ffc7180d0e356fa7b96d443213f2",
+        "cd2afd5de60fb0827ec7c30534f4fe02ad9651f9d891e3eb53c19e0147a96891",
     ),
     "taylor-covariance": (
         "a3bd516d874498ed2baf58469c6f902d154f2d5ceed774fa067f65aaa1aae208",

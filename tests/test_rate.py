@@ -1,30 +1,44 @@
 """Rate and inverse-rate solvers: identities, saturation, and oracle checks."""
 
+import importlib
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratefn import (
     DiscreteLossDistribution,
     InvalidA,
     InvalidS,
     LambdaGrid,
+    ModelMeta,
     SolverFailure,
+    compare_smoothness,
     cumulant_derivative,
     estimate_cumulant,
     exact_cumulant,
     expand_to_dataset,
     from_losses,
     grid_inverse_rate,
+    interpolator_ordering,
     inverse_rate,
+    load_dataset,
     rate,
     rate_curve,
     summarize,
 )
+from ratefn.rate import DEFAULT_TOL, RateSolver
 from conftest import binary_kl, random_dataset, random_distribution
 
+# The package attribute ``ratefn.rate`` is the function; this is the module.
+rate_module = importlib.import_module("ratefn.rate")
+
 LN2 = math.log(2.0)
+DATA = Path(__file__).parent / "data"
 
 
 class TestRate:
@@ -105,6 +119,17 @@ class TestInverseRate:
             lam = ev.lambda_star
             residual = lam * cumulant_derivative(ds, lam) - estimate_cumulant(ds, lam)
             np.testing.assert_allclose(residual, 0.08, atol=1e-8)
+
+    def test_stationarity_at_a_large_tilt(self):
+        # Two minima 1e-7 apart: the budget is reached only past a tilt of 1e7,
+        # where lam*J' and J each exceed 1e7 and their difference must not cancel.
+        losses = np.array([0.0, 1e-7, *np.linspace(1.0, 2.0, 50)])
+        s = 0.99 * math.log(losses.size)
+        lam = inverse_rate(from_losses(losses), s).lambda_star
+        assert lam > 1e7
+        z = np.exp(-lam * losses)
+        bregman = math.log(losses.size) - math.log(z.sum()) - lam * float(z @ losses) / z.sum()
+        assert abs(bregman - s) <= 1e-10
 
     def test_invalid_budgets(self, two_point_ds):
         for bad in (0.0, -0.1, float("nan")):
@@ -246,3 +271,152 @@ class TestAgainstBruteForce:
                 brute = float(np.max(lams * a - j))
                 ev = rate(ds, a)
                 np.testing.assert_allclose(ev.value, brute, atol=1e-5)
+
+
+class TestLossScale:
+    """{0, .3, 1, 2.5} scaled by c: I_c(0.1c) = I(0.1) = 0.0055085 and I_c^-1(0.05) = 0.29150c."""
+
+    BASE = np.array([0.0, 0.3, 1.0, 2.5])
+
+    @pytest.mark.parametrize("c", [1e-14, 1e-12, 1e-9, 1e150, 1e300])
+    def test_scaled_set_matches_unscaled(self, c):
+        unscaled = from_losses(self.BASE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = from_losses(self.BASE * c)
+            ev = rate(ds, 0.1 * c)
+            inv = inverse_rate(ds, 0.05)
+        assert not ev.saturated and not inv.saturated
+        assert ev.value == pytest.approx(0.0055085, abs=1e-7)
+        assert ev.value == pytest.approx(rate(unscaled, 0.1).value, rel=1e-12)
+        assert inv.value / c == pytest.approx(0.29150, abs=1e-5)
+        assert inv.value / c == pytest.approx(inverse_rate(unscaled, 0.05).value, rel=1e-12)
+        assert inv.b_max == math.log(4.0)
+
+
+# Losses on a 1e-3 lattice in [0, 1] with at least two distinct values, a
+# scale c in [1e-12, 1e200] and a fraction of the gap or of b_max.
+_LOSSES = (
+    st.lists(st.integers(0, 1000), min_size=2, max_size=30)
+    .filter(lambda v: len(set(v)) > 1)
+    .map(lambda v: np.array(v) / 1000.0)
+)
+_SCALES = st.floats(-12.0, 200.0).map(lambda e: 10.0**e)
+_FRACTIONS = st.floats(0.05, 0.8)
+_PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+def _gap_and_b_max(ds):
+    s = summarize(ds)
+    return s.empirical_loss - s.min_loss, math.log(s.count / s.min_loss_count)
+
+
+class TestInvariantProperties:
+    @_PROPERTY
+    @given(_LOSSES, _SCALES, _FRACTIONS)
+    def test_scale_equivariance(self, losses, c, fraction):
+        ds, scaled = from_losses(losses), from_losses(losses * c)
+        gap, b_max = _gap_and_b_max(ds)
+        a = fraction * gap
+        assert rate(scaled, c * a).value == pytest.approx(rate(ds, a).value, rel=1e-9, abs=1e-15)
+        s = fraction * b_max
+        assert inverse_rate(scaled, s).value / c == pytest.approx(inverse_rate(ds, s).value, rel=1e-9)
+
+    @_PROPERTY
+    @given(_LOSSES, _SCALES, st.floats(0.0, 10.0), st.floats(0.01, 100.0))
+    def test_shift_invariance(self, losses, c, shift, tilt):
+        ds, shifted = from_losses(losses * c), from_losses((losses + shift) * c)
+        lam = tilt / c
+        assert estimate_cumulant(shifted, lam) == pytest.approx(estimate_cumulant(ds, lam), rel=1e-9, abs=1e-12)
+        a = 0.5 * _gap_and_b_max(ds)[0]
+        assert rate(shifted, a).value == pytest.approx(rate(ds, a).value, rel=1e-8)
+
+    @_PROPERTY
+    @given(_LOSSES, _SCALES, _FRACTIONS)
+    def test_legendre_round_trip(self, losses, c, fraction):
+        ds = from_losses(losses * c)
+        s = fraction * _gap_and_b_max(ds)[1]
+        ev = inverse_rate(ds, s)
+        assert not ev.saturated
+        assert rate(ds, ev.value).value == pytest.approx(s, rel=1e-8)
+
+
+class TestKernelPasses:
+    @pytest.fixture(scope="class")
+    def large_sets(self):
+        rng = np.random.default_rng(5)
+        return [from_losses(rng.exponential(1.0, 100_000)), from_losses(rng.lognormal(0.0, 1.5, 100_000))]
+
+    def test_at_most_twelve_passes_per_solve(self, large_sets, monkeypatch):
+        passes = []
+        kernel = rate_module.tilted_moments
+
+        def counted(*args, **kwargs):
+            passes[-1] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(rate_module, "tilted_moments", counted)
+        for ds in large_sets:
+            gap, _ = _gap_and_b_max(ds)
+            for fraction in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9):
+                passes.append(0)
+                assert not rate(ds, fraction * gap).saturated
+            for s in (1e-4, 1e-3, 0.01, 0.1, 1.0, 5.0):
+                passes.append(0)
+                assert not inverse_rate(ds, s).saturated
+        assert max(passes) <= 12, passes
+
+    def test_one_solver_per_model(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        ds_a, ds_b = random_dataset(rng, size=40, model_id="A"), random_dataset(rng, size=40, model_id="B")
+        built = []
+        init = RateSolver.__init__
+
+        def counted(self, ds):
+            built.append(ds.model_id)
+            init(self, ds)
+
+        monkeypatch.setattr(RateSolver, "__init__", counted)
+        compare_smoothness(ds_a, ds_b)
+        assert sorted(built) == ["A", "B"]
+        built.clear()
+        interpolator_ordering(0.0, ds_a, ds_b, ModelMeta(10, 1000, 0.05))
+        assert sorted(built) == ["A", "B"]
+
+
+# (fixture, solver, a or s) -> (value, lambda_star) of the bisection solver
+# this one replaced, at its default tolerance. "s" 0.036888794541139365 is
+# the budget of the `bound` command for p=10, n=1000, delta=0.05.
+PREVIOUS = {
+    ("a.csv", "rate", 0.1): (0.015924085851420425, 0.3343790275976062),
+    ("a.csv", "rate", 0.2): (0.07117497319101132, 0.7997767087072134),
+    ("a.csv", "rate", 0.3): (0.1842757289047829, 1.5230286810547113),
+    ("a.csv", "rate", 0.5): (0.8179376445125297, 6.183320179581642),
+    ("a.csv", "inverse_rate", 0.01): (0.08002384835260336, 0.25952667370438576),
+    ("a.csv", "inverse_rate", 0.05): (0.17060313471029345, 0.6440112655982375),
+    ("a.csv", "inverse_rate", 0.1): (0.2322084267230063, 0.9948747484013438),
+    ("a.csv", "inverse_rate", 0.036888794541139365): (0.14838772543688367, 0.5378704108297825),
+    ("b.csv", "rate", 0.1): (0.03794162923214506, 0.8432045020163059),
+    ("b.csv", "rate", 0.2): (0.19699830447673017, 2.5658712200820446),
+    ("b.csv", "rate", 0.3): (0.6438225447823376, 7.481558203697205),
+    ("b.csv", "inverse_rate", 0.01): (0.053848689059706446, 0.3906377702951431),
+    ("b.csv", "inverse_rate", 0.05): (0.11310117763731721, 1.0000781435519457),
+    ("b.csv", "inverse_rate", 0.1): (0.15238282083337906, 1.5745429322123528),
+    ("b.csv", "inverse_rate", 0.036888794541139365): (0.09874068197371355, 0.8288879673928022),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PREVIOUS), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_agrees_with_previous_solver(key):
+    name, kind, x = key
+    value, lam_old = PREVIOUS[key]
+    ds = load_dataset(DATA / name)
+    gap, _ = _gap_and_b_max(ds)
+    ev = rate(ds, x) if kind == "rate" else inverse_rate(ds, x)
+    assert abs(ev.value - value) <= 1e-12 * value
+    # The old solver left |J'(lam) - a| or |B(lam) - s| within DEFAULT_TOL; the
+    # new one within DEFAULT_TOL * gap for J' and DEFAULT_TOL for B. The tilts
+    # may therefore differ by the sum over the slope, J'' or lam * J''.
+    j2 = RateSolver(ds).terms(lam_old * gap)[2] * gap * gap
+    slope, new_tol = (j2, DEFAULT_TOL * gap) if kind == "rate" else (lam_old * j2, DEFAULT_TOL)
+    assert abs(ev.lambda_star - lam_old) * slope <= 1.01 * (DEFAULT_TOL + new_tol)
