@@ -78,6 +78,7 @@ from .oracle import (
     estimator_bias_probe,
     exact_cumulant,
     exact_rate,
+    exact_tail,
     expand_to_dataset,
     load_distribution,
     sample_dataset,

@@ -17,6 +17,7 @@ command-line values are, and an unknown key is a validation problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -164,6 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--a", type=float, required=True)
     sub.add_argument("--trials", type=_positive_int, required=True)
     sub.add_argument("--seed", type=_positive_int, required=True)
+    sub.add_argument("--method", choices=("plain", "tilted"), default="plain",
+                     help="sample the law itself, or the law tilted to the tail with likelihood-ratio weights")
 
     sub = commands.add_parser("bias-probe", help="replicate the cumulant estimator against the oracle")
     _add_io_args(sub, dataset_input=False)
@@ -367,9 +370,9 @@ def _cmd_simulate_cramer(args):
         f"simulate-cramer: running {args.trials} trials of n={args.n} draws (seed {args.seed})",
         file=sys.stderr,
     )
-    report = oracle.cramer_tail(dist, args.n, args.a, args.trials, args.seed)
+    report = oracle.cramer_tail(dist, args.n, args.a, args.trials, args.seed, args.method)
     if args.format == "csv":
-        text = _fields_csv(("n", "a", "trials", "hit_count", "p_hat", "neg_log_rate", "exact_rate", "seed"), [report])
+        text = _fields_csv(tuple(f.name for f in dataclasses.fields(report)), [report])
     else:
         text = serialize.to_json_text(report, kind="cramer_tail")
     return (

@@ -30,8 +30,11 @@ from .loss_data import LossDataset
 
 PROB_TOL = 1e-12        # probabilities must sum to one within this
 _ORACLE_CAP = 1e12      # tilt cap for the oracle's own refinement search
-_TRIAL_CHUNK = 16384    # trials simulated per batch; fixed so streams are reproducible
 _BLOCK_DRAWS = 1 << 14  # draws held in memory at once, in whole samples (128 KB each)
+_TAIL_VECTORS = 10**7   # exact_tail refuses more count vectors than this
+_COUNT_BLOCK = 1 << 16  # count vectors enumerated at once by exact_tail
+_WEIGHT_WINDOW = 16384  # tilted trials whose weights are summed together; fixed so reports reproduce
+_COMPARE_ATOMS = 32     # laws up to this many atoms (at most 256: uint8 indices) pick atoms by comparisons
 
 
 @dataclass(frozen=True)
@@ -198,37 +201,128 @@ def _exact_tilt(dist: DiscreteLossDistribution, a: float, resolution: int = 2048
     return 0.5 * (lam_lo + lam_hi)
 
 
+def exact_tail(dist: DiscreteLossDistribution, n: int, a: float) -> float:
+    """Exact probability that an ``n``-sample mean undershoots the mean by ``a`` or more.
+
+    Sums the multinomial probabilities of the count vectors ``c`` (``c[j]``
+    draws of atom ``j``, ``sum(c) = n``) in ``cramer_tail``'s event
+    ``mean - (c . values)/n >= a``, with log-pmfs from ``lgamma`` combined by
+    log-sum-exp. The event is decided in floating point away from its
+    boundary; within rounding of it, it is decided on the law's exact
+    rationals, each number read as the decimal it prints as (so 0.2 is 1/5)
+    and the probabilities normalized to sum to one. A tie counts as a hit, as
+    ``>=`` says; ``cramer_tail`` compares in floating point, where rounding
+    can put a tie on either side, so test it on laws and deviations without
+    ties. A law of ``k`` atoms has ``C(n+k-1, k-1)`` count vectors; more than
+    ``_TAIL_VECTORS`` raise ``ValidationError``.
+    """
+    from fractions import Fraction  # here, so that importing ratefn does not load decimal
+
+    a = check_real(a, InvalidA, "deviation a")
+    if n < 1:
+        raise ValidationError(f"n must be at least 1, got {n}")
+    k = len(dist.values)
+    vectors = math.comb(n + k - 1, k - 1)
+    if vectors > _TAIL_VECTORS:
+        raise ValidationError(
+            f"{vectors} count vectors for n={n} and {k} atoms; exact_tail enumerates at most {_TAIL_VECTORS:g}"
+        )
+    values = np.asarray(dist.values)
+    log_probs = np.log(np.asarray(dist.probs))
+    log_factorials = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    bound = n * (dist.mean - a)
+    slack = 1e-9 * n * (float(values.max()) + a)
+    exact_values = [Fraction(repr(v)) for v in dist.values]
+    exact_probs = [Fraction(repr(p)) for p in dist.probs]
+    exact_mean = sum(p * v for p, v in zip(exact_probs, exact_values)) / sum(exact_probs)
+    exact_bound = n * (exact_mean - Fraction(repr(a)))
+
+    top, scaled = -math.inf, 0.0  # log-sum-exp so far: sum = scaled * exp(top)
+    for counts in _count_vectors(n, k):
+        sums = counts @ values
+        hit = sums <= bound - slack
+        for i in np.flatnonzero(np.abs(sums - bound) <= slack):
+            hit[i] = sum(int(c) * v for c, v in zip(counts[i], exact_values)) <= exact_bound
+        log_pmf = log_factorials[n] - log_factorials[counts[hit]].sum(axis=1) + counts[hit] @ log_probs
+        if log_pmf.size:
+            block_top = float(log_pmf.max())
+            new_top = max(top, block_top)
+            scaled = scaled * math.exp(top - new_top) + float(np.exp(log_pmf - new_top).sum())
+            top = new_top
+    return 0.0 if scaled == 0.0 else math.exp(top + math.log(scaled))
+
+
+def _count_vectors(n: int, k: int):
+    """Yield blocks whose rows are all vectors of ``k`` non-negative integers
+    summing to ``n``, each once; a block holds at most ``_COUNT_BLOCK`` rows."""
+    if math.comb(n + k - 1, k - 1) <= _COUNT_BLOCK:
+        # Stars and bars, one column at a time: each row with r left to place
+        # spreads into r + 1 rows whose next count runs over 0..r.
+        rest = np.array([n])
+        columns: list = []
+        for _ in range(k - 1):
+            reps = rest + 1
+            count = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+            columns = [np.repeat(col, reps) for col in columns] + [count]
+            rest = np.repeat(rest, reps) - count
+        yield np.column_stack([*columns, rest])
+        return
+    for first in range(n + 1):
+        for block in _count_vectors(n - first, k - 1):
+            yield np.column_stack((np.full(len(block), first), block))
+
+
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the atom that inverse-CDF sampling picks for each uniform ``u``.
+
+    ``cum`` holds the cumulative masses, non-decreasing. Atom ``j`` is picked
+    when ``cum[j-1] <= u < cum[j]``, so a ``u`` equal to a cumulative boundary
+    picks the upper atom, and a ``u`` at or past ``cum[-1]`` (when rounding
+    leaves it below 1) picks the last atom. That is ``searchsorted(cum, u,
+    side="right")`` clipped to ``k - 1``. Up to ``_COMPARE_ATOMS`` atoms the
+    index is counted as the number of boundaries ``cum[:-1]`` at or below
+    ``u``, which is the same integer and costs a few flat comparison passes
+    instead of a branchy binary search per draw.
+    """
+    k = len(cum)
+    if k > _COMPARE_ATOMS:
+        idx = np.searchsorted(cum, u, side="right")
+        return np.minimum(idx, k - 1, out=idx)
+    if k == 1:
+        return np.zeros(u.shape, dtype=np.uint8)
+    idx = (u >= cum[0]).view(np.uint8)
+    for c in cum[1:-1]:
+        idx += u >= c
+    return idx
 
 
 def _draw_losses(
     dist: DiscreteLossDistribution, gen: np.random.Generator, shape, probs=None
 ) -> np.ndarray:
-    """Inverse-CDF draws from ``dist``, or from its atoms weighted by ``probs``."""
+    """Inverse-CDF draws from ``dist``, or from its atoms weighted by ``probs``.
+
+    One uniform per draw picks an atom by ``_atom_index``: a uniform equal to a
+    cumulative boundary picks the upper atom.
+    """
     cum = np.cumsum(dist.probs if probs is None else probs)
-    u = gen.random(shape)
-    idx = np.searchsorted(cum, u, side="right")
-    np.clip(idx, 0, len(dist.values) - 1, out=idx)
-    return np.asarray(dist.values)[idx]
+    return np.take(np.asarray(dist.values), _atom_index(cum, gen.random(shape)))
 
 
-def _sample_means(
-    dist: DiscreteLossDistribution, gen: np.random.Generator, trials: int, n: int, probs=None
-) -> np.ndarray:
-    """Means of ``trials`` samples of ``n`` draws each, drawn in blocks of about
-    ``_BLOCK_DRAWS`` draws.
+def _loss_blocks(dist: DiscreteLossDistribution, gen: np.random.Generator, samples: int, n: int, probs=None):
+    """Yield ``samples`` samples of ``n`` draws each as ``(rows, n)`` blocks of
+    about ``_BLOCK_DRAWS`` draws.
 
     The generator hands out draws in the same sequence however the requests
-    are split, and each mean reduces its own sample's row alone, so the means
-    equal those of one ``(trials, n)`` draw without holding it in memory.
+    are split, and each sample is one row, reduced alone, so a caller sees
+    the rows of one ``(samples, n)`` draw without holding it in memory.
     """
-    means = np.empty(trials)
     rows = max(1, _BLOCK_DRAWS // n)
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        means[start:stop] = _draw_losses(dist, gen, (stop - start, n), probs).mean(axis=1)
-    return means
+    for start in range(0, samples, rows):
+        yield _draw_losses(dist, gen, (min(rows, samples - start), n), probs)
 
 
 def sample_dataset(dist: DiscreteLossDistribution, n: int, seed: int) -> LossDataset:
@@ -293,15 +387,10 @@ def cramer_tail(
     if method != "plain":
         raise ValidationError(f"method must be 'plain' or 'tilted', got {method!r}")
 
-    gen = _generator(seed)
     mean = dist.mean
     hits = 0
-    remaining = trials
-    while remaining > 0:
-        take = min(_TRIAL_CHUNK, remaining)
-        sample_means = _sample_means(dist, gen, take, n)
-        hits += int(np.count_nonzero(mean - sample_means >= a))
-        remaining -= take
+    for losses in _loss_blocks(dist, _generator(seed), trials, n):
+        hits += int(np.count_nonzero(mean - losses.mean(axis=1) >= a))
     p_hat = hits / trials
     neg_log_rate = math.inf if hits == 0 else -math.log(p_hat) / n
     return CramerReport(
@@ -325,18 +414,18 @@ def _tilted_tail(dist, n, a, trials, seed) -> TiltedCramerReport:
 
     # A hit at deviation d has weight exp(-n*rate) * r with r = exp(-n*lam*(d - a))
     # in (0, 1]; sums run over r so that nothing underflows before the logs.
+    # Each window of _WEIGHT_WINDOW trials is summed as one array: the grouping
+    # sets the rounding of r_sum and r_sq, so it stays fixed for every seed.
     gen = _generator(seed)
     mean = dist.mean
     hits, r_sum, r_sq = 0, 0.0, 0.0
-    remaining = trials
-    while remaining > 0:
-        take = min(_TRIAL_CHUNK, remaining)
-        dev = mean - _sample_means(dist, gen, take, n, tilted)
+    for start in range(0, trials, _WEIGHT_WINDOW):
+        blocks = _loss_blocks(dist, gen, min(_WEIGHT_WINDOW, trials - start), n, tilted)
+        dev = mean - np.concatenate([losses.mean(axis=1) for losses in blocks])
         r = np.exp(-n * lam * (dev[dev >= a] - a))
         hits += r.size
         r_sum += float(r.sum())
         r_sq += float(r @ r)
-        remaining -= take
     scale = math.exp(-n * rate)
     r_mean = r_sum / trials
     if trials > 1:
@@ -373,13 +462,10 @@ def estimator_bias_probe(
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
 
-    gen = _generator(seed)
     estimates = np.empty(replicates)
     done = 0
-    rows_per_chunk = max(1, _BLOCK_DRAWS // n)
-    while done < replicates:
-        take = min(rows_per_chunk, replicates - done)
-        losses = _draw_losses(dist, gen, (take, n))
+    for losses in _loss_blocks(dist, _generator(seed), replicates, n):
+        take = len(losses)
         lo = losses.min(axis=1)
         means = losses.mean(axis=1)
         z = np.exp(-lam * (losses - lo[:, None]))

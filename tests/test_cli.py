@@ -339,6 +339,29 @@ class TestOracleCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["underestimates"] is True
 
+    def test_simulate_cramer_tilted_resolves_a_rare_tail(self, bern_json, capsys):
+        # plain sampling sees no hit here; the tilted report carries its diagnostics
+        argv = ["simulate-cramer", "--dist", str(bern_json), "--n", "200", "--a", "0.2", "--trials", "5000",
+                "--seed", "9"]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["hit_count"] == 0
+        assert run([*argv, "--method", "tilted"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "cramer_tail"
+        assert 0.0 < payload["stderr"] < 0.1 * payload["p_hat"]
+        assert payload["tilt"] > 0.0 and payload["effective_sample_size"] > 0.0
+        assert run([*argv, "--method", "tilted", "--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[1].split(",")
+        assert header[-3:] == ["tilt", "stderr", "effective_sample_size"]
+
+    def test_simulate_cramer_unknown_method_is_exit_2(self, bern_json, capsys):
+        code = run(["simulate-cramer", "--dist", str(bern_json), "--n", "10", "--a", "0.2", "--trials", "10",
+                    "--seed", "1", "--method", "naive"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--method" in err and "'naive'" in err
+        assert "Traceback" not in err
+
     def test_invalid_a_domain_is_exit_2(self, bern_json, capsys):
         code = run(
             ["simulate-cramer", "--dist", str(bern_json), "--n", "10", "--a", "0.7", "--trials", "10", "--seed", "1"]

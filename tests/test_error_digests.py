@@ -36,6 +36,7 @@ INPUTS = {
     "tiny.csv": "sample_id,loss\ns0,0.0\ns1,3e-13\ns2,1e-12\ns3,2.5e-12\n",
     # Two minima 1e-9 apart: a deviation 1e-12 short of the gap needs a tilt past the cap.
     "near-tie.csv": "sample_id,loss\ns0,0.0\ns1,1e-9\ns2,2.0\n",
+    "naive-method.json": '{"method": "naive"}',
 }
 
 # name -> argv
@@ -60,6 +61,8 @@ CASES = {
     "invalid-a-oracle": ["oracle-exact", "--dist", LAW, "--a", "inf"],
     "invalid-a-cramer": ["simulate-cramer", "--dist", LAW, "--n", "10", "--a", "5", "--trials", "10",
                          "--seed", "1"],
+    "unknown-method-cramer": ["simulate-cramer", "--dist", LAW, "--n", "10", "--a", "0.2", "--trials", "10",
+                              "--seed", "1", "--config", "{tmp}/naive-method.json"],
     "invalid-s": ["inverse-rate", "--input", A, "--s", "0"],
     "invalid-s-grid": ["grid-inverse-rate", "--input", A, "--s=-inf"],
     "invalid-s-taylor": ["taylor", "--input", A, "--mode", "inverse-rate", "--x", "-2"],
@@ -93,6 +96,7 @@ ERRORS = {
     'invalid-a-taylor': (2, 'taylor: InvalidA: deviation must be finite and positive, got 0.0\n'),
     'invalid-a-oracle': (2, 'oracle-exact: InvalidA: deviation a must be finite and positive, got inf\n'),
     'invalid-a-cramer': (2, 'simulate-cramer: running 10 trials of n=10 draws (seed 1)\nsimulate-cramer: InvalidA: deviation a must lie in (0, 0.875), got 5.0\n'),
+    'unknown-method-cramer': (2, "simulate-cramer: ValidationError: --config: key 'method' must be one of plain, tilted, got 'naive'\n"),
     'invalid-s': (2, 'inverse-rate: InvalidS: budget s must be finite and positive, got 0.0\n'),
     'invalid-s-grid': (2, 'grid-inverse-rate: InvalidS: budget s must be finite and positive, got -inf\n'),
     'invalid-s-taylor': (2, 'taylor: InvalidS: budget must be finite and positive, got -2.0\n'),

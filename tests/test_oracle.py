@@ -1,6 +1,7 @@
 """Closed-form oracles, dataset synthesis, and Monte Carlo tail checks."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -19,10 +20,12 @@ from ratefn import (
     estimator_bias_probe,
     exact_cumulant,
     exact_rate,
+    exact_tail,
     expand_to_dataset,
     load_distribution,
     sample_dataset,
 )
+from ratefn.oracle import _atom_index
 from conftest import binary_kl, random_distribution
 
 LN2 = math.log(2.0)
@@ -247,6 +250,171 @@ class TestTiltedCramerTail:
     def test_unknown_method_rejected(self, bernoulli_dist):
         with pytest.raises(ValidationError):
             cramer_tail(bernoulli_dist, 10, 0.2, 100, seed=1, method="naive")
+
+
+# Reports recorded with the searchsorted sampler and its 16384-trial chunks;
+# the sampler may change only if every field keeps its value bit for bit.
+SIX_ATOMS = DiscreteLossDistribution(
+    (0.41488192188189377, 1.106709764091541, 1.1464083038943844,
+     1.2343144135484188, 1.6432471805007491, 1.8362002580589871),
+    (0.15, 0.2, 0.1, 0.15, 0.2, 0.2),
+)
+FORTY_ATOMS = DiscreteLossDistribution(tuple(0.075 * i for i in range(40)), tuple((i + 1) / 820 for i in range(40)))
+PINNED = {
+    "six": (
+        SIX_ATOMS,
+        0.14443992969526198,
+        {"n": 60, "a": 0.14443992969526198, "trials": 20000, "hit_count": 159, "p_hat": 0.00795,
+         "neg_log_rate": 0.0805763891719316, "exact_rate": 0.047575716131377926, "seed": 11},
+        {"n": 60, "a": 0.4321848996761736, "trials": 20000, "hit_count": 10075, "p_hat": 1.556870097283608e-12,
+         "neg_log_rate": 0.45313906096623935, "exact_rate": 0.406357595947621, "seed": 12,
+         "tilt": 1.8617952524581338, "stderr": 3.0335948429074993e-14, "effective_sample_size": 2327.450845423377},
+        {"n": 50, "lam": 1.0, "replicates": 400, "mean_estimate": 0.10972122402340047,
+         "stderr": 0.0008801126780229671, "exact_value": 0.11186519329332634, "underestimates": True, "seed": 13},
+        "32c272831139f37826c2ea5a646d6fd4c07560e2053bb222e83f427247d07e81",
+    ),
+    "forty": (
+        FORTY_ATOMS,
+        0.22624654693497534,
+        {"n": 60, "a": 0.22624654693497534, "trials": 20000, "hit_count": 169, "p_hat": 0.00845,
+         "neg_log_rate": 0.07955981396021758, "exact_rate": 0.04758735912314946, "seed": 11},
+        {"n": 60, "a": 0.975, "trials": 20000, "hit_count": 10127, "p_hat": 4.617367644529639e-24,
+         "neg_log_rate": 0.895536957717627, "exact_rate": 0.8436740972258301, "seed": 12,
+         "tilt": 1.778534259763196, "stderr": 1.074996971878742e-25, "effective_sample_size": 1689.1729181178043},
+        {"n": 50, "lam": 1.0, "replicates": 400, "mean_estimate": 0.2742782589093744,
+         "stderr": 0.0023277862265462376, "exact_value": 0.2804808806161381, "underestimates": True, "seed": 13},
+        "5e3cf1b07662781610a40f884b466c9c435bc3d44d3810cf98f1e12369c9361a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+class TestPinnedReports:
+    """Every Monte Carlo report keeps its recorded bits on a law with 6 atoms
+    (picked by comparisons) and one with 40 (picked by binary search)."""
+
+    def test_plain(self, name):
+        dist, a, plain, _, _, _ = PINNED[name]
+        assert dataclasses.asdict(cramer_tail(dist, 60, a, 20_000, 11)) == plain
+
+    def test_tilted(self, name):
+        dist, _, _, tilted, _, _ = PINNED[name]
+        gap = dist.mean - dist.min_value
+        assert dataclasses.asdict(cramer_tail(dist, 60, 0.5 * gap, 20_000, 12, method="tilted")) == tilted
+
+    def test_bias_probe(self, name):
+        dist, _, _, _, probe, _ = PINNED[name]
+        assert dataclasses.asdict(estimator_bias_probe(dist, 50, 1.0, 400, 13)) == probe
+
+    def test_sample_dataset(self, name):
+        dist, _, _, _, _, digest = PINNED[name]
+        assert hashlib.sha256(sample_dataset(dist, 5000, 14).losses.tobytes()).hexdigest() == digest
+
+
+def _searchsorted_index(cum, u):
+    return np.clip(np.searchsorted(cum, u, side="right"), 0, len(cum) - 1)
+
+
+def _crafted_uniforms(cum):
+    """Each cumulative boundary, its neighbouring floats, the ends of [0, 1) and random draws."""
+    edges = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    edges = edges[(edges >= 0.0) & (edges < 1.0)]
+    ends = [0.0, np.nextafter(1.0, 0.0)]
+    return np.concatenate([edges, ends, np.random.default_rng(0).random(4096)])
+
+
+class TestAtomIndex:
+    """Counting comparisons picks the same atom as the clipped binary search."""
+
+    def assert_same(self, cum):
+        cum = np.asarray(cum, dtype=np.float64)
+        u = _crafted_uniforms(cum)
+        idx = _atom_index(cum, u)
+        np.testing.assert_array_equal(idx, _searchsorted_index(cum, u))
+        grid = u[: 4 * (len(u) // 4)].reshape(4, -1)
+        np.testing.assert_array_equal(_atom_index(cum, grid), _searchsorted_index(cum, grid))
+
+    def test_boundaries_pick_the_upper_atom(self):
+        cum = np.cumsum(SIX_ATOMS.probs)
+        self.assert_same(cum)
+        assert list(_atom_index(cum, cum[:-1])) == [1, 2, 3, 4, 5]
+        assert list(_atom_index(cum, np.nextafter(cum[:-1], 0.0))) == [0, 1, 2, 3, 4]
+
+    def test_cumulative_mass_short_of_one(self):
+        cum = np.cumsum([0.1] * 10)
+        assert cum[-1] < 1.0
+        self.assert_same(cum)
+        assert _atom_index(cum, np.array([cum[-1], np.nextafter(1.0, 0.0)])).tolist() == [9, 9]
+
+    def test_tilted_law_with_zero_mass_atoms(self):
+        # far atoms underflow to mass 0 under the tilt, so cumulative masses repeat,
+        # in the middle (an unsorted law) and at the end
+        values = np.array([0.0, 900.0, 1.0, 2.0, 800.0, 950.0])
+        tilted = np.full(6, 1 / 6) * np.exp(-2.0 * (values - values.min()))
+        tilted /= tilted.sum()
+        cum = np.cumsum(tilted)
+        assert tilted[1] == 0.0 and cum[0] == cum[1] and cum[-1] == cum[-2]
+        self.assert_same(cum)
+        assert _atom_index(cum, cum[:1]).tolist() == [2]
+
+    def test_single_atom(self):
+        self.assert_same([1.0])
+        assert not _atom_index(np.array([1.0]), np.random.default_rng(1).random(50)).any()
+
+    @pytest.mark.parametrize("atoms", [32, 33])
+    def test_both_sides_of_the_search_threshold(self, atoms):
+        probs = np.random.default_rng(atoms).integers(1, 20, atoms).astype(float)
+        self.assert_same(np.cumsum(probs / probs.sum()))
+
+
+# Three-atom laws whose deviations put no count vector on the boundary at n in {50, 100, 200}.
+TAIL_LAWS = {
+    "a": (DiscreteLossDistribution((0.0, 0.37, 1.3), (0.3, 0.45, 0.25)), 0.0712345, 0.2012345),
+    "b": (DiscreteLossDistribution((0.2, 1.0, 2.75), (0.5, 0.35, 0.15)), 0.1234567, 0.3012345),
+}
+
+
+class TestExactTail:
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_bernoulli_is_the_binomial_cdf(self, bernoulli_dist, n):
+        # the boundary count 0.3n is a tie, and a tie is a hit
+        np.testing.assert_allclose(exact_tail(bernoulli_dist, n, 0.2), binom.cdf(int(0.3 * n), n, 0.5), rtol=1e-12)
+
+    def test_ties_are_decided_on_exact_rationals(self):
+        # two draws of 0.1 and one of 0.7 sit exactly on the boundary 3 * (0.4 - 0.1)
+        dist = DiscreteLossDistribution((0.1, 0.7), (0.5, 0.5))
+        np.testing.assert_allclose(exact_tail(dist, 3, 0.1), 0.5, rtol=1e-14)
+        np.testing.assert_allclose(exact_tail(dist, 3, 0.1000001), 0.125, rtol=1e-14)
+
+    def test_blocked_enumeration_matches_merged_atoms(self):
+        # splitting an atom in two leaves the law, and the tail, unchanged; at n = 100
+        # the four-atom law enumerates its 176851 count vectors in several blocks
+        split = DiscreteLossDistribution((0.0, 1.0, 1.0, 2.0), (0.25, 0.25, 0.25, 0.25))
+        merged = DiscreteLossDistribution((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
+        for a in (0.1234, 0.25):
+            np.testing.assert_allclose(exact_tail(split, 100, a), exact_tail(merged, 100, a), rtol=1e-12)
+
+    def test_single_atom_never_deviates(self):
+        assert exact_tail(DiscreteLossDistribution((0.7,), (1.0,)), 10, 0.1) == 0.0
+
+    def test_refuses_too_many_count_vectors(self):
+        with pytest.raises(ValidationError):
+            exact_tail(SIX_ATOMS, 200, 0.2)
+        with pytest.raises(InvalidA):
+            exact_tail(SIX_ATOMS, 10, 0.0)
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    @pytest.mark.parametrize("law", sorted(TAIL_LAWS))
+    def test_monte_carlo_estimates_agree(self, law, n):
+        # each estimator lands within four of its own standard errors of the exact tail
+        dist, a, rare_a = TAIL_LAWS[law]
+        p = exact_tail(dist, n, a)
+        plain = cramer_tail(dist, n, a, trials=20_000, seed=n + 1)
+        plain_se = math.sqrt(plain.p_hat * (1 - plain.p_hat) / plain.trials)
+        assert abs(plain.p_hat - p) < 4 * plain_se
+        for deviation, seed in ((a, n + 2), (rare_a, n + 3)):
+            tilted = cramer_tail(dist, n, deviation, trials=20_000, seed=seed, method="tilted")
+            assert abs(tilted.p_hat - exact_tail(dist, n, deviation)) < 4 * tilted.stderr
 
 
 class TestAugmentedTails:

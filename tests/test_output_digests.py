@@ -66,6 +66,11 @@ CASES = {
                               "--trials", "3000", "--seed", "7"], "out.json"),
     "simulate-cramer-csv": (["simulate-cramer", "--dist", LAW, "--n", "80", "--a", "0.2",
                              "--trials", "3000", "--seed", "7", "--format", "csv"], "out.csv"),
+    "simulate-cramer-tilted-json": (["simulate-cramer", "--dist", LAW, "--n", "80", "--a", "0.6",
+                                     "--trials", "3000", "--seed", "7", "--method", "tilted"], "out.json"),
+    "simulate-cramer-tilted-csv": (["simulate-cramer", "--dist", LAW, "--n", "80", "--a", "0.6",
+                                    "--trials", "3000", "--seed", "7", "--method", "tilted", "--format", "csv"],
+                                   "out.csv"),
     "bias-probe-json": (["bias-probe", "--dist", LAW, "--n", "1200", "--lambda", "1.0",
                          "--replicates", "60", "--seed", "3"], "out.json"),
     "bias-probe-csv": (["bias-probe", "--dist", LAW, "--n", "1200", "--lambda", "1.0",
@@ -201,6 +206,14 @@ DIGESTS = {
     "simulate-cramer-csv": (
         "d6893f7407b2ae7fcb41dad7dd952106e2aa78fa14a524e4f061a4bfb00f10a4",
         "ce8a78ae44fc074e8d82bc6b92590cd574426f2a1b327027973e0a779b607dac",
+    ),
+    "simulate-cramer-tilted-json": (
+        "81d7a47bb5be49442433894c1f14584470f8ff561be059bc016a0b0d165a338c",
+        "1129da5b1d2ec677ddee5dd447bec3be3e42a007e7a156785431140ad7522e5a",
+    ),
+    "simulate-cramer-tilted-csv": (
+        "99d5b2fe4996b5cf1f4194e8bcc03888a5af9962b77d3ea9c8b40676b940cfba",
+        "1129da5b1d2ec677ddee5dd447bec3be3e42a007e7a156785431140ad7522e5a",
     ),
     "bias-probe-json": (
         "6a176bab68bd44686ec46fe9dd0645230b155e94712bdce5e162cb987c219f5c",
