@@ -9,6 +9,7 @@ chunks, so a given seed always reproduces the same report bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -33,8 +34,8 @@ _ORACLE_CAP = 1e12      # tilt cap for the oracle's own refinement search
 _BLOCK_DRAWS = 1 << 14  # draws held in memory at once, in whole samples (128 KB each)
 _TAIL_VECTORS = 10**7   # exact_tail refuses more count vectors than this
 _COUNT_BLOCK = 1 << 16  # count vectors enumerated at once by exact_tail
-_WEIGHT_WINDOW = 16384  # tilted trials whose weights are summed together; fixed so reports reproduce
-_COMPARE_ATOMS = 32     # laws up to this many atoms (at most 256: uint8 indices) pick atoms by comparisons
+_WEIGHT_WINDOW = 16384  # tilted trials per float sum of weights: fixes the summation grouping, not memory
+_COMPARE_ATOMS = 128    # laws up to this many atoms pick atoms by comparisons (uint8 indices allow 256)
 
 
 @dataclass(frozen=True)
@@ -229,7 +230,7 @@ def exact_tail(dist: DiscreteLossDistribution, n: int, a: float) -> float:
         )
     values = np.asarray(dist.values)
     log_probs = np.log(np.asarray(dist.probs))
-    log_factorials = np.array([math.lgamma(c + 1.0) for c in range(n + 1)])
+    log_factorials = np.fromiter((math.lgamma(c + 1.0) for c in range(n + 1)), np.float64, n + 1)
     bound = n * (dist.mean - a)
     slack = 1e-9 * n * (float(values.max()) + a)
     exact_values = [Fraction(repr(v)) for v in dist.values]
@@ -252,24 +253,46 @@ def exact_tail(dist: DiscreteLossDistribution, n: int, a: float) -> float:
     return 0.0 if scaled == 0.0 else math.exp(top + math.log(scaled))
 
 
-def _count_vectors(n: int, k: int):
-    """Yield blocks whose rows are all vectors of ``k`` non-negative integers
-    summing to ``n``, each once; a block holds at most ``_COUNT_BLOCK`` rows."""
-    if math.comb(n + k - 1, k - 1) <= _COUNT_BLOCK:
-        # Stars and bars, one column at a time: each row with r left to place
-        # spreads into r + 1 rows whose next count runs over 0..r.
-        rest = np.array([n])
-        columns: list = []
-        for _ in range(k - 1):
-            reps = rest + 1
-            count = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
-            columns = [np.repeat(col, reps) for col in columns] + [count]
-            rest = np.repeat(rest, reps) - count
-        yield np.column_stack([*columns, rest])
+def _count_vectors(n: int, k: int, head: tuple = ()):
+    """Yield blocks whose rows are ``head`` followed by a vector of ``k``
+    non-negative integers summing to ``n``; every such vector comes once.
+
+    Rows are grouped by their first count: consecutive first counts share a
+    block while it holds at most ``_COUNT_BLOCK`` rows, and a first count
+    whose vectors alone exceed that is split again on the next count.
+    """
+    if k == 1:
+        yield np.array([[*head, n]])
         return
-    for first in range(n + 1):
-        for block in _count_vectors(n - first, k - 1):
-            yield np.column_stack((np.full(len(block), first), block))
+
+    def after(first):  # vectors whose first count is ``first`` or more
+        return math.comb(n - first + k - 1, k - 1)
+
+    start = 0
+    while start <= n:
+        if after(start) - after(start + 1) > _COUNT_BLOCK:
+            yield from _count_vectors(n - start, k - 1, (*head, start))
+            start += 1
+            continue
+        # the block runs up to the last stop with after(start) - after(stop) <= _COUNT_BLOCK
+        fits = bisect.bisect_right(range(start, n + 2), _COUNT_BLOCK - after(start), key=lambda f: -after(f))
+        stop = start + fits - 1
+        firsts = np.arange(start, stop)
+        yield _spread([np.full(len(firsts), h) for h in head] + [firsts], n - firsts, k - 1)
+        start = stop
+
+
+def _spread(columns: list, rest: np.ndarray, parts: int) -> np.ndarray:
+    """Complete each row of ``columns`` in every way that splits its ``rest``
+    into ``parts`` non-negative counts, by stars and bars one column at a
+    time: a row with r left spreads into r + 1 rows whose next count runs
+    over 0..r."""
+    for _ in range(parts - 1):
+        reps = rest + 1
+        count = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps, reps)
+        columns = [np.repeat(col, reps) for col in columns] + [count]
+        rest = np.repeat(rest, reps) - count
+    return np.column_stack([*columns, rest])
 
 
 def _generator(seed: int) -> np.random.Generator:

@@ -25,7 +25,8 @@ from ratefn import (
     load_distribution,
     sample_dataset,
 )
-from ratefn.oracle import _atom_index
+from ratefn import oracle
+from ratefn.oracle import _atom_index, _count_vectors
 from conftest import binary_kl, random_distribution
 
 LN2 = math.log(2.0)
@@ -260,6 +261,7 @@ SIX_ATOMS = DiscreteLossDistribution(
     (0.15, 0.2, 0.1, 0.15, 0.2, 0.2),
 )
 FORTY_ATOMS = DiscreteLossDistribution(tuple(0.075 * i for i in range(40)), tuple((i + 1) / 820 for i in range(40)))
+ATOMS_160 = DiscreteLossDistribution(tuple(0.02 * i for i in range(160)), tuple((i + 1) / 12880 for i in range(160)))
 PINNED = {
     "six": (
         SIX_ATOMS,
@@ -285,13 +287,25 @@ PINNED = {
          "stderr": 0.0023277862265462376, "exact_value": 0.2804808806161381, "underestimates": True, "seed": 13},
         "5e3cf1b07662781610a40f884b466c9c435bc3d44d3810cf98f1e12369c9361a",
     ),
+    "one-sixty": (
+        ATOMS_160,
+        0.2344150165838358,
+        {"n": 60, "a": 0.2344150165838358, "trials": 20000, "hit_count": 193, "p_hat": 0.00965,
+         "neg_log_rate": 0.07734662272718737, "exact_rate": 0.04572183042954302, "seed": 11},
+        {"n": 60, "a": 1.06, "trials": 20000, "hit_count": 10081, "p_hat": 2.207452335324305e-25,
+         "neg_log_rate": 0.9462131377290058, "exact_rate": 0.893078606588084, "seed": 12,
+         "tilt": 1.7411804269532238, "stderr": 5.185063134105888e-27, "effective_sample_size": 1661.9552291745463},
+        {"n": 50, "lam": 1.0, "replicates": 400, "mean_estimate": 0.3073238274257175,
+         "stderr": 0.0026048832434281146, "exact_value": 0.3143659260619971, "underestimates": True, "seed": 13},
+        "4a4d6c9ba9e6dbbef1364709365c19d40066628ed62d1116b5f4ca5d18d853c7",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 class TestPinnedReports:
-    """Every Monte Carlo report keeps its recorded bits on a law with 6 atoms
-    (picked by comparisons) and one with 40 (picked by binary search)."""
+    """Every Monte Carlo report keeps its recorded bits on laws of 6 and 40
+    atoms (picked by comparisons) and of 160 (picked by binary search)."""
 
     def test_plain(self, name):
         dist, a, plain, _, _, _ = PINNED[name]
@@ -361,7 +375,7 @@ class TestAtomIndex:
         self.assert_same([1.0])
         assert not _atom_index(np.array([1.0]), np.random.default_rng(1).random(50)).any()
 
-    @pytest.mark.parametrize("atoms", [32, 33])
+    @pytest.mark.parametrize("atoms", [oracle._COMPARE_ATOMS, oracle._COMPARE_ATOMS + 1])
     def test_both_sides_of_the_search_threshold(self, atoms):
         probs = np.random.default_rng(atoms).integers(1, 20, atoms).astype(float)
         self.assert_same(np.cumsum(probs / probs.sum()))
@@ -393,6 +407,29 @@ class TestExactTail:
         merged = DiscreteLossDistribution((0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
         for a in (0.1234, 0.25):
             np.testing.assert_allclose(exact_tail(split, 100, a), exact_tail(merged, 100, a), rtol=1e-12)
+
+    @pytest.mark.parametrize(("n", "k"), [(0, 3), (12, 1), (40, 2), (9, 3), (7, 4), (6, 5)])
+    def test_count_vector_blocks(self, monkeypatch, n, k):
+        # with blocks of at most 10 rows, leading counts are grouped and, when one
+        # alone completes to more than 10 vectors, split again on the next count
+        monkeypatch.setattr(oracle, "_COUNT_BLOCK", 10)
+        blocks = list(_count_vectors(n, k))
+        rows = np.concatenate(blocks)
+        assert max(len(b) for b in blocks) <= 10
+        assert rows.shape == (math.comb(n + k - 1, k - 1), k)
+        assert (rows >= 0).all() and (rows.sum(axis=1) == n).all()
+        assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+        if k == 2:
+            assert len(blocks) == -(-(n + 1) // 10)
+
+    def test_two_atoms_at_a_million_draws(self):
+        # 1000001 count vectors come in 16 full blocks; a = 0.25/n leaves no tie, and
+        # the tail is half of what the central binomial term leaves
+        n = 10**6
+        assert sum(1 for _ in _count_vectors(n, 2)) == -(-(n + 1) // oracle._COUNT_BLOCK)
+        central = math.exp(math.lgamma(n + 1) - 2 * math.lgamma(n / 2 + 1) - n * LN2)
+        coin = DiscreteLossDistribution((0.0, 1.0), (0.5, 0.5))
+        np.testing.assert_allclose(exact_tail(coin, n, 0.25 / n), (1 - central) / 2, rtol=1e-7)
 
     def test_single_atom_never_deviates(self):
         assert exact_tail(DiscreteLossDistribution((0.7,), (1.0,)), 10, 0.1) == 0.0
