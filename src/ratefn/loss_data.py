@@ -5,7 +5,9 @@ A dataset holds its samples in order as read-only columns: a float64 loss
 array, sample ids, and optional group ids, squared input-gradient norms and
 parameter-gradient vectors. Every statistic derived from it depends only on
 the multiset of loss values, so reordering samples never changes downstream
-estimates. The summary is computed once per dataset and cached on it.
+estimates. The summary is computed once per dataset and cached on it; its
+variance, which only the quadratic approximations read, is computed on
+first read.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -61,13 +63,34 @@ class LossRecord:
 
 @dataclass(frozen=True)
 class DatasetSummary:
-    """Count, mean, minimum (with tie count), and population variance."""
+    """Count, mean, minimum (with tie count), and population variance.
+
+    A summary from :func:`summarize` holds a reference to the dataset's
+    losses instead of its variance, and computes the variance from them on
+    first read; the rate solvers never read it. Equality, hashing, ``repr``,
+    pickling and ``dataclasses.asdict`` read every field, the variance
+    included, so they see the same five values either way.
+    """
 
     count: int
     empirical_loss: float
     min_loss: float
     min_loss_count: int
     variance: float
+
+    def __getattr__(self, name):
+        # Called only for an attribute the instance lacks; of the fields, that
+        # is the variance of a summary from summarize() before its first read.
+        losses = self.__dict__.get("_losses") if name == "variance" else None
+        if losses is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        variance = 0.0 if self.min_loss_count == self.count else _variance(losses, self.empirical_loss)
+        self.__dict__["variance"] = variance
+        self.__dict__.pop("_losses", None)
+        return variance
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -319,7 +342,7 @@ def summarize(ds: LossDataset) -> DatasetSummary:
     minimum reports exactly zero variance. A variance beyond the float64
     range is reported as ``math.inf``; a sum of losses beyond it raises
     ``ValidationError``. The summary is computed on the first call and cached
-    on the dataset.
+    on the dataset, and its variance on its first read.
     """
     summary = ds._summary
     if summary is None:
@@ -330,25 +353,33 @@ def summarize(ds: LossDataset) -> DatasetSummary:
 
 def _summary_of(losses: np.ndarray) -> DatasetSummary:
     # Python floats and math.fsum keep every figure identical to a plain loop
-    # over the values: numpy's (x - mean)**2 differs from Python's ** in the
-    # last bit for some elements.
+    # over the values. argmin gives the first minimal element, as min() does,
+    # so a minimum of zero keeps the sign of the first zero.
     values = losses.tolist()
     count = len(values)
     try:
         mean = math.fsum(values) / count
     except OverflowError:
         raise ValidationError("the sum of the losses overflows float64") from None
-    lo = min(values)
+    lo = values[int(np.argmin(losses))]
     mean = max(mean, lo)
     ties = int(np.count_nonzero(losses - lo <= TIE_TOL * (mean - lo)))
-    if ties == count:
-        variance = 0.0
-    else:
-        try:
-            variance = math.fsum((v - mean) ** 2 for v in values) / count
-        except OverflowError:
-            variance = math.inf
-    return DatasetSummary(count, mean, lo, ties, variance)
+    summary = DatasetSummary.__new__(DatasetSummary)
+    summary.__dict__.update(count=count, empirical_loss=mean, min_loss=lo, min_loss_count=ties, _losses=losses)
+    return summary
+
+
+def _variance(losses: np.ndarray, mean: float) -> float:
+    """Population variance about ``mean``, with ``math.inf`` past the float64 range.
+
+    A loop over Python floats: numpy's ``(x - mean)**2`` differs from
+    Python's ``**`` in the last bit for some elements.
+    """
+    values = losses.tolist()
+    try:
+        return math.fsum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError:
+        return math.inf
 
 
 def reduce_augmented(ds: LossDataset) -> LossDataset:
@@ -474,17 +505,19 @@ def _load_csv(path: Path) -> dict:
 def _split_csv_body(body: str, width: int) -> dict | None:
     """Columns of well-formed data rows by plain string splitting, or ``None``.
 
-    Without quotes, carriage returns or NUL characters the csv module splits
-    exactly at newlines and commas, so splitting the whole text gives the
-    same fields. ``None`` (read the rows with the csv module instead) covers
-    those characters, blank lines and every malformed or invalid row, so
-    that the row-by-row reader reports the first fault with its line number.
+    Without quotes, lone carriage returns or NUL characters the csv module
+    splits exactly at line ends (``\n`` or ``\r\n``, as ``dump_dataset``
+    writes) and commas, so splitting the whole text gives the same fields.
+    ``None`` (read the rows with the csv module instead) covers those
+    characters, blank lines and every malformed or invalid row, so that the
+    row-by-row reader reports the first fault with its line number.
     """
+    body = body.replace("\r\n", "\n")
     if body.endswith("\n"):
         body = body[:-1]
     if not body or body.startswith("\n") or any(c in body for c in ('"', "\r", "\0", "\n\n")):
         return None
-    if set(map(str.count, body.split("\n"), repeat(","))) != {width - 1}:
+    if not _rows_have_width(body, width):
         return None
     fields = body.replace("\n", ",").split(",")
     count = len(fields) // width
@@ -497,6 +530,24 @@ def _split_csv_body(body: str, width: int) -> dict | None:
         return None
     groups = [g or None for g in fields[2::width]] if width >= 3 else None
     return {"losses": losses, "sample_ids": fields[0::width], "group_ids": groups, "grad_norm_sq": norms}
+
+
+def _rows_have_width(body: str, width: int) -> bool:
+    """Whether every line of ``body`` (no newline after the last) holds
+    ``width - 1`` commas.
+
+    UTF-8 never puts a comma or a newline byte inside a multibyte character,
+    so the check runs on the encoded bytes: the separators, with the cut
+    final newline put back, must repeat ``width - 1`` commas then a newline.
+    """
+    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    is_separator = data == ord(",")
+    is_separator |= data == ord("\n")
+    separators = np.append(data[is_separator], np.uint8(ord("\n")))
+    if separators.size % width:
+        return False
+    rows = separators.reshape(-1, width)
+    return bool((rows[:, -1] == ord("\n")).all() and (rows[:, :-1] == ord(",")).all())
 
 
 def _read_csv_rows(reader, width: int) -> dict:

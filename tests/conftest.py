@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ratefn import DiscreteLossDistribution, from_losses
+from ratefn import DiscreteLossDistribution, from_losses, loss_data
 
 LN2 = math.log(2.0)
 
@@ -30,6 +30,20 @@ def constant_ds():
 @pytest.fixture
 def bernoulli_dist():
     return DiscreteLossDistribution((0.0, 1.0), (0.5, 0.5))
+
+
+@pytest.fixture
+def variance_calls(monkeypatch):
+    """The arguments of every run of the summary's per-sample variance loop."""
+    calls = []
+    variance = loss_data._variance
+
+    def counted(*args):
+        calls.append(args)
+        return variance(*args)
+
+    monkeypatch.setattr(loss_data, "_variance", counted)
+    return calls
 
 
 def random_dataset(rng, size=None, scale=1.0, model_id="random"):

@@ -19,18 +19,22 @@ from ratefn import (
     compare_smoothness,
     compose_augmented,
     covariance_taylor,
+    cumulant_curve,
     da_inequality_check,
     estimate_cumulant,
     from_losses,
     generalization_bound,
     gradient_norm_bound,
     interpolator_ordering,
+    inverse_rate,
     rate,
+    rate_curve,
     reduce_augmented,
     summarize,
     variance_rate_approx,
     variance_taylor,
 )
+from ratefn import loss_data
 from conftest import binary_kl, random_dataset
 
 LN2 = math.log(2.0)
@@ -250,6 +254,55 @@ class TestVarianceRateApprox:
     def test_zero_variance_rejected_in_rate_mode(self, constant_ds):
         with pytest.raises(ZeroVariance):
             variance_rate_approx(constant_ds, "rate", 0.05)
+
+
+class TestVarianceOnDemand:
+    """Only the quadratic approximations read the variance; every solver path
+    runs without the per-sample variance loop."""
+
+    @staticmethod
+    def _datasets():
+        rng = np.random.default_rng(21)
+        grouped = from_losses(rng.exponential(1.0, 400), model_id="grouped",
+                              group_ids=[f"g{i // 4}" for i in range(400)])
+        return from_losses(rng.exponential(1.0, 500), model_id="a"), from_losses(rng.gamma(2.0, 0.5, 500)), grouped
+
+    def test_solver_paths_never_run_the_loop(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("variance loop ran")
+
+        monkeypatch.setattr(loss_data, "_variance", no_loop)
+        ds_a, ds_b, grouped = self._datasets()
+        assert 0.0 < rate(ds_a, 0.3).value < math.inf
+        assert 0.0 < inverse_rate(ds_a, 0.05).value < summarize(ds_a).empirical_loss
+        assert len(rate_curve(ds_a, [0.1, 0.2, 0.4])) == 3
+        assert len(cumulant_curve(ds_a).j_values) == 64
+        assert generalization_bound(ds_b, ModelMeta(10, 1000, 0.05)).upper_bound > 0.0
+        assert compare_smoothness(ds_a, ds_b).verdict in ("smoother", "beta_smoother", "incomparable")
+        assert da_inequality_check(grouped).equal_group_sizes
+        with pytest.raises(AssertionError, match="variance loop ran"):
+            summarize(ds_a).variance
+
+    def test_variance_taylor_runs_the_loop_once(self, variance_calls):
+        ds = self._datasets()[0]
+        variance_taylor(ds, 0.1)
+        report = variance_taylor(ds, 0.2)
+        assert len(variance_calls) == 1
+        assert report.approx == 0.5 * 0.2 * 0.2 * summarize(ds).variance
+        variance_rate_approx(ds, "rate", 0.1)
+        assert len(variance_calls) == 1
+
+    def test_tied_losses_skip_the_loop(self, variance_calls):
+        assert variance_taylor(from_losses([0.4] * 5), 0.5).approx == 0.0
+        assert variance_calls == []
+
+    def test_signed_zeros_pin_the_minimum(self, variance_calls):
+        ds = from_losses([0.3, -0.0, 0.0, 1.1, 0.0])
+        s = summarize(ds)
+        assert s.min_loss.hex() == "-0x0.0p+0"
+        assert s.min_loss_count == 3
+        assert rate(ds, 0.1).value > 0.0
+        assert variance_calls == []
 
 
 def _grad_dataset(grads, losses=None):

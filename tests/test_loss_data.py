@@ -1,6 +1,7 @@
 """Dataset ingestion, validation, summaries, and augmentation-group algebra."""
 
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from ratefn import (
+    DatasetSummary,
     EmptyDataset,
     LossDataset,
     LossRecord,
@@ -24,9 +26,14 @@ from ratefn import (
     reduce_augmented,
     summarize,
 )
+from ratefn import loss_data
 from ratefn.errors import InvalidMeta
 
 LN2 = math.log(2.0)
+
+
+def _no_row_reader(reader, width):
+    raise AssertionError("read row by row")
 
 
 class TestLoading:
@@ -118,6 +125,50 @@ class TestLoading:
         path.write_text("sample_id,loss\ns1,0.5\n\ns2,oops\ns3,-0.1\n")
         with pytest.raises(ParseError, match="line 4"):
             load_dataset(path, "csv")
+
+    def test_dumped_csv_takes_the_fast_path(self, tmp_path, monkeypatch):
+        ds = LossDataset.from_columns(np.array([0.1, 0.0, 2.5, 0.3]), group_ids=["g1", "g1", None, "g2"],
+                                      grad_norm_sq=[1.0, None, 0.5, 2.0])
+        path = tmp_path / "grouped.csv"
+        dump_dataset(ds, path)
+        assert path.read_bytes().count(b"\r\n") == 5  # the csv module's default line end
+        monkeypatch.setattr(loss_data, "_read_csv_rows", _no_row_reader)
+        assert load_dataset(path).records == ds.records
+
+    def test_lone_cr_and_quotes_are_read_row_by_row(self, tmp_path, monkeypatch):
+        widths = []
+        read_rows = loss_data._read_csv_rows
+
+        def counted(reader, width):
+            widths.append(width)
+            return read_rows(reader, width)
+
+        monkeypatch.setattr(loss_data, "_read_csv_rows", counted)
+        path = tmp_path / "losses.csv"
+        for body in (b"a,0.5\rb,1.5\r", b'a,0.5\r\n"b",1.5\r\n', b"a,0.5\r\nb,1.5\r\r\n"):
+            path.write_bytes(b"sample_id,loss\r\n" + body)
+            assert load_dataset(path).losses.tolist() == [0.5, 1.5]
+        assert widths == [2, 2, 2]
+
+    def test_row_with_an_extra_field_is_rejected(self, tmp_path):
+        # The file holds as many commas as two well-formed rows, and its
+        # fields parse as the losses [0.5, 1.2]; the per-row check rejects it.
+        path = tmp_path / "bad.csv"
+        path.write_text("sample_id,loss\ns0,0.5,0.7\n1.2")
+        with pytest.raises(ParseError, match="^line 2: expected 2 fields, got 3$"):
+            load_dataset(path, "csv")
+
+    def test_multibyte_ids_take_the_fast_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "ids.csv"
+        path.write_text("sample_id,loss,group_id\nsé,0.5,g€\n\u00df,1.5,\n", encoding="utf-8")
+        monkeypatch.setattr(loss_data, "_read_csv_rows", _no_row_reader)
+        ds = load_dataset(path)
+        assert ds.sample_ids == ("sé", "\u00df")
+        assert ds.group_ids == ("g€", None)
+        # Four commas, as in two good rows, but one and three per row.
+        path.write_text("sample_id,loss,group_id\nsé,0.5\n\u00df,1.5,g€,\n", encoding="utf-8")
+        with pytest.raises(AssertionError, match="read row by row"):
+            load_dataset(path)
 
     def test_jsonl_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "losses.jsonl"
@@ -290,6 +341,37 @@ class TestColumnarDataset:
         s = summarize(from_losses(losses))
         got = (s.count, s.empirical_loss, s.min_loss, s.min_loss_count, s.variance)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in _loop_summary(losses)]
+
+    def test_signed_zero_minimum_is_the_first_one(self):
+        for losses in ([0.5, -0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [2.0, 0.0, -0.0], [-0.0, -0.0]):
+            s = summarize(from_losses(losses))
+            assert s.min_loss.hex() == min(losses).hex()
+            assert math.copysign(1.0, s.min_loss) == math.copysign(1.0, min(losses))
+
+    def test_variance_is_computed_on_first_read(self, variance_calls):
+        losses = np.random.default_rng(11).exponential(1.0, 300).tolist()
+        s = summarize(from_losses(losses))
+        assert variance_calls == []
+        assert "variance" not in vars(s)
+        assert s.variance == s.variance == _loop_summary(losses)[4]
+        assert len(variance_calls) == 1
+        assert "_losses" not in vars(s)
+
+    def test_lazy_summary_pickles_and_prints_as_a_plain_one(self):
+        losses = np.random.default_rng(12).exponential(1.0, 300).tolist()
+        plain = DatasetSummary(*_loop_summary(losses))
+        for read_first in (False, True):
+            s = summarize(from_losses(losses))
+            if read_first:
+                assert s.variance == plain.variance
+            assert pickle.dumps(s) == pickle.dumps(plain)
+            assert dataclasses.asdict(summarize(from_losses(losses))) == dataclasses.asdict(plain)
+            assert repr(summarize(from_losses(losses))) == repr(plain)
+            assert summarize(from_losses(losses)) == plain
+            assert hash(summarize(from_losses(losses))) == hash(plain)
+            assert copy.deepcopy(s) == plain
+        with pytest.raises(AttributeError, match="no attribute 'mean'"):
+            summarize(from_losses(losses)).mean
 
 
 class TestReduceAugmented:
