@@ -60,10 +60,13 @@ class BoundReport:
 class SmoothnessVerdict:
     """Outcome of comparing two models' deviation behavior.
 
-    ``cumulant_dominance`` holds when A's cumulant sits below B's across the
-    whole tilt grid, which is sufficient for A's rate to dominate B's at every
-    deviation. ``rate_dominance_on`` is the largest tested deviation up to
-    which A's rate dominates pointwise (0 when even the first point fails).
+    ``cumulant_dominance`` holds when A's cumulant sits below B's on the
+    tested tilts of the grid. It bears on A's rate dominating B's only on the
+    tested tilts/deviations, not at every deviation: the cumulants may cross
+    off the grid (ROADMAP item 2 has a counterexample, where A's cumulant
+    passes B's at a tilt of 1e6). ``rate_dominance_on`` is the largest tested
+    deviation up to which A's rate dominates pointwise (0 when even the first
+    point fails).
     """
 
     beta: float
@@ -209,9 +212,12 @@ def compare_smoothness(
 ) -> SmoothnessVerdict:
     """Decide whether model A deviates less than model B.
 
-    A is "smoother" when its cumulant lies below B's on the whole tilt grid
-    (pointwise, with round-off slack), which forces its rate to dominate at
-    every deviation. Failing that, A is "beta_smoother" when its rate
+    A is "smoother" when its cumulant lies below B's on the tested tilts of
+    the grid (pointwise, with round-off slack). Read as rate dominance, this
+    holds only on the tested tilts/deviations: nothing checks the tilts
+    between or beyond the grid points, and ROADMAP item 2 gives a pair whose
+    cumulants cross past the default grid, where the verdict is wrong.
+    Failing that, A is "beta_smoother" when its rate
     dominates B's on all tested deviations up to ``beta`` (``max(a_values)``
     when ``beta`` is not given). Otherwise the pair is incomparable at the
     tested resolution.
@@ -267,8 +273,10 @@ def interpolator_ordering(
     bounded by B's plus epsilon, and report the held-out evidence.
 
     ``beta`` is A's inverse rate at the bound budget; the smoothness premise
-    asks A's rate to dominate B's on deviations up to ``beta``. A violated
-    training-loss premise is reported, not raised.
+    asks A's rate to dominate B's on deviations up to ``beta``, and
+    ``beta_smooth_ok`` checks it on the tested deviations ``a_values`` only,
+    not between them (ROADMAP item 2). A violated training-loss premise is
+    reported, not raised.
     """
     eps = meta.epsilon if epsilon is None else check_real(epsilon, ValidationError, "epsilon", "non-negative")
     train_loss_a = check_real(train_loss_a, ValidationError, "train_loss_a", "non-negative")

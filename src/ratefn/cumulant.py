@@ -9,12 +9,18 @@ Shifting exponents by the minimum makes the largest summand exactly one, so
 the evaluation cannot overflow for any tilt. The derivative is the gap
 between the plain mean and the mean under weights proportional to
 ``exp(-lam * loss)``; it lives in ``[0, L - m]``.
+
+A grid of tilts is evaluated in blocks, one row of exponents per tilt.
+``exp`` is slow on arguments whose result underflows, so lanes at or below
+``EXP_CUTOFF`` are set to zero without calling it; their ``exp`` is exactly
+``0.0``, so every value stays bit for bit what a per-tilt pass gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,12 +34,21 @@ NEG_TOL = 1e-12
 DEFAULT_GRID_LO = 1e-3
 DEFAULT_GRID_HI = 1e3
 DEFAULT_GRID_SIZE = 64
+MAX_GRID_SIZE = 10**6
+
+# exp(x) rounds to 0.0 for every x below about -745.13, and numpy's exp is
+# slow there; lanes at or below the cutoff are zeroed without calling it.
+EXP_CUTOFF = -745.2
+# A block of tilts holds at most max(M, _BLOCK_FLOATS) exponents.
+_BLOCK_FLOATS = 65536
 
 
 def _grid_args(lo, hi, count) -> tuple[float, float, int]:
     """A grid factory's ends, which must be finite and positive, and its count."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise ValidationError(f"grid count must be a positive integer, got {count!r}")
+    if count > MAX_GRID_SIZE:
+        raise ValidationError(f"grid count must be at most {MAX_GRID_SIZE}, got {count!r}")
     return check_real(lo, ValidationError, "grid start"), check_real(hi, ValidationError, "grid stop"), count
 
 
@@ -81,13 +96,33 @@ class CumulantCurve:
     summary: DatasetSummary
 
 
-def tilted_moments(x: np.ndarray, t: float, lo: float, curvature: bool = False) -> tuple[float, ...]:
+def _exp_in_place(z: np.ndarray, largest: float) -> None:
+    """``np.exp(z, out=z)`` for exponents ``z <= 0`` whose magnitude is at most
+    ``largest``, without calling ``exp`` on lanes at or below ``EXP_CUTOFF``.
+
+    The clamp at -746 keeps a lane that overflowed to ``-inf`` from turning
+    into NaN when the mask multiplies it by zero.
+    """
+    if largest > -EXP_CUTOFF:
+        np.maximum(z, -746.0, out=z)
+        keep = z > EXP_CUTOFF
+        z *= keep
+        np.exp(z, out=z)
+        z *= keep
+    else:
+        np.exp(z, out=z)
+
+
+def tilted_moments(x: np.ndarray, t: float, lo: float, curvature: bool = False,
+                   top: float = 0.0) -> tuple[float, ...]:
     """One exp pass over ``x`` at tilt ``t``: ``log(sum(exp(-t*(x - lo))))`` and
     the mean of ``x`` under weights proportional to ``exp(-t*x)``.
 
     With ``curvature`` a third value, the variance of ``x`` under the same
     weights, comes from the same pass. It squares ``x``, so pass values of
-    order one with ``lo = 0``, as the rate solvers do. Holds one temporary
+    order one with ``lo = 0``, as the rate solvers do. ``top`` is
+    ``max(x) - lo`` when the caller knows it: once ``t*top`` passes
+    ``-EXP_CUTOFF``, lanes that underflow skip ``exp``. Holds one temporary
     array the size of ``x``.
     """
     if lo:
@@ -95,13 +130,23 @@ def tilted_moments(x: np.ndarray, t: float, lo: float, curvature: bool = False) 
         z *= -t
     else:
         z = x * -t
-    np.exp(z, out=z)
+    _exp_in_place(z, t * top)
     total = float(z.sum())
     tilted = float(z @ x) / total
     if not curvature:
         return math.log(total), tilted
     z *= x
     return math.log(total), tilted, max(float(z @ x) / total - tilted * tilted, 0.0)
+
+
+def _pair(lam: float, log_total: float, tilted: float, mean: float, lo: float, count: int) -> tuple[float, float]:
+    """The cumulant and its derivative at ``lam`` from one pass's log-sum and tilted mean."""
+    value = lam * (mean - lo) + log_total - math.log(count)
+    if value < 0.0:
+        if value <= -NEG_TOL:
+            raise InternalConsistencyError(f"cumulant came out {value!r} < -{NEG_TOL}")
+        value = 0.0
+    return value, min(max(mean - tilted, 0.0), mean - lo)
 
 
 def cumulant_pair(losses: np.ndarray, lam: float, mean: float, lo: float) -> tuple[float, float]:
@@ -113,13 +158,29 @@ def cumulant_pair(losses: np.ndarray, lam: float, mean: float, lo: float) -> tup
     """
     if lam == 0.0:
         return 0.0, 0.0
-    log_total, tilted = tilted_moments(losses, lam, lo)
-    value = lam * (mean - lo) + log_total - math.log(losses.size)
-    if value < 0.0:
-        if value <= -NEG_TOL:
-            raise InternalConsistencyError(f"cumulant came out {value!r} < -{NEG_TOL}")
-        value = 0.0
-    return value, min(max(mean - tilted, 0.0), mean - lo)
+    return _pair(lam, *tilted_moments(losses, lam, lo), mean, lo, losses.size)
+
+
+def grid_pairs(losses: np.ndarray, lams: Sequence[float], mean: float, lo: float) -> list[tuple[float, float]]:
+    """``cumulant_pair`` at each positive tilt of ``lams``, bit for bit.
+
+    Tilts go in blocks of rows ``-lam * (losses - lo)``, at most
+    ``max(M, _BLOCK_FLOATS)`` exponents at a time. Each row sums pairwise as
+    a 1-D pass does, and its tilted mean is one dot product of its own (a
+    matrix-vector product would round differently).
+    """
+    shifted = losses - lo
+    span = float(shifted.max())
+    lams = np.asarray(lams, dtype=np.float64)
+    rows = max(_BLOCK_FLOATS // losses.size, 1)
+    pairs = []
+    for start in range(0, lams.size, rows):
+        block = lams[start:start + rows]
+        z = np.multiply.outer(-block, shifted)
+        _exp_in_place(z, float(block.max()) * span)
+        for lam, row, total in zip(block.tolist(), z, z.sum(axis=1).tolist()):
+            pairs.append(_pair(lam, math.log(total), float(row @ losses) / total, mean, lo, losses.size))
+    return pairs
 
 
 def estimate_cumulant(ds: LossDataset, lam: float) -> float:
@@ -144,6 +205,5 @@ def cumulant_curve(ds: LossDataset, grid: LambdaGrid | None = None) -> CumulantC
     if grid is None:
         grid = LambdaGrid.default()
     s = summarize(ds)
-    losses = ds.losses
-    j_values, j_derivs = zip(*(cumulant_pair(losses, lam, s.empirical_loss, s.min_loss) for lam in grid.values))
+    j_values, j_derivs = zip(*grid_pairs(ds.losses, grid.values, s.empirical_loss, s.min_loss))
     return CumulantCurve(grid=grid, j_values=j_values, j_derivs=j_derivs, summary=s)

@@ -595,6 +595,24 @@ def _parse_json_line(line: str, lineno: int):
         raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from None
 
 
+def _json_number(value, what: str, lineno: int) -> float:
+    """A parsed JSON number as a float, or a ``ParseError`` naming ``what``.
+
+    Booleans are not numbers. An integer beyond the float range reads
+    ``inf``, so the range checks downstream reject it as they reject any
+    non-finite value.
+    """
+    kind = type(value)
+    if kind is float:
+        return value
+    if kind is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
+    raise ParseError(f"line {lineno}: {what} must be a number, got {value!r}")
+
+
 def _load_jsonl(path: Path) -> dict:
     ids, losses, groups, norms, vectors = [], [], [], [], []
     with open(path, encoding="utf-8") as handle:
@@ -608,28 +626,18 @@ def _load_jsonl(path: Path) -> dict:
             if "sample_id" not in obj or "loss" not in obj:
                 raise ParseError(f"line {lineno}: object needs 'sample_id' and 'loss' fields")
             loss = obj["loss"]
-            if isinstance(loss, bool) or not isinstance(loss, (int, float)):
-                raise ParseError(f"line {lineno}: 'loss' must be a number, got {loss!r}")
-            try:
-                value = float(loss)
-            except OverflowError:  # an integer beyond the float range
-                value = math.inf
+            value = loss if type(loss) is float else _json_number(loss, "'loss'", lineno)
             if not 0.0 <= value < math.inf:
                 raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {loss!r}")
             grad_theta = obj.get("grad_theta")
             if grad_theta is not None:
-                if not isinstance(grad_theta, list) or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in grad_theta
-                ):
+                if not isinstance(grad_theta, list):
                     raise ParseError(f"line {lineno}: 'grad_theta' must be an array of numbers")
-                grad_theta = [float(x) for x in grad_theta]
+                grad_theta = [_json_number(x, "each 'grad_theta' value", lineno) for x in grad_theta]
             group = obj.get("group_id")
             norm = obj.get("grad_norm_sq")
             if norm is not None:
-                try:
-                    norm = float(norm)
-                except (TypeError, ValueError):
-                    raise ParseError(f"line {lineno}: 'grad_norm_sq' must be a number, got {norm!r}") from None
+                norm = _json_number(norm, "'grad_norm_sq'", lineno)
             ids.append(str(obj["sample_id"]))
             losses.append(value)
             groups.append(None if group is None else str(group))

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cumulant import LambdaGrid, cumulant_pair, tilted_moments
+from .cumulant import LambdaGrid, grid_pairs, tilted_moments
 from .errors import InvalidA, InvalidS, SolverFailure, ValidationError, check_real
 from .loss_data import DatasetSummary, LossDataset, summarize
 
@@ -145,7 +145,7 @@ class RateSolver:
         """At normalized tilt ``mu``, from one exp pass: ``ell = log(mean(exp(-mu*d)))``,
         so ``K = mu + ell``, and the tilted mean and variance of ``d``, so
         ``K' = 1 - mean`` and ``K'' = variance``."""
-        log_total, tilted, variance = tilted_moments(self.d, mu, 0.0, curvature=True)
+        log_total, tilted, variance = tilted_moments(self.d, mu, 0.0, curvature=True, top=self.top)
         return log_total - self.log_count, tilted, variance
 
     def _slope(self, mu: float) -> tuple[float, float, float]:
@@ -222,10 +222,8 @@ def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRat
     """
     s = check_real(s, InvalidS, "budget s")
     summary = summarize(ds)
-    candidates = [
-        (cumulant_pair(ds.losses, lam, summary.empirical_loss, summary.min_loss)[0] + s) / lam
-        for lam in grid.values
-    ]
+    pairs = grid_pairs(ds.losses, grid.values, summary.empirical_loss, summary.min_loss)
+    candidates = [(j + s) / lam for lam, (j, _) in zip(grid.values, pairs)]
     best = int(np.argmin(candidates))
     return InverseRateEvaluation(
         s=s,

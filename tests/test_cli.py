@@ -423,6 +423,10 @@ BAD_INPUTS = {
     "null-value.json": '{"values": [0, null], "probs": [0.5, 0.5]}',
     "inf-grad.jsonl": '{"sample_id": "a", "loss": 0.5, "grad_theta": [1e999999]}\n'
                       '{"sample_id": "b", "loss": 0.7, "grad_theta": [1.0]}\n',
+    # Integers beyond the float range, as in the loss column.
+    "huge-norm.jsonl": '{"sample_id": "a", "loss": 0.5, "grad_norm_sq": 1%s}\n' % ("0" * 400),
+    "huge-grad.jsonl": '{"sample_id": "a", "loss": 0.5, "grad_theta": [-1%s]}\n' % ("0" * 400),
+    "bool-norm.jsonl": '{"sample_id": "a", "loss": 0.5, "grad_norm_sq": true}\n',
 }
 META = ["--p", "10", "--n", "1000", "--delta", "0.05"]
 
@@ -451,6 +455,17 @@ class TestRejectedScalars:
         (["oracle-exact", "--dist", "{tmp}/null-value.json", "--lambda", "1"], "values"),
         (["taylor", "--input", "{tmp}/inf-grad.jsonl", "--mode", "covariance", "--x", "0.5",
           "--theta-delta", "1"], "record 0 ('a'): grad_theta"),
+        (["cumulant", "--input", "{data}/a.csv", "--grid", "1:2:99999999999999999999:log"], "at most 1000000"),
+        (["grid-inverse-rate", "--input", "{data}/a.csv", "--s", "0.1", "--grid", "1:2:1000001:linear"],
+         "at most 1000000"),
+        (["da-check", "--input", "{data}/grouped.csv", "--grid", "1:2:99999999999999999999:log"],
+         "at most 1000000"),
+        (["grad-bound", "--input", "{tmp}/huge-norm.jsonl", "--m-const", "1", "--s", "0.1"],
+         "record 0 ('a'): grad_norm_sq must be finite"),
+        (["taylor", "--input", "{tmp}/huge-grad.jsonl", "--mode", "covariance", "--x", "0.5",
+          "--theta-delta", "1"], "record 0 ('a'): grad_theta values must be finite"),
+        (["grad-bound", "--input", "{tmp}/bool-norm.jsonl", "--m-const", "1", "--s", "0.1"],
+         "ParseError: line 1: 'grad_norm_sq' must be a number, got True"),
     ])
     def test_exit_2_naming_the_argument(self, argv, named, tmp_path, capsys):
         for name, text in BAD_INPUTS.items():

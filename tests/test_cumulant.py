@@ -21,7 +21,7 @@ from ratefn import (
     summarize,
 )
 from conftest import random_dataset, random_distribution
-from ratefn.cumulant import NEG_TOL, cumulant_pair
+from ratefn.cumulant import EXP_CUTOFF, MAX_GRID_SIZE, NEG_TOL, _exp_in_place, cumulant_pair
 
 LN2 = math.log(2.0)
 
@@ -43,6 +43,13 @@ class TestGrid:
             LambdaGrid((1.0, 1.0))
         with pytest.raises(ValidationError):
             LambdaGrid((1.0, 2.0), spacing="cubic")
+
+    @pytest.mark.parametrize("count", [MAX_GRID_SIZE + 1, 10**20])
+    def test_rejects_oversized_counts(self, count):
+        # numpy would raise its own ValueError (or try to allocate) before the cap.
+        for factory in (LambdaGrid.linear, LambdaGrid.log_spaced):
+            with pytest.raises(ValidationError, match=f"at most {MAX_GRID_SIZE}"):
+                factory(1.0, 2.0, count)
 
 
 class TestPointValues:
@@ -182,6 +189,66 @@ class TestOnePassKernel:
             assert (j, dj) == cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)
             assert estimate_cumulant(ds, lam) == j
             assert cumulant_derivative(ds, lam) == dj
+
+
+def _per_tilt(losses, lams):
+    """Reference: one unmasked ``cumulant_pair`` pass per tilt, as reprs."""
+    ds = from_losses(losses)
+    s = summarize(ds)
+    return [repr(cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)) for lam in lams]
+
+
+def _curve_reprs(losses, lams):
+    curve = cumulant_curve(from_losses(losses), LambdaGrid(tuple(lams)))
+    return [repr(pair) for pair in zip(curve.j_values, curve.j_derivs)]
+
+
+class TestGridKernel:
+    """The blocked, underflow-masked grid pass gives exactly the per-tilt values."""
+
+    def test_exp_is_zero_at_and_below_the_cutoff(self):
+        for x in (EXP_CUTOFF, np.nextafter(EXP_CUTOFF, -np.inf), -746.0, -1e308, -np.inf):
+            assert repr(float(np.exp(np.float64(x)))) == "0.0", x
+            assert repr(float(np.exp(np.full(3, x))[1])) == "0.0", x
+
+    def test_masked_exp_equals_exp_lane_by_lane(self):
+        # exp(-745.1) is the smallest subnormal, 5e-324, so the mask must not reach it.
+        z = -np.array([0.0, 1.0, 708.5, 745.0, 745.1, 745.13, 745.14, np.nextafter(745.2, 0.0), 745.2, 746.0,
+                       1e308, np.inf])
+        expected = np.exp(z)
+        assert expected[4] == 5e-324
+        for largest in (np.inf, 746.0):
+            got = z.copy()
+            _exp_in_place(got, largest)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 1023, 65535, 65536, 65537, 100003])
+    def test_sizes_match_per_tilt_passes(self, size):
+        # 128 tilts up to 1e5: with 1023 losses the first block of 64 tilts
+        # stays below the cutoff and the second is masked.
+        rng = np.random.default_rng(size)
+        losses = rng.exponential(size=size)
+        lams = np.geomspace(1e-3, 1e5, 128).tolist()
+        assert _curve_reprs(losses, lams) == _per_tilt(losses, lams)
+
+    def test_subnormal_and_cutoff_lanes(self):
+        # At lam = 1 the exponents are minus the losses: subnormal results in
+        # (-745.13, -708.4], lanes on either side of the cutoff, and lanes
+        # far below it; the other tilts put the same lanes elsewhere.
+        losses = [0.0, 1.0, 708.4, 708.5, 720.0, 740.0, 745.0, 745.13, np.nextafter(745.2, 0.0), 745.2,
+                  np.nextafter(745.2, np.inf), 746.0, 800.0, 1e4]
+        lams = [0.5, 0.9, 1.0, 1.0000001, 2.0, 1e3]
+        assert _curve_reprs(losses, lams) == _per_tilt(losses, lams)
+        assert _curve_reprs(losses[:9], lams) == _per_tilt(losses[:9], lams)
+
+    def test_overflowing_exponents_do_not_turn_into_nan(self):
+        # lam*(x - min) overflows to inf for the two large losses.
+        losses = [0.0, 5e307, 1e308]
+        with np.errstate(over="ignore"):
+            curve = cumulant_curve(from_losses(losses), LambdaGrid((1e3,)))
+            assert _curve_reprs(losses, [1e3]) == _per_tilt(losses, [1e3])
+        assert curve.j_values == (math.inf,)
+        assert curve.j_derivs == (5e307,)
 
 
 class TestAgainstOracle:

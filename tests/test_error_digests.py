@@ -65,6 +65,7 @@ CASES = {
                               "--seed", "1", "--config", "{tmp}/naive-method.json"],
     "invalid-s": ["inverse-rate", "--input", A, "--s", "0"],
     "invalid-s-grid": ["grid-inverse-rate", "--input", A, "--s=-inf"],
+    "grid-count-too-large": ["cumulant", "--input", A, "--grid", "1:2:99999999999999999999:log"],
     "invalid-s-taylor": ["taylor", "--input", A, "--mode", "inverse-rate", "--x", "-2"],
     "invalid-s-covariance": ["taylor", "--input", GRADS, "--mode", "covariance", "--x", "0.5",
                              "--theta-delta", "1,2,3", "--s-budget", "0"],
@@ -99,6 +100,7 @@ ERRORS = {
     'unknown-method-cramer': (2, "simulate-cramer: ValidationError: --config: key 'method' must be one of plain, tilted, got 'naive'\n"),
     'invalid-s': (2, 'inverse-rate: InvalidS: budget s must be finite and positive, got 0.0\n'),
     'invalid-s-grid': (2, 'grid-inverse-rate: InvalidS: budget s must be finite and positive, got -inf\n'),
+    'grid-count-too-large': (2, 'cumulant: ValidationError: grid count must be at most 1000000, got 99999999999999999999\n'),
     'invalid-s-taylor': (2, 'taylor: InvalidS: budget must be finite and positive, got -2.0\n'),
     'invalid-s-covariance': (2, 'taylor: InvalidS: budget must be finite and positive, got 0.0\n'),
     'invalid-s-grad-bound': (2, 'grad-bound: InvalidS: budget must be finite and positive, got inf\n'),

@@ -221,6 +221,35 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"record 0 \('a'\): grad_theta values must be finite"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("fields, error, match", [
+        # An integer beyond the float range reads inf, as it does for the loss.
+        ('"loss": 1%s' % ("0" * 400), ValidationError, "line 1: loss must be finite"),
+        ('"loss": 0.5, "grad_norm_sq": 1%s' % ("0" * 400), ValidationError,
+         r"record 0 \('a'\): grad_norm_sq must be finite"),
+        ('"loss": 0.5, "grad_theta": [1.0, -1%s]' % ("0" * 400), ValidationError,
+         r"record 0 \('a'\): grad_theta values must be finite"),
+        # Booleans and strings are not numbers in any of the three fields.
+        ('"loss": true', ParseError, "line 1: 'loss' must be a number, got True"),
+        ('"loss": 0.5, "grad_norm_sq": true', ParseError, "line 1: 'grad_norm_sq' must be a number, got True"),
+        ('"loss": 0.5, "grad_norm_sq": "1.5"', ParseError, "line 1: 'grad_norm_sq' must be a number, got '1.5'"),
+        ('"loss": 0.5, "grad_theta": [1.0, false]', ParseError,
+         "line 1: each 'grad_theta' value must be a number, got False"),
+        ('"loss": 0.5, "grad_theta": 1.0', ParseError, "line 1: 'grad_theta' must be an array of numbers"),
+    ])
+    def test_jsonl_numbers_share_one_check(self, tmp_path, fields, error, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"sample_id": "a", %s}\n' % fields)
+        with pytest.raises(error, match=match):
+            load_dataset(path)
+
+    def test_jsonl_integer_annotations_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"sample_id": "a", "loss": 1, "grad_norm_sq": 2, "grad_theta": [3, -4]}\n')
+        ds = load_dataset(path)
+        assert ds.losses.tolist() == [1.0]
+        assert ds.grad_norm_sq.tolist() == [2.0]
+        assert ds.grad_theta.tolist() == [[3.0, -4.0]]
+
     def test_first_faulty_record_is_reported(self):
         records = (LossRecord("a", 0.5, grad_norm_sq=-1.0), LossRecord("b", -0.5, grad_norm_sq=1.0))
         with pytest.raises(ValidationError, match=r"record 0 \('a'\): grad_norm_sq"):

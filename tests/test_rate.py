@@ -31,6 +31,7 @@ from ratefn import (
     rate_curve,
     summarize,
 )
+from ratefn.cumulant import EXP_CUTOFF, cumulant_pair, tilted_moments
 from ratefn.rate import DEFAULT_TOL, RateSolver
 from conftest import binary_kl, random_dataset, random_distribution
 
@@ -227,6 +228,62 @@ class TestGridInverseRate:
     def test_invalid_budget(self, two_point_ds):
         with pytest.raises(InvalidS):
             grid_inverse_rate(two_point_ds, -1.0, LambdaGrid.default())
+
+
+def _per_tilt_grid_inverse(ds, s, lams):
+    """Reference: the grid minimum from one unmasked ``cumulant_pair`` pass per tilt."""
+    summary = summarize(ds)
+    candidates = [(cumulant_pair(ds.losses, lam, summary.empirical_loss, summary.min_loss)[0] + s) / lam
+                  for lam in lams]
+    best = int(np.argmin(candidates))
+    return repr(candidates[best]), lams[best]
+
+
+# Losses whose exponents at lam = 1 give subnormal results, sit on either
+# side of the underflow cutoff, or lie far below it.
+_UNDERFLOW_LOSSES = [0.0, 1.0, 708.4, 708.5, 720.0, 740.0, 745.0, 745.13, np.nextafter(745.2, 0.0), 745.2,
+                     np.nextafter(745.2, np.inf), 746.0, 800.0, 1e4]
+
+
+class TestMaskedKernelExactness:
+    """The grid kernel and the solver's pass skip exp on underflowing lanes
+    without changing a bit of what they return."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 1023, 65535, 65536, 65537, 100003])
+    def test_grid_inverse_rate_sizes(self, size):
+        ds = from_losses(np.random.default_rng(size).exponential(size=size))
+        lams = tuple(np.geomspace(1e-3, 1e5, 128).tolist())
+        for s in (1e-3, 0.1, 3.0):
+            ev = grid_inverse_rate(ds, s, LambdaGrid(lams))
+            assert (repr(ev.value), ev.lambda_star) == _per_tilt_grid_inverse(ds, s, lams)
+
+    def test_grid_inverse_rate_underflow_lanes(self):
+        lams = (0.5, 0.9, 1.0, 1.0000001, 2.0, 1e3)
+        for losses in (_UNDERFLOW_LOSSES, _UNDERFLOW_LOSSES[:9]):
+            ds = from_losses(losses)
+            for s in (1e-3, 0.5, 2.5):
+                ev = grid_inverse_rate(ds, s, LambdaGrid(lams))
+                assert (repr(ev.value), ev.lambda_star) == _per_tilt_grid_inverse(ds, s, lams)
+
+    def test_grid_inverse_rate_overflowing_exponents(self):
+        ds = from_losses([0.0, 5e307, 1e308])
+        with np.errstate(over="ignore"):
+            ev = grid_inverse_rate(ds, 0.1, LambdaGrid((1e3,)))
+            assert (repr(ev.value), ev.lambda_star) == _per_tilt_grid_inverse(ds, 0.1, (1e3,))
+        assert ev.value == math.inf
+
+    @pytest.mark.parametrize("losses", [
+        np.random.default_rng(41).exponential(size=1000),
+        np.random.default_rng(43).lognormal(0.0, 1.5, size=5000),
+        _UNDERFLOW_LOSSES,
+    ], ids=["exponential", "lognormal", "underflow"])
+    def test_solver_terms_match_an_unmasked_pass(self, losses):
+        solver = RateSolver(from_losses(losses))
+        mus = np.geomspace(1e-2, 1e5, 60).tolist()
+        assert any(mu * solver.top > -EXP_CUTOFF for mu in mus) and any(mu * solver.top < 1.0 for mu in mus)
+        for mu in mus:
+            log_total, tilted, variance = tilted_moments(solver.d, mu, 0.0, curvature=True)
+            assert repr(solver.terms(mu)) == repr((log_total - solver.log_count, tilted, variance)), mu
 
 
 class TestRateCurve:
