@@ -153,6 +153,11 @@ class OrderingClaim:
     holdout_consistent: bool
 
 
+def _budget(meta: ModelMeta) -> float:
+    """The inverse-rate budget ``(p/n)*log(2/delta)`` of a bound on a model class."""
+    return (meta.param_count / meta.train_size) * math.log(2.0 / meta.delta)
+
+
 def generalization_bound(
     ds: LossDataset,
     meta: ModelMeta,
@@ -166,7 +171,7 @@ def generalization_bound(
     used_dataset_mean = train_loss is None
     if not used_dataset_mean:
         train_loss = check_real(train_loss, ValidationError, "train_loss", "non-negative")
-    s = (meta.param_count / meta.train_size) * math.log(2.0 / meta.delta)
+    s = _budget(meta)
     s_union = (meta.param_count * math.log(2.0) + math.log(1.0 / meta.delta)) / meta.train_size
     inv = inverse_rate(ds, s)
     summary = summarize(ds)
@@ -281,7 +286,7 @@ def interpolator_ordering(
     eps = meta.epsilon if epsilon is None else check_real(epsilon, ValidationError, "epsilon", "non-negative")
     train_loss_a = check_real(train_loss_a, ValidationError, "train_loss_a", "non-negative")
     premise_ok = train_loss_a <= eps
-    s = (meta.param_count / meta.train_size) * math.log(2.0 / meta.delta)
+    s = _budget(meta)
     solver_a = RateSolver(ds_a)
     beta = solver_a.inverse_rate(s).value
     if a_values is None:

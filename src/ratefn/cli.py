@@ -23,13 +23,14 @@ import sys
 from pathlib import Path
 
 from . import analysis, oracle, serialize
-from .cumulant import LambdaGrid, cumulant_curve
+from .cumulant import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_SIZE, LambdaGrid, cumulant_curve
 from .errors import InputError, InvalidA, InvalidS, ParseError, RatefnError, ValidationError, check_real, not_utf8
 from .loss_data import ModelMeta, dump_dataset, load_dataset, reduce_augmented
-from .rate import grid_inverse_rate, inverse_rate, rate_curve
+from .rate import DEFAULT_TOL, grid_inverse_rate, inverse_rate, rate_curve
 
 _RATE_COLUMNS = ("a", "value", "lambda_star", "saturated")
 _INVERSE_RATE_COLUMNS = ("s", "value", "lambda_star", "saturated", "b_max")
+_DEFAULT_GRID = f"{DEFAULT_GRID_LO!r}:{DEFAULT_GRID_HI!r}:{DEFAULT_GRID_SIZE}:log"  # LambdaGrid.default()
 
 
 def parse_grid_spec(spec: str) -> LambdaGrid:
@@ -79,25 +80,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("cumulant", help="evaluate the cumulant curve over a tilt grid")
     _add_io_args(sub)
-    sub.add_argument("--grid", default="1e-3:1e3:64:log", help="start:stop:count:linear|log")
+    sub.add_argument("--grid", default=_DEFAULT_GRID, help="start:stop:count:linear|log")
 
     sub = commands.add_parser("rate", help="rate of one or more deviations")
     _add_io_args(sub)
     sub.add_argument("--a", type=float, action="append", default=None, help="deviation (repeatable)")
     sub.add_argument("--a-grid", default=None, help="start:stop:count:linear|log")
-    sub.add_argument("--tol", type=float, default=1e-10,
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="tolerance relative to the gap mean - min: on J'(lambda) - a and for saturation")
 
     sub = commands.add_parser("inverse-rate", help="inverse rate at one or more budgets")
     _add_io_args(sub)
     sub.add_argument("--s", type=float, action="append", default=None, help="budget (repeatable)")
-    sub.add_argument("--tol", type=float, default=1e-10,
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="tolerance on the Bregman gap and for saturation at b_max, in nats at any loss scale")
 
     sub = commands.add_parser("grid-inverse-rate", help="inverse rate restricted to a tilt grid")
     _add_io_args(sub)
     sub.add_argument("--s", type=float, required=True)
-    sub.add_argument("--grid", default="1e-3:1e3:64:log")
+    sub.add_argument("--grid", default=_DEFAULT_GRID)
 
     sub = commands.add_parser("bound", help="high-probability population-loss bound")
     _add_io_args(sub)
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--input-a", required=True)
     sub.add_argument("--input-b", required=True)
     sub.add_argument("--input-format", choices=("csv", "jsonl"), default=None)
-    sub.add_argument("--grid", default="1e-3:1e3:64:log")
+    sub.add_argument("--grid", default=_DEFAULT_GRID)
     sub.add_argument("--a-grid", default=None)
     sub.add_argument("--beta", type=float, default=None)
 
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("da-check", help="per-tilt augmentation inequality gaps")
     _add_io_args(sub)
-    sub.add_argument("--grid", default="1e-3:1e3:64:log")
+    sub.add_argument("--grid", default=_DEFAULT_GRID)
 
     sub = commands.add_parser("taylor", help="quadratic approximations of cumulant or rate")
     _add_io_args(sub)
@@ -156,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dist", required=True, help="JSON file with values/probs")
     sub.add_argument("--lambda", dest="lam", type=float, default=None)
     sub.add_argument("--a", type=float, default=None)
-    sub.add_argument("--resolution", type=_positive_int, default=2048)
 
     sub = commands.add_parser("simulate-cramer", help="Monte Carlo tail probability vs exact rate")
     _add_io_args(sub, dataset_input=False)
@@ -352,7 +352,7 @@ def _cmd_oracle_exact(args):
         parts.append(f"J({args.lam:g})={serialize.fmt17(fields['exact_cumulant'])}")
     if args.a is not None:
         fields["a"] = args.a
-        fields["exact_rate"] = oracle.exact_rate(dist, args.a, args.resolution)
+        fields["exact_rate"] = oracle.exact_rate(dist, args.a)
         parts.append(f"I({args.a:g})={serialize.fmt17(fields['exact_rate'])}")
     if args.lam is None and args.a is None:
         raise ValidationError("--lambda or --a: at least one is required")

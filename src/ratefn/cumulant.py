@@ -10,10 +10,13 @@ the evaluation cannot overflow for any tilt. The derivative is the gap
 between the plain mean and the mean under weights proportional to
 ``exp(-lam * loss)``; it lives in ``[0, L - m]``.
 
-A grid of tilts is evaluated in blocks, one row of exponents per tilt.
+One kernel, ``tilted_moments``, makes every exp pass over losses: the
+cumulant entry points here, the grid inverse rate and the rate solvers
+(which also take the tilted variance, so J, J' and J'' come from one pass).
+It evaluates tilts in blocks, one row of exponents per tilt, built in place.
 ``exp`` is slow on arguments whose result underflows, so lanes at or below
 ``EXP_CUTOFF`` are set to zero without calling it; their ``exp`` is exactly
-``0.0``, so every value stays bit for bit what a per-tilt pass gives.
+``0.0``, so every value stays bit for bit what a plain per-tilt pass gives.
 """
 
 from __future__ import annotations
@@ -113,74 +116,71 @@ def _exp_in_place(z: np.ndarray, largest: float) -> None:
         np.exp(z, out=z)
 
 
-def tilted_moments(x: np.ndarray, t: float, lo: float, curvature: bool = False,
-                   top: float = 0.0) -> tuple[float, ...]:
-    """One exp pass over ``x`` at tilt ``t``: ``log(sum(exp(-t*(x - lo))))`` and
-    the mean of ``x`` under weights proportional to ``exp(-t*x)``.
+def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
+                   curvature: bool = False) -> list[tuple[float, ...]]:
+    """The one exp pass: at each tilt ``t`` of ``lams``, ``log(sum(exp(-t*(x - lo))))``
+    and the mean of ``x`` under weights proportional to ``exp(-t*x)``.
 
     With ``curvature`` a third value, the variance of ``x`` under the same
     weights, comes from the same pass. It squares ``x``, so pass values of
     order one with ``lo = 0``, as the rate solvers do. ``top`` is
-    ``max(x) - lo`` when the caller knows it: once ``t*top`` passes
-    ``-EXP_CUTOFF``, lanes that underflow skip ``exp``. Holds one temporary
-    array the size of ``x``.
+    ``max(x) - lo``: once a block's largest ``t*top`` passes ``-EXP_CUTOFF``,
+    lanes that underflow skip ``exp``. Tilts go in blocks of rows
+    ``-t*(x - lo)`` built in place, at most ``max(M, _BLOCK_FLOATS)``
+    exponents, the only temporary array as large as ``x``. Each row sums
+    pairwise as a 1-D pass does, and its tilted mean is one dot product of
+    its own (a matrix-vector product would round differently).
     """
-    if lo:
-        z = x - lo
-        z *= -t
-    else:
-        z = x * -t
-    _exp_in_place(z, t * top)
-    total = float(z.sum())
-    tilted = float(z @ x) / total
-    if not curvature:
-        return math.log(total), tilted
-    z *= x
-    return math.log(total), tilted, max(float(z @ x) / total - tilted * tilted, 0.0)
+    rows = max(_BLOCK_FLOATS // x.size, 1)
+    # A lone tilt takes a 1-D row and a scalar factor, on which numpy's per-call cost is lower.
+    z = np.empty(x.size) if len(lams) == 1 else np.empty((min(rows, len(lams)), x.size))
+    moments = []
+    for start in range(0, len(lams), rows):
+        block = lams[start:start + rows]
+        if z.ndim == 1:
+            factor = -block[0]
+        else:
+            z = z[:len(block)]
+            factor = np.negative(block)[:, None]
+        if lo:
+            np.subtract(x, lo, out=z)
+            z *= factor
+        else:
+            np.multiply(x, factor, out=z)
+        _exp_in_place(z, max(block) * top)
+        rows_and_totals = zip(z, z.sum(axis=1).tolist()) if z.ndim == 2 else [(z, float(z.sum()))]
+        for row, total in rows_and_totals:
+            tilted = float(row @ x) / total
+            if curvature:
+                row *= x
+                moments.append((math.log(total), tilted, max(float(row @ x) / total - tilted * tilted, 0.0)))
+            else:
+                moments.append((math.log(total), tilted))
+    return moments
 
 
-def _pair(lam: float, log_total: float, tilted: float, mean: float, lo: float, count: int) -> tuple[float, float]:
-    """The cumulant and its derivative at ``lam`` from one pass's log-sum and tilted mean."""
-    value = lam * (mean - lo) + log_total - math.log(count)
-    if value < 0.0:
-        if value <= -NEG_TOL:
-            raise InternalConsistencyError(f"cumulant came out {value!r} < -{NEG_TOL}")
-        value = 0.0
-    return value, min(max(mean - tilted, 0.0), mean - lo)
-
-
-def cumulant_pair(losses: np.ndarray, lam: float, mean: float, lo: float) -> tuple[float, float]:
-    """Cumulant and its derivative at tilt ``lam`` for a loss array with precomputed
-    mean and minimum, from one exp pass.
+def cumulant_pairs(ds: LossDataset, lams: Sequence[float]) -> list[tuple[float, float]]:
+    """The cumulant and its derivative at each positive tilt of ``lams``.
 
     The derivative is the mean minus the exponentially tilted mean, clamped
     to [0, mean - min].
     """
-    if lam == 0.0:
-        return 0.0, 0.0
-    return _pair(lam, *tilted_moments(losses, lam, lo), mean, lo, losses.size)
-
-
-def grid_pairs(losses: np.ndarray, lams: Sequence[float], mean: float, lo: float) -> list[tuple[float, float]]:
-    """``cumulant_pair`` at each positive tilt of ``lams``, bit for bit.
-
-    Tilts go in blocks of rows ``-lam * (losses - lo)``, at most
-    ``max(M, _BLOCK_FLOATS)`` exponents at a time. Each row sums pairwise as
-    a 1-D pass does, and its tilted mean is one dot product of its own (a
-    matrix-vector product would round differently).
-    """
-    shifted = losses - lo
-    span = float(shifted.max())
-    lams = np.asarray(lams, dtype=np.float64)
-    rows = max(_BLOCK_FLOATS // losses.size, 1)
+    s = summarize(ds)
+    x, mean, lo = ds.losses, s.empirical_loss, s.min_loss
     pairs = []
-    for start in range(0, lams.size, rows):
-        block = lams[start:start + rows]
-        z = np.multiply.outer(-block, shifted)
-        _exp_in_place(z, float(block.max()) * span)
-        for lam, row, total in zip(block.tolist(), z, z.sum(axis=1).tolist()):
-            pairs.append(_pair(lam, math.log(total), float(row @ losses) / total, mean, lo, losses.size))
+    for lam, (log_total, tilted) in zip(lams, tilted_moments(x, lams, lo, float(x.max()) - lo)):
+        value = lam * (mean - lo) + log_total - math.log(x.size)
+        if value < 0.0:
+            if value <= -NEG_TOL:
+                raise InternalConsistencyError(f"cumulant came out {value!r} < -{NEG_TOL}")
+            value = 0.0
+        pairs.append((value, min(max(mean - tilted, 0.0), mean - lo)))
     return pairs
+
+
+def _at(ds: LossDataset, lam: float) -> tuple[float, float]:
+    lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
+    return cumulant_pairs(ds, (lam,))[0] if lam else (0.0, 0.0)
 
 
 def estimate_cumulant(ds: LossDataset, lam: float) -> float:
@@ -188,22 +188,17 @@ def estimate_cumulant(ds: LossDataset, lam: float) -> float:
 
     ``lam = 0`` returns exactly 0 without computation.
     """
-    lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
-    s = summarize(ds)
-    return cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)[0]
+    return _at(ds, lam)[0]
 
 
 def cumulant_derivative(ds: LossDataset, lam: float) -> float:
     """Derivative of the plug-in cumulant at tilt ``lam``; lies in [0, mean - min]."""
-    lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
-    s = summarize(ds)
-    return cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)[1]
+    return _at(ds, lam)[1]
 
 
 def cumulant_curve(ds: LossDataset, grid: LambdaGrid | None = None) -> CumulantCurve:
     """Evaluate the cumulant and its derivative over a tilt grid."""
     if grid is None:
         grid = LambdaGrid.default()
-    s = summarize(ds)
-    j_values, j_derivs = zip(*grid_pairs(ds.losses, grid.values, s.empirical_loss, s.min_loss))
-    return CumulantCurve(grid=grid, j_values=j_values, j_derivs=j_derivs, summary=s)
+    j_values, j_derivs = zip(*cumulant_pairs(ds, grid.values))
+    return CumulantCurve(grid=grid, j_values=j_values, j_derivs=j_derivs, summary=summarize(ds))

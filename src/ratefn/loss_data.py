@@ -628,7 +628,8 @@ def _load_jsonl(path: Path) -> dict:
             loss = obj["loss"]
             value = loss if type(loss) is float else _json_number(loss, "'loss'", lineno)
             if not 0.0 <= value < math.inf:
-                raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {loss!r}")
+                shown = "inf" if type(loss) is int and loss > 0 else repr(loss)  # an int beyond the float range
+                raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {shown}")
             grad_theta = obj.get("grad_theta")
             if grad_theta is not None:
                 if not isinstance(grad_theta, list):

@@ -31,6 +31,7 @@ from .loss_data import LossDataset
 
 PROB_TOL = 1e-12        # probabilities must sum to one within this
 _ORACLE_CAP = 1e12      # tilt cap for the oracle's own refinement search
+_ORACLE_GRID = 2048     # log-spaced tilts on [1e-6, 1e6] the oracle searches before refining
 _BLOCK_DRAWS = 1 << 14  # draws held in memory at once, in whole samples (128 KB each)
 _TAIL_VECTORS = 10**7   # exact_tail refuses more count vectors than this
 _COUNT_BLOCK = 1 << 16  # count vectors enumerated at once by exact_tail
@@ -146,36 +147,34 @@ def _exact_tilted_mean(dist: DiscreteLossDistribution, lam: float) -> float:
     return float(w @ values) / float(w.sum())
 
 
-def exact_rate(dist: DiscreteLossDistribution, a: float, resolution: int = 2048) -> float:
+def exact_rate(dist: DiscreteLossDistribution, a: float) -> float:
     """Exact rate at deviation ``a`` by grid search plus local bisection.
 
-    Maximizes ``lam*a - J(lam)`` over ``resolution`` log-spaced tilts in
+    Maximizes ``lam*a - J(lam)`` over ``_ORACLE_GRID`` log-spaced tilts in
     [1e-6, 1e6], then refines with bisection on the derivative. Returns
     ``math.inf`` beyond the gap ``mean - min``; exactly at the gap the value
     is ``-log(mass at the minimum)``, the finite boundary of a finite-support
     distribution.
     """
     a = check_real(a, InvalidA, "deviation a")
-    if resolution < 8:
-        raise ValidationError(f"resolution must be at least 8, got {resolution}")
     gap = dist.mean - dist.min_value
     if a > gap:
         return math.inf
     if a == gap:
         return -math.log(dist.min_mass)
 
-    lam = _exact_tilt(dist, a, resolution)
+    lam = _exact_tilt(dist, a)
     return max(0.0, lam * a - exact_cumulant(dist, lam))
 
 
-def _exact_tilt(dist: DiscreteLossDistribution, a: float, resolution: int = 2048) -> float:
+def _exact_tilt(dist: DiscreteLossDistribution, a: float) -> float:
     """The optimum tilt of ``lam*a - J(lam)`` for ``0 < a < mean - min``.
 
-    Grid search over ``resolution`` log-spaced tilts in [1e-6, 1e6], then
+    Grid search over ``_ORACLE_GRID`` log-spaced tilts in [1e-6, 1e6], then
     bisection on ``J'(lam) = a``. Both ``exact_rate`` and the tilted
     ``cramer_tail`` use it, so the sampler tilts by the oracle's own optimum.
     """
-    grid = np.geomspace(1e-6, 1e6, int(resolution))
+    grid = np.geomspace(1e-6, 1e6, _ORACLE_GRID)
     values = np.asarray(dist.values)
     probs = np.asarray(dist.probs)
     lo = dist.min_value

@@ -5,8 +5,9 @@ at a budget ``s`` is ``inf_{lam>0} (J(lam)+s)/lam``. Both are solved on the
 dataset's cumulant in normalized units: with ``gap = mean - min``, the
 losses ``d = (loss - min)/gap`` have minimum 0 and mean 1, and the tilt
 ``mu = lam*gap`` gives ``K(mu) = J(lam)``, ``K'(mu) = J'(lam)/gap`` and
-``K''(mu) = J''(lam)/gap**2``. One exp pass returns all three, so every
-figure below is free of the loss scale.
+``K''(mu) = J''(lam)/gap**2``. One pass of the cumulant module's one exp
+kernel, ``tilted_moments``, returns all three, so every figure below is free
+of the loss scale; ``grid_inverse_rate`` reads J from the same kernel.
 
 The optima solve an increasing equation: ``K'(mu) = a/gap`` for the rate
 and the Bregman gap ``B(mu) = mu*K'(mu) - K(mu) = s`` (slope ``mu*K''``) for
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cumulant import LambdaGrid, grid_pairs, tilted_moments
+from .cumulant import LambdaGrid, cumulant_pairs, tilted_moments
 from .errors import InvalidA, InvalidS, SolverFailure, ValidationError, check_real
 from .loss_data import DatasetSummary, LossDataset, summarize
 
@@ -123,7 +124,7 @@ class RateSolver:
 
     Holds the normalized losses ``d`` (one array of the dataset's length), so
     repeated solves on a dataset share them; each evaluation adds one array
-    of the same length for its exp pass.
+    of the same length for its exp pass (and a boolean mask at large tilts).
     """
 
     def __init__(self, ds: LossDataset):
@@ -145,7 +146,7 @@ class RateSolver:
         """At normalized tilt ``mu``, from one exp pass: ``ell = log(mean(exp(-mu*d)))``,
         so ``K = mu + ell``, and the tilted mean and variance of ``d``, so
         ``K' = 1 - mean`` and ``K'' = variance``."""
-        log_total, tilted, variance = tilted_moments(self.d, mu, 0.0, curvature=True, top=self.top)
+        (log_total, tilted, variance), = tilted_moments(self.d, (mu,), 0.0, self.top, curvature=True)
         return log_total - self.log_count, tilted, variance
 
     def _slope(self, mu: float) -> tuple[float, float, float]:
@@ -221,16 +222,14 @@ def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRat
     optimum; the result is never flagged saturated.
     """
     s = check_real(s, InvalidS, "budget s")
-    summary = summarize(ds)
-    pairs = grid_pairs(ds.losses, grid.values, summary.empirical_loss, summary.min_loss)
-    candidates = [(j + s) / lam for lam, (j, _) in zip(grid.values, pairs)]
+    candidates = [(j + s) / lam for lam, (j, _) in zip(grid.values, cumulant_pairs(ds, grid.values))]
     best = int(np.argmin(candidates))
     return InverseRateEvaluation(
         s=s,
         value=candidates[best],
         lambda_star=grid.values[best],
         saturated=False,
-        b_max=_b_max(summary),
+        b_max=_b_max(summarize(ds)),
     )
 
 

@@ -14,6 +14,7 @@ import ratefn
 from ratefn import cli
 from ratefn.cli import parse_grid_spec, run
 from ratefn.errors import ComputeError, InputError, RatefnError, ValidationError, check_real
+from ratefn.rate import DEFAULT_TOL
 from ratefn.serialize import load_cumulant_curve_csv
 
 LN2 = math.log(2.0)
@@ -64,6 +65,14 @@ class TestGridSpec:
         for bad in ("1:2:3", "a:b:c:log", "1:2:3:cubic"):
             with pytest.raises(ValidationError):
                 parse_grid_spec(bad)
+
+    def test_defaults_come_from_the_library(self):
+        parser = cli.build_parser()
+        for argv in (["cumulant"], ["grid-inverse-rate", "--s", "0.1"], ["da-check"]):
+            args = parser.parse_args([*argv, "--input", "x.csv"])
+            assert parse_grid_spec(args.grid) == ratefn.LambdaGrid.default() == parse_grid_spec("1e-3:1e3:64:log")
+        for command in ("rate", "inverse-rate"):
+            assert parser.parse_args([command, "--input", "x.csv"]).tol == DEFAULT_TOL == 1e-10
 
 
 class TestRateCommand:
@@ -296,6 +305,12 @@ class TestOracleCommands:
         assert run(["oracle-exact", "--dist", str(bern_json), "--a", "0.2", "--lambda", "1.0"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["exact_rate"] - 0.0822829) < 1e-6
+
+    def test_resolution_is_no_longer_an_option(self, bern_json, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"resolution": 2048}')
+        assert run(["oracle-exact", "--dist", str(bern_json), "--a", "0.2", "--config", str(config)]) == 2
+        assert "unknown key 'resolution'" in capsys.readouterr().err
 
     def test_simulate_cramer_deterministic_bytes(self, bern_json, tmp_path):
         out_a = tmp_path / "a.json"

@@ -21,7 +21,8 @@ from ratefn import (
     summarize,
 )
 from conftest import random_dataset, random_distribution
-from ratefn.cumulant import EXP_CUTOFF, MAX_GRID_SIZE, NEG_TOL, _exp_in_place, cumulant_pair
+from ratefn.cumulant import EXP_CUTOFF, MAX_GRID_SIZE, NEG_TOL, _exp_in_place
+from ratefn.loss_data import DatasetSummary
 
 LN2 = math.log(2.0)
 
@@ -162,14 +163,15 @@ class TestOnePassKernel:
         rng = np.random.default_rng(23)
         base = np.concatenate([[0.0, 0.0], rng.exponential(size=997), [30.0]])
         losses = rng.permutation(base) * scale
-        s = summarize(from_losses(losses))
-        tilts = [0.0, *(t / scale for t in np.geomspace(1e-4, 1e5, 104))]
+        ds = from_losses(losses)
+        s = summarize(ds)
+        tilts = [0.0, *(t / scale for t in np.geomspace(1e-4, 1e5, 104).tolist())]
         for lam in tilts:
             expected = (
                 _two_pass_cumulant(losses, lam, s.empirical_loss, s.min_loss),
                 _two_pass_derivative(losses, lam, s.empirical_loss, s.min_loss),
             )
-            got = cumulant_pair(losses, lam, s.empirical_loss, s.min_loss)
+            got = estimate_cumulant(ds, lam), cumulant_derivative(ds, lam)
             assert list(map(repr, got)) == list(map(repr, expected)), (scale, lam)
 
     def test_consistency_check_is_kept(self):
@@ -177,8 +179,15 @@ class TestOnePassKernel:
         losses = np.array([0.0, 1.0])
         with pytest.raises(InternalConsistencyError):
             _two_pass_cumulant(losses, 1.0, 0.1, 0.0)
+        # The same mean planted in a dataset's cached summary reaches the check
+        # through the public entry points.
+        ds = from_losses(losses)
+        object.__setattr__(ds, "_summary", DatasetSummary(2, 0.1, 0.0, 1, 0.25))
+        for entry in (estimate_cumulant, cumulant_derivative):
+            with pytest.raises(InternalConsistencyError):
+                entry(ds, 1.0)
         with pytest.raises(InternalConsistencyError):
-            cumulant_pair(losses, 1.0, 0.1, 0.0)
+            cumulant_curve(ds, LambdaGrid((1.0,)))
 
     def test_curve_uses_the_kernel(self):
         rng = np.random.default_rng(29)
@@ -186,16 +195,18 @@ class TestOnePassKernel:
         s = summarize(ds)
         curve = cumulant_curve(ds)
         for lam, j, dj in zip(curve.grid.values, curve.j_values, curve.j_derivs):
-            assert (j, dj) == cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)
+            assert (j, dj) == (_two_pass_cumulant(ds.losses, lam, s.empirical_loss, s.min_loss),
+                               _two_pass_derivative(ds.losses, lam, s.empirical_loss, s.min_loss))
             assert estimate_cumulant(ds, lam) == j
             assert cumulant_derivative(ds, lam) == dj
 
 
 def _per_tilt(losses, lams):
-    """Reference: one unmasked ``cumulant_pair`` pass per tilt, as reprs."""
+    """Reference: unmasked exp passes of their own per tilt, as reprs."""
     ds = from_losses(losses)
     s = summarize(ds)
-    return [repr(cumulant_pair(ds.losses, lam, s.empirical_loss, s.min_loss)) for lam in lams]
+    return [repr((_two_pass_cumulant(ds.losses, lam, s.empirical_loss, s.min_loss),
+                  _two_pass_derivative(ds.losses, lam, s.empirical_loss, s.min_loss))) for lam in lams]
 
 
 def _curve_reprs(losses, lams):

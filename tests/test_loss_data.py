@@ -239,8 +239,10 @@ class TestValidation:
     def test_jsonl_numbers_share_one_check(self, tmp_path, fields, error, match):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"sample_id": "a", %s}\n' % fields)
-        with pytest.raises(error, match=match):
+        with pytest.raises(error, match=match) as raised:
             load_dataset(path)
+        # A 401-digit integer is not quoted back in full.
+        assert len(str(raised.value)) <= 80, str(raised.value)
 
     def test_jsonl_integer_annotations_load_as_floats(self, tmp_path):
         path = tmp_path / "ints.jsonl"

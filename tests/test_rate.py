@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from ratefn import (
     rate_curve,
     summarize,
 )
-from ratefn.cumulant import EXP_CUTOFF, cumulant_pair, tilted_moments
+from ratefn.cumulant import EXP_CUTOFF
 from ratefn.rate import DEFAULT_TOL, RateSolver
 from conftest import binary_kl, random_dataset, random_distribution
 
@@ -230,10 +231,25 @@ class TestGridInverseRate:
             grid_inverse_rate(two_point_ds, -1.0, LambdaGrid.default())
 
 
+def _unmasked_cumulant(losses, lam, mean, lo):
+    """Reference: the cumulant from a plain exp pass of its own."""
+    z = np.exp(-lam * (losses - lo))
+    return max(lam * (mean - lo) + math.log(float(z.sum())) - math.log(losses.size), 0.0)
+
+
+def _unmasked_moments(d, mu):
+    """Reference: the solver's log-sum, tilted mean and variance from a plain exp pass."""
+    z = np.exp(d * -mu)
+    total = float(z.sum())
+    tilted = float(z @ d) / total
+    z *= d
+    return math.log(total), tilted, max(float(z @ d) / total - tilted * tilted, 0.0)
+
+
 def _per_tilt_grid_inverse(ds, s, lams):
-    """Reference: the grid minimum from one unmasked ``cumulant_pair`` pass per tilt."""
+    """Reference: the grid minimum from one unmasked exp pass per tilt."""
     summary = summarize(ds)
-    candidates = [(cumulant_pair(ds.losses, lam, summary.empirical_loss, summary.min_loss)[0] + s) / lam
+    candidates = [(_unmasked_cumulant(ds.losses, lam, summary.empirical_loss, summary.min_loss) + s) / lam
                   for lam in lams]
     best = int(np.argmin(candidates))
     return repr(candidates[best]), lams[best]
@@ -282,7 +298,7 @@ class TestMaskedKernelExactness:
         mus = np.geomspace(1e-2, 1e5, 60).tolist()
         assert any(mu * solver.top > -EXP_CUTOFF for mu in mus) and any(mu * solver.top < 1.0 for mu in mus)
         for mu in mus:
-            log_total, tilted, variance = tilted_moments(solver.d, mu, 0.0, curvature=True)
+            log_total, tilted, variance = _unmasked_moments(solver.d, mu)
             assert repr(solver.terms(mu)) == repr((log_total - solver.log_count, tilted, variance)), mu
 
 
@@ -396,6 +412,37 @@ class TestInvariantProperties:
         ev = inverse_rate(ds, s)
         assert not ev.saturated
         assert rate(ds, ev.value).value == pytest.approx(s, rel=1e-8)
+
+
+class TestKernelMemory:
+    """The kernel builds each block of exponents in place, so a single-tilt
+    entry, a solve or a grid pass on 1e5 losses holds one array of exponents
+    the size of the losses, plus its underflow mask, and nothing else as
+    large."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        ds = from_losses(np.random.default_rng(3).exponential(size=100_000))
+        summarize(ds)  # cached on the dataset; the first summary lists the losses as Python floats
+        return ds
+
+    @pytest.mark.parametrize("call", ["estimate-1", "estimate-1e3", "rate", "grid-inverse-rate"])
+    def test_peak_below_one_and_a_half_datasets(self, ds, call):
+        solver = RateSolver(ds)
+        gap, _ = _gap_and_b_max(ds)
+        thunk = {
+            "estimate-1": lambda: estimate_cumulant(ds, 1.0),
+            "estimate-1e3": lambda: estimate_cumulant(ds, 1e3),
+            "rate": lambda: solver.rate(0.999 * gap),
+            "grid-inverse-rate": lambda: grid_inverse_rate(ds, 0.1, LambdaGrid.default()),
+        }[call]
+        tracemalloc.start()
+        try:
+            thunk()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.losses.nbytes, peak / ds.losses.nbytes
 
 
 class TestKernelPasses:
