@@ -3,11 +3,18 @@
 Losses are natural-log losses (nats) and must be non-negative and finite.
 A dataset holds its samples in order as read-only columns: a float64 loss
 array, sample ids, and optional group ids, squared input-gradient norms and
-parameter-gradient vectors. Every statistic derived from it depends only on
-the multiset of loss values, so reordering samples never changes downstream
-estimates. The summary is computed once per dataset and cached on it; its
-variance, which only the quadratic approximations read, is computed on
-first read.
+parameter-gradient vectors. Every estimate is a function of the multiset of
+loss values. The summary sums with ``math.fsum``, so reordering samples
+leaves it bit for bit the same; the cumulant and rate passes add in array
+order, so a reordering can move their results in the last bits. The summary
+is computed once per dataset and cached on it; its variance, which only the
+quadratic approximations read, is computed on first read.
+
+A loaded dataset keeps no Python object per sample. The loaders read a
+file in chunks of about ``_CHUNK_CHARS`` characters of whole lines, share
+one object per distinct group label, and hold the sample ids as one
+newline-joined string, spelled out as a tuple when ``sample_ids`` is first
+read.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ import io
 import json
 import math
 import warnings
+from array import array
 from dataclasses import FrozenInstanceError, dataclass, fields
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -39,6 +47,13 @@ from .errors import (
 # as attaining it, so ties do not depend on the loss scale; at a gap of 0.1
 # or more it covers losses perturbed by 1e-12 in file round trips.
 TIE_TOL = 1e-11
+
+# The loaders check and convert a file this many characters of whole lines at
+# a time, so their working set does not grow with the file.
+_CHUNK_CHARS = 1 << 18
+
+# Sums over Python floats convert the loss array this many values at a time.
+_FLOAT_BLOCK = 1 << 13
 
 
 class UnequalGroupsWarning(UserWarning):
@@ -165,6 +180,26 @@ def _vector_column(vectors) -> tuple[np.ndarray | None, tuple | None, bool]:
     return _read_only(np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)), None, False
 
 
+class _PackedIds(str):
+    """Sample ids joined by ``"\n"``, none of which holds a newline."""
+
+    __slots__ = ()
+
+
+def _pack(ids: list[str]) -> str | list[str]:
+    """``ids`` joined by newlines, or ``ids`` itself when one of them holds a newline."""
+    joined = "\n".join(ids)
+    return joined if joined.count("\n") == len(ids) - 1 else ids
+
+
+def _join_packs(packs: list) -> Sequence[str]:
+    """A loader's sample ids from its non-empty chunks, each packed by :func:`_pack`:
+    a :class:`_PackedIds` when every chunk packed, else a list of the ids."""
+    if all(type(p) is str for p in packs):
+        return _PackedIds("\n".join(packs))
+    return [i for p in packs for i in (p.split("\n") if type(p) is str else p)]
+
+
 class LossDataset:
     """An ordered, immutable set of per-sample losses for one model, held as columns.
 
@@ -172,8 +207,9 @@ class LossDataset:
     ``str | None`` per sample, or ``None`` when no sample has a group.
     ``grad_norm_sq`` is a read-only float64 array with NaN where a sample has
     no value, or ``None`` when none has one; ``grad_theta`` is a read-only
-    ``(count, dim)`` array, or ``None``. Sample ids default to ``s0, s1, ...``
-    and are only spelled out when first read.
+    ``(count, dim)`` array, or ``None``. Sample ids default to ``s0, s1, ...``;
+    default ids, and the packed ids of a loaded dataset, are only spelled out
+    as a tuple when first read.
 
     ``LossDataset(records)`` builds the columns from :class:`LossRecord`
     objects; ``records`` and iteration give them back as a tuple of records
@@ -223,12 +259,15 @@ class LossDataset:
         count = losses.shape[0]
         if count == 0:
             raise EmptyDataset("a dataset must contain at least one record")
-        if sample_ids is not None:
+        if sample_ids is not None and type(sample_ids) is not _PackedIds:
             sample_ids = tuple(sample_ids)
         for name, column in (("sample_ids", sample_ids), ("group_ids", group_ids),
                              ("grad_norm_sq", grad_norm_sq), ("grad_theta", grad_theta)):
-            if column is not None and len(column) != count:
-                raise ValidationError(f"{name} has {len(column)} entries for {count} losses")
+            if column is None:
+                continue
+            size = column.count("\n") + 1 if type(column) is _PackedIds else len(column)
+            if size != count:
+                raise ValidationError(f"{name} has {size} entries for {count} losses")
         if group_ids is not None:
             group_ids = tuple(group_ids)
             if all(g is None for g in group_ids):
@@ -281,9 +320,14 @@ class LossDataset:
         return iter(self.records)
 
     def __eq__(self, other):
+        # The columns compare as the records would: a NaN grad_norm_sq is an
+        # absent one, and -0.0 equals 0.0.
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.model_id == other.model_id and self.records == other.records
+        return (self.model_id == other.model_id and np.array_equal(self.losses, other.losses)
+                and self._same_ids(other) and self.group_ids == other.group_ids
+                and _same_optional(self.grad_norm_sq, other.grad_norm_sq)
+                and _same_optional(self.grad_theta, other.grad_theta))
 
     def __hash__(self):
         return hash((self.model_id, len(self)))
@@ -299,9 +343,29 @@ class LossDataset:
     @property
     def sample_ids(self) -> tuple[str, ...]:
         """One id per sample; ``s0, s1, ...`` unless given, spelled out on first access."""
-        if self._sample_ids is None:
-            object.__setattr__(self, "_sample_ids", tuple(f"s{i}" for i in range(len(self))))
-        return self._sample_ids
+        ids = self._sample_ids
+        if type(ids) is not tuple:
+            ids = tuple(f"s{i}" for i in range(len(self))) if ids is None else tuple(ids.split("\n"))
+            object.__setattr__(self, "_sample_ids", ids)
+        return ids
+
+    def _same_ids(self, other: "LossDataset") -> bool:
+        """Whether two datasets of one length hold the same sample ids, without
+        spelling out packed ones."""
+        ids, other_ids = self._sample_ids, other._sample_ids
+        if ids is other_ids:
+            return True
+        if _PackedIds in (type(ids), type(other_ids)):
+            # A packed side holds one newline fewer than it holds ids, so equal
+            # joins mean that no id holds a newline and the ids match.
+            return self._joined_ids() == other._joined_ids()
+        return self.sample_ids == other.sample_ids
+
+    def _joined_ids(self) -> str:
+        ids = self._sample_ids
+        if type(ids) is _PackedIds:
+            return ids
+        return "\n".join((f"s{i}" for i in range(len(self))) if ids is None else ids)
 
     @property
     def records(self) -> tuple[LossRecord, ...]:
@@ -313,6 +377,12 @@ class LossDataset:
             records = tuple(map(LossRecord, self.sample_ids, self.losses.tolist(), groups, norms, vectors))
             object.__setattr__(self, "_records", records)
         return self._records
+
+
+def _same_optional(mine: np.ndarray | None, theirs: np.ndarray | None) -> bool:
+    if mine is None or theirs is None:
+        return mine is theirs
+    return np.array_equal(mine, theirs, equal_nan=True)
 
 
 def from_losses(
@@ -351,17 +421,23 @@ def summarize(ds: LossDataset) -> DatasetSummary:
     return summary
 
 
+def _floats(values: np.ndarray):
+    """The values as Python floats, in order, converted ``_FLOAT_BLOCK`` at a time."""
+    if len(values) <= _FLOAT_BLOCK:
+        return values.tolist()
+    return chain.from_iterable(values[i:i + _FLOAT_BLOCK].tolist() for i in range(0, len(values), _FLOAT_BLOCK))
+
+
 def _summary_of(losses: np.ndarray) -> DatasetSummary:
     # Python floats and math.fsum keep every figure identical to a plain loop
     # over the values. argmin gives the first minimal element, as min() does,
     # so a minimum of zero keeps the sign of the first zero.
-    values = losses.tolist()
-    count = len(values)
+    count = len(losses)
     try:
-        mean = math.fsum(values) / count
+        mean = math.fsum(_floats(losses)) / count
     except OverflowError:
         raise ValidationError("the sum of the losses overflows float64") from None
-    lo = values[int(np.argmin(losses))]
+    lo = float(losses[np.argmin(losses)])
     mean = max(mean, lo)
     ties = int(np.count_nonzero(losses - lo <= TIE_TOL * (mean - lo)))
     summary = DatasetSummary.__new__(DatasetSummary)
@@ -375,9 +451,8 @@ def _variance(losses: np.ndarray, mean: float) -> float:
     A loop over Python floats: numpy's ``(x - mean)**2`` differs from
     Python's ``**`` in the last bit for some elements.
     """
-    values = losses.tolist()
     try:
-        return math.fsum((v - mean) ** 2 for v in values) / len(values)
+        return math.fsum((v - mean) ** 2 for v in _floats(losses)) / len(losses)
     except OverflowError:
         return math.inf
 
@@ -405,10 +480,20 @@ def reduce_augmented(ds: LossDataset) -> LossDataset:
             )
         )
     # math.fsum is correctly rounded, so summing each group in sorted order
-    # gives the same mean as summing it in record order.
-    by_group = ds.losses[np.argsort(codes, kind="stable")].tolist()
-    ends = np.cumsum(sizes).tolist()
-    means = [math.fsum(by_group[start:end]) / (end - start) for start, end in zip([0, *ends], ends)]
+    # gives the same mean as summing it in record order. The sorted losses
+    # become Python floats a block of whole groups at a time: at most
+    # _FLOAT_BLOCK losses, or one group that holds more.
+    by_group = ds.losses[np.argsort(codes, kind="stable")]
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    step = max(1, _FLOAT_BLOCK // max(distinct))
+    means = []
+    for first in range(0, len(sizes), step):
+        ends = bounds[first:first + step + 1]
+        base = ends[0]
+        block = by_group[base:ends[-1]].tolist()
+        if base:
+            ends = [end - base for end in ends]
+        means += [math.fsum(block[start:end]) / (end - start) for start, end in zip(ends, ends[1:])]
     return LossDataset.from_columns(np.array(means, dtype=np.float64), model_id=ds.model_id,
                                     sample_ids=tuple(position))
 
@@ -507,29 +592,68 @@ def _split_csv_body(body: str, width: int) -> dict | None:
 
     Without quotes, lone carriage returns or NUL characters the csv module
     splits exactly at line ends (``\n`` or ``\r\n``, as ``dump_dataset``
-    writes) and commas, so splitting the whole text gives the same fields.
-    ``None`` (read the rows with the csv module instead) covers those
-    characters, blank lines and every malformed or invalid row, so that the
-    row-by-row reader reports the first fault with its line number.
+    writes) and commas, so splitting the text gives the same fields. The
+    body is split ``_CHUNK_CHARS`` characters of whole lines at a time.
+    ``None`` (read the whole body with the csv module instead) covers those
+    characters, blank lines and every malformed or invalid row in any
+    chunk, so that the row-by-row reader reports the first fault with its
+    line number.
     """
-    body = body.replace("\r\n", "\n")
-    if body.endswith("\n"):
-        body = body[:-1]
-    if not body or body.startswith("\n") or any(c in body for c in ('"', "\r", "\0", "\n\n")):
+    losses, norms, packs, groups = [], [], [], []
+    labels = {"": None}  # one object per distinct group label; an empty one is no group
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _CHUNK_CHARS)
+        end = len(body) if end < 0 else end + 1
+        chunk = _split_csv_chunk(body[start:end], width)
+        if chunk is None:
+            return None
+        ids, chunk_losses, chunk_groups, chunk_norms = chunk
+        packs.append("\n".join(ids))
+        losses.append(chunk_losses)
+        if chunk_groups is not None:
+            groups.extend(map(labels.setdefault, chunk_groups, chunk_groups))
+        if chunk_norms is not None:
+            norms.append(chunk_norms)
+        start = end
+    if not losses:
         return None
-    if not _rows_have_width(body, width):
+    return {"losses": np.concatenate(losses), "sample_ids": _join_packs(packs),
+            "group_ids": groups if width >= 3 else None,
+            "grad_norm_sq": np.concatenate(norms) if width == 4 else None}
+
+
+def _split_csv_chunk(text: str, width: int) -> tuple | None:
+    """Sample ids, losses, group fields and grad norms (NaN where empty) of
+    the whole lines ``text``, or ``None`` for the cases ``_split_csv_body``
+    leaves to the csv module."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if text.endswith("\n"):
+        text = text[:-1]
+    if not text or any(c in text for c in ('"', "\r", "\0")):
         return None
-    fields = body.replace("\n", ",").split(",")
+    # A blank line holds no comma, so this also sends blank lines to the row reader.
+    if not _rows_have_width(text, width):
+        return None
+    fields = text.replace("\n", ",").split(",")
     count = len(fields) // width
+    norms = norm_fields = None
     try:
         losses = np.fromiter(map(float, fields[1::width]), dtype=np.float64, count=count)
-        norms = [float(t) if t else None for t in fields[3::width]] if width == 4 else None
+        if width == 4:
+            norm_fields = fields[3::width]
+            norms = np.fromiter((float(t) if t else math.nan for t in norm_fields), dtype=np.float64, count=count)
     except ValueError:
         return None
     if not np.all((losses >= 0.0) & (losses < math.inf)):
         return None
-    groups = [g or None for g in fields[2::width]] if width >= 3 else None
-    return {"losses": losses, "sample_ids": fields[0::width], "group_ids": groups, "grad_norm_sq": norms}
+    # Empty norm fields read as NaN, the mark of an absent value. Any other
+    # value that is not finite and non-negative (a "nan" among them) goes to
+    # the row reader, which reads it as present and so rejects it.
+    if norms is not None and np.count_nonzero(~((norms >= 0.0) & (norms < math.inf))) != norm_fields.count(""):
+        return None
+    return fields[0::width], losses, (fields[2::width] if width >= 3 else None), norms
 
 
 def _rows_have_width(body: str, width: int) -> bool:
@@ -568,8 +692,8 @@ def _read_csv_rows(reader, width: int) -> dict:
             groups.append(row[2] or None)
         if norms is not None:
             norms.append(_parse_float(row[3], "grad_norm_sq", lineno) if row[3] else None)
-    return {"losses": np.array(losses, dtype=np.float64), "sample_ids": ids, "group_ids": groups,
-            "grad_norm_sq": norms}
+    return {"losses": np.array(losses, dtype=np.float64), "sample_ids": _join_packs([_pack(ids)]),
+            "group_ids": groups, "grad_norm_sq": norms}
 
 
 # What json.loads runs once leading whitespace is skipped; see _parse_json_line.
@@ -598,9 +722,9 @@ def _parse_json_line(line: str, lineno: int):
 def _json_number(value, what: str, lineno: int) -> float:
     """A parsed JSON number as a float, or a ``ParseError`` naming ``what``.
 
-    Booleans are not numbers. An integer beyond the float range reads
-    ``inf``, so the range checks downstream reject it as they reject any
-    non-finite value.
+    Booleans are not numbers. An integer beyond the float range reads as
+    the infinity of its sign, so the range checks downstream reject it as
+    they reject any non-finite value.
     """
     kind = type(value)
     if kind is float:
@@ -609,43 +733,66 @@ def _json_number(value, what: str, lineno: int) -> float:
         try:
             return float(value)
         except OverflowError:
-            return math.inf
+            return math.inf if value > 0 else -math.inf
     raise ParseError(f"line {lineno}: {what} must be a number, got {value!r}")
 
 
 def _load_jsonl(path: Path) -> dict:
-    ids, losses, groups, norms, vectors = [], [], [], [], []
+    # Each chunk of lines is parsed line by line; its ids are then packed, its
+    # group labels shared and its annotations kept only once one is present.
+    losses, packs, groups, labels = array("d"), [], [], {}
+    norms = vectors = None
+    lineno = 0
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = _parse_json_line(line, lineno)
-            if not isinstance(obj, dict):
-                raise ParseError(f"line {lineno}: expected an object, got {type(obj).__name__}")
-            if "sample_id" not in obj or "loss" not in obj:
-                raise ParseError(f"line {lineno}: object needs 'sample_id' and 'loss' fields")
-            loss = obj["loss"]
-            value = loss if type(loss) is float else _json_number(loss, "'loss'", lineno)
-            if not 0.0 <= value < math.inf:
-                shown = "inf" if type(loss) is int and loss > 0 else repr(loss)  # an int beyond the float range
-                raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {shown}")
-            grad_theta = obj.get("grad_theta")
-            if grad_theta is not None:
-                if not isinstance(grad_theta, list):
-                    raise ParseError(f"line {lineno}: 'grad_theta' must be an array of numbers")
-                grad_theta = [_json_number(x, "each 'grad_theta' value", lineno) for x in grad_theta]
-            group = obj.get("group_id")
-            norm = obj.get("grad_norm_sq")
-            if norm is not None:
-                norm = _json_number(norm, "'grad_norm_sq'", lineno)
-            ids.append(str(obj["sample_id"]))
-            losses.append(value)
-            groups.append(None if group is None else str(group))
-            norms.append(norm)
-            vectors.append(grad_theta)
-    return {"losses": np.array(losses, dtype=np.float64), "sample_ids": ids, "group_ids": groups,
-            "grad_norm_sq": norms, "grad_theta": vectors}
+        while lines := handle.readlines(_CHUNK_CHARS):
+            ids, chunk_groups, chunk_norms, chunk_vectors = [], [], [], []
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                line = line.strip()
+                if not line:
+                    continue
+                obj = _parse_json_line(line, lineno)
+                if not isinstance(obj, dict):
+                    raise ParseError(f"line {lineno}: expected an object, got {type(obj).__name__}")
+                if "sample_id" not in obj or "loss" not in obj:
+                    raise ParseError(f"line {lineno}: object needs 'sample_id' and 'loss' fields")
+                loss = obj["loss"]
+                value = loss if type(loss) is float else _json_number(loss, "'loss'", lineno)
+                if not 0.0 <= value < math.inf:
+                    shown = repr(loss if math.isfinite(value) else value)  # an int beyond range shows as inf
+                    raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {shown}")
+                grad_theta = obj.get("grad_theta")
+                if grad_theta is not None:
+                    if not isinstance(grad_theta, list):
+                        raise ParseError(f"line {lineno}: 'grad_theta' must be an array of numbers")
+                    grad_theta = [_json_number(x, "each 'grad_theta' value", lineno) for x in grad_theta]
+                group = obj.get("group_id")
+                norm = obj.get("grad_norm_sq")
+                if norm is not None:
+                    norm = _json_number(norm, "'grad_norm_sq'", lineno)
+                ids.append(str(obj["sample_id"]))
+                losses.append(value)
+                chunk_groups.append(None if group is None else str(group))
+                chunk_norms.append(norm)
+                chunk_vectors.append(grad_theta)
+            if ids:
+                packs.append(_pack(ids))
+            before = len(groups)
+            groups.extend(map(labels.setdefault, chunk_groups, chunk_groups))
+            norms = _extend_present(norms, chunk_norms, before)
+            vectors = _extend_present(vectors, chunk_vectors, before)
+    return {"losses": np.frombuffer(losses, dtype=np.float64), "sample_ids": _join_packs(packs),
+            "group_ids": groups, "grad_norm_sq": norms, "grad_theta": vectors}
+
+
+def _extend_present(column: list | None, chunk: list, before: int) -> list | None:
+    """``column`` (``None`` while no value is present in the first ``before``
+    samples) extended by ``chunk``, which holds values and ``None``s."""
+    if column is None:
+        if chunk.count(None) == len(chunk):
+            return None
+        column = [None] * before
+    column.extend(chunk)
+    return column
 
 
 def _absent_as_none(column: np.ndarray | None):

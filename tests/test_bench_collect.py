@@ -53,3 +53,50 @@ def test_missing_directory_exits_2(tmp_path):
     out = tmp_path / "BENCH.json"
     assert bench_collect.main(["--parent", str(tmp_path / "nope"), "--change", str(tmp_path), "--output", str(out)]) == 2
     assert not out.exists()
+
+
+def _verdict(parent_runs, change_runs, better="higher", bound=0.25):
+    parent = dict(enumerate(parent_runs))
+    change = dict(enumerate(change_runs))
+    return bench_collect.verdict(bench_collect.spread(parent), bench_collect.spread(change),
+                                 bench_collect.pairs(parent, change, better), better, bound)
+
+
+def test_verdicts_on_synthetic_runs():
+    steady = [100.0 + k for k in range(10)]  # median 104.5, interquartile range 4.5
+    # Better in every pair and by more than the parent's spread: a gain, but only over ten pairs or more.
+    assert _verdict(steady, [v + 20 for v in steady]) == "gain"
+    assert _verdict(steady[:9], [v + 20 for v in steady[:9]]) == "within bound"
+    # Nine wins and a tie in ten pairs suffice; eight wins and two ties do not.
+    assert _verdict(steady, [v + 20 for v in steady[:9]] + [steady[9]]) == "gain"
+    assert _verdict(steady, [v + 20 for v in steady[:8]] + steady[8:]) == "within bound"
+    # Better in every pair, but by less than the parent's spread.
+    assert _verdict(steady, [v + 1 for v in steady]) == "within bound"
+    # Worse than the parent's median by more than the bound, or within it.
+    assert _verdict(steady, [v * 0.7 for v in steady]) == "regression"
+    assert _verdict(steady, [v * 0.8 for v in steady]) == "within bound"
+    # The parent spreads wider than the bound: unresolved unless every change
+    # run beats every parent run.
+    wide = [40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0]
+    assert _verdict(wide, wide[::-1]) == "unresolved"
+    assert _verdict(wide, [165.0 + k for k in range(7)]) == "within bound"
+    # Lower is better, with a 5% bound, as for peak RSS.
+    rss = [94.0 + 0.1 * k for k in range(10)]
+    assert _verdict(rss, [54.0 + 0.1 * k for k in range(10)], "lower", 0.05) == "gain"
+    assert _verdict(rss, [v * 1.06 for v in rss], "lower", 0.05) == "regression"
+    assert _verdict(rss, [v * 1.04 for v in rss], "lower", 0.05) == "within bound"
+
+
+def test_end_to_end_rows_carry_a_verdict(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(10):
+        _write(parent, "cli_200k", seed, 0, {"peak_rss_mb": 94.0 + 0.1 * seed, "ops_per_s": 1.5})
+        _write(change, "cli_200k", seed, 0, {"peak_rss_mb": 54.0 + 0.1 * seed, "ops_per_s": 1.0})
+        _write(parent, "cli_200k", seed, 1, {"loss_data.load_dataset.peak_mb": 40.0})
+        _write(change, "cli_200k", seed, 1, {"loss_data.load_dataset.peak_mb": 10.0})
+    out = tmp_path / "BENCH.json"
+    assert bench_collect.main(["--parent", str(parent), "--change", str(change), "--output", str(out)]) == 0
+    cli = json.loads(out.read_text())["workloads"]["cli_200k"]
+    assert cli["end_to_end"]["peak_rss_mb"]["verdict"] == "gain"
+    assert cli["end_to_end"]["ops_per_s"]["verdict"] == "regression"
+    assert "verdict" not in cli["per_layer"]["loss_data.load_dataset.peak_mb"]

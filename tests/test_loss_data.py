@@ -1,9 +1,13 @@
 """Dataset ingestion, validation, summaries, and augmentation-group algebra."""
 
 import copy
+import csv
 import dataclasses
+import io
 import math
+import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +228,7 @@ class TestValidation:
     @pytest.mark.parametrize("fields, error, match", [
         # An integer beyond the float range reads inf, as it does for the loss.
         ('"loss": 1%s' % ("0" * 400), ValidationError, "line 1: loss must be finite"),
+        ('"loss": -1%s' % ("0" * 400), ValidationError, "line 1: loss must be finite"),
         ('"loss": 0.5, "grad_norm_sq": 1%s' % ("0" * 400), ValidationError,
          r"record 0 \('a'\): grad_norm_sq must be finite"),
         ('"loss": 0.5, "grad_theta": [1.0, -1%s]' % ("0" * 400), ValidationError,
@@ -373,6 +378,13 @@ class TestColumnarDataset:
         got = (s.count, s.empirical_loss, s.min_loss, s.min_loss_count, s.variance)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in _loop_summary(losses)]
 
+    def test_summary_over_many_float_blocks_matches_the_loop(self, monkeypatch):
+        monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", 7)
+        losses = np.random.default_rng(4).exponential(1.0, 500).tolist()
+        s = summarize(from_losses(losses))
+        got = (s.count, s.empirical_loss, s.min_loss, s.min_loss_count, s.variance)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in _loop_summary(losses)]
+
     def test_signed_zero_minimum_is_the_first_one(self):
         for losses in ([0.5, -0.0, 0.0, 1.0], [0.0, -0.0, 1.0], [2.0, 0.0, -0.0], [-0.0, -0.0]):
             s = summarize(from_losses(losses))
@@ -439,6 +451,20 @@ class TestReduceAugmented:
         by_group = {r.sample_id: r.loss for r in reduced.records}
         assert by_group == {"g1": 0.5, "g2": 1.0}
 
+    def test_blocks_of_groups_give_each_group_its_fsum_mean(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        labels = [f"g{k}" for k, size in enumerate(rng.integers(1, 20, 60)) for _ in range(size)]
+        labels = [labels[i] for i in rng.permutation(len(labels))]
+        losses = rng.exponential(1.0, len(labels)).tolist()
+        expected = {g: math.fsum(v for v, h in zip(losses, labels) if h == g) / labels.count(g)
+                    for g in dict.fromkeys(labels)}
+        for block in (1, 5, 16, 1 << 13):
+            monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", block)
+            with pytest.warns(UnequalGroupsWarning):
+                reduced = reduce_augmented(from_losses(losses, group_ids=labels))
+            assert reduced.sample_ids == tuple(expected)
+            assert [v.hex() for v in reduced.losses.tolist()] == [v.hex() for v in expected.values()]
+
     def test_grand_mean_preserved_equal_sizes(self):
         # dyadic losses keep both summation orders exact
         losses = [0.25, 0.75, 0.5, 1.0, 0.125, 0.375]
@@ -490,3 +516,232 @@ class TestComposeAugmented:
 def test_records_are_immutable(two_point_ds):
     with pytest.raises(AttributeError):
         two_point_ds.records[0].loss = 1.0
+
+
+def _csv_rows_dataset(path):
+    """``path`` read by the csv-module row reader alone."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header = next(csv.reader(handle))
+        body = handle.read()
+    columns = loss_data._read_csv_rows(csv.reader(io.StringIO(body, newline="")), len(header))
+    return LossDataset.from_columns(model_id=path.stem, **columns)
+
+
+def _same_columns(a, b):
+    assert a == b
+    assert a.losses.tobytes() == b.losses.tobytes()
+    assert a.sample_ids == b.sample_ids
+    assert a.group_ids == b.group_ids
+    for x, y in ((a.grad_norm_sq, b.grad_norm_sq), (a.grad_theta, b.grad_theta)):
+        assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+
+def _error_text(path, chunk_chars, monkeypatch):
+    monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
+    with pytest.raises((ParseError, ValidationError)) as raised:
+        load_dataset(path)
+    return f"{type(raised.value).__name__}: {raised.value}"
+
+
+_CSV_ROWS = [f"s{i},{0.1 * i!r},{'g%d' % (i // 3) if i % 5 else ''},{'' if i % 4 else repr(i / 7)}"
+             for i in range(40)]
+_JSONL_ROWS = [f'{{"sample_id": "s{i}", "loss": {0.1 * i!r}, "group_id": "g{i // 3}"}}' for i in range(40)]
+
+
+class TestChunkedLoading:
+    """The loaders read a file ``_CHUNK_CHARS`` characters of whole lines at a
+    time; set small, every chunk holds a line or two."""
+
+    @pytest.mark.parametrize("end, trailing", [("\n", True), ("\r\n", True), ("\n", False), ("\r\n", False)])
+    def test_csv_columns_equal_the_row_readers(self, tmp_path, monkeypatch, end, trailing):
+        path = tmp_path / "grouped.csv"
+        text = end.join(["sample_id,loss,group_id,grad_norm_sq", *_CSV_ROWS]) + (end if trailing else "")
+        path.write_bytes(text.encode())
+        expected = _csv_rows_dataset(path)
+        monkeypatch.setattr(loss_data, "_read_csv_rows", _no_row_reader)
+        for chunk_chars in range(1, 90, 7):
+            monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
+            ds = load_dataset(path)
+            assert type(ds._sample_ids) is loss_data._PackedIds
+            _same_columns(ds, expected)
+        # Group labels are shared across chunks: one object per distinct label.
+        assert len({id(g) for g in ds.group_ids if g is not None}) == len(set(ds.group_ids) - {None})
+
+    @pytest.mark.parametrize("end, trailing", [("\n", True), ("\r\n", True), ("\n", False)])
+    def test_jsonl_columns_equal_a_single_chunk_read(self, tmp_path, monkeypatch, end, trailing):
+        rows = list(_JSONL_ROWS)
+        rows[7] = '{"sample_id": "s7", "loss": 0.5, "grad_norm_sq": 2.0, "group_id": null}'
+        rows[31] = '{"sample_id": "line\\nbreak", "loss": 0.25, "grad_norm_sq": 0}'
+        rows[20] = ""  # a blank line
+        path = tmp_path / "grouped.jsonl"
+        path.write_bytes((end.join(rows) + (end if trailing else "")).encode())
+        expected = load_dataset(path)
+        assert expected.sample_ids[30] == "line\nbreak"  # after the blank line, row 31 is sample 30
+        assert expected.grad_norm_sq[7] == 2.0 and expected.grad_norm_sq[30] == 0.0
+        for chunk_chars in range(1, 200, 13):
+            monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
+            _same_columns(load_dataset(path), expected)
+        assert len({id(g) for g in expected.group_ids if g is not None}) == len(set(expected.group_ids) - {None})
+
+    def test_jsonl_annotations_first_present_in_a_later_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(loss_data, "_CHUNK_CHARS", 1)
+        path = tmp_path / "late.jsonl"
+        path.write_text("\n".join(_JSONL_ROWS[:5] + ['{"sample_id": "x", "loss": 1.0, "grad_norm_sq": 3.0}']) + "\n")
+        ds = load_dataset(path)
+        assert np.array_equal(ds.grad_norm_sq, [np.nan] * 5 + [3.0], equal_nan=True)
+        assert ds.grad_theta is None
+        path.write_text("\n".join(_JSONL_ROWS[:2] + ['{"sample_id": "x", "loss": 1.0, "grad_theta": [1.0]}']) + "\n")
+        with pytest.raises(ValidationError, match="grad_theta must be present on all records or none"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("odd_row", ['"s25",0.5,"g1",', ""])
+    def test_csv_quote_or_blank_line_in_a_later_chunk_reads_the_whole_body(self, tmp_path, monkeypatch, odd_row):
+        rows = list(_CSV_ROWS)
+        rows[25] = odd_row
+        path = tmp_path / "odd.csv"
+        path.write_text("\n".join(["sample_id,loss,group_id,grad_norm_sq", *rows]) + "\n")
+        expected = _csv_rows_dataset(path)
+        read_rows, bodies = loss_data._read_csv_rows, []
+
+        def counted(reader, width):
+            rows_read = list(reader)
+            bodies.append(len(rows_read))
+            return read_rows(iter(rows_read), width)
+
+        monkeypatch.setattr(loss_data, "_read_csv_rows", counted)
+        for chunk_chars in (1, 17, 300, 1 << 30):
+            monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
+            _same_columns(load_dataset(path), expected)
+        assert bodies == [40] * 4
+
+    @pytest.mark.parametrize("bad_row", [
+        "s25,-0.5,g1,", "s25,oops,g1,", "s25,0.5,g1,nan", "s25,0.5,g1,-1.0", "s25,0.5,g1", "s25,0.5,g1,,",
+        "s25,0.5\r,g1,", "s25,inf,,",
+    ])
+    def test_csv_fault_in_any_chunk_is_reported_as_in_one(self, tmp_path, monkeypatch, bad_row):
+        rows = list(_CSV_ROWS)
+        rows[25] = bad_row
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["sample_id,loss,group_id,grad_norm_sq", *rows]) + "\n")
+        whole = _error_text(path, 1 << 30, monkeypatch)
+        assert "line 27" in whole or "record 25 ('s25')" in whole, whole
+        for chunk_chars in range(1, 120, 5):
+            assert _error_text(path, chunk_chars, monkeypatch) == whole
+
+    @pytest.mark.parametrize("bad_row", [
+        '{"sample_id": "s25", "loss": -0.5}', '{"sample_id": "s25", "loss": 0.5', '[1, 2]',
+        '{"sample_id": "s25"}', '{"sample_id": "s25", "loss": 0.5, "grad_norm_sq": -1}',
+        '{"sample_id": "s25", "loss": -1%s}' % ("0" * 400),
+    ])
+    def test_jsonl_fault_in_any_chunk_is_reported_as_in_one(self, tmp_path, monkeypatch, bad_row):
+        rows = list(_JSONL_ROWS)
+        rows[25] = bad_row
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        whole = _error_text(path, 1 << 30, monkeypatch)
+        assert "line 26" in whole or "record 25" in whole, whole
+        for chunk_chars in range(1, 300, 11):
+            assert _error_text(path, chunk_chars, monkeypatch) == whole
+
+    def test_loaded_dataset_survives_pickle_and_copy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(loss_data, "_CHUNK_CHARS", 30)
+        path = tmp_path / "grouped.csv"
+        path.write_text("\n".join(["sample_id,loss,group_id,grad_norm_sq", *_CSV_ROWS]) + "\n")
+        ids = tuple(row.split(",")[0] for row in _CSV_ROWS)
+        for copied in (pickle.loads(pickle.dumps(load_dataset(path))), copy.copy(load_dataset(path)),
+                       copy.deepcopy(load_dataset(path))):
+            assert type(copied._sample_ids) is loss_data._PackedIds  # still packed
+            assert copied == load_dataset(path)
+            assert copied.sample_ids == ids
+            _same_columns(copied, _csv_rows_dataset(path))
+
+
+def _records_equal(a, b):
+    """Dataset equality by its definition: the model id and the records."""
+    return a.model_id == b.model_id and a.records == b.records
+
+
+class TestEquality:
+    def test_packed_and_spelled_out_ids(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("sample_id,loss\na,0.5\nb,1.5\n")
+        built = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m", sample_ids=["a", "b"])
+        other = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m", sample_ids=["a", "c"])
+        newline = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m", sample_ids=["a\nb", ""])
+        numbered = tmp_path / "n" / "m.csv"
+        numbered.parent.mkdir()
+        numbered.write_text("sample_id,loss\ns0,0.5\ns1,1.5\n")
+
+        def datasets():
+            packed, spelled = load_dataset(path), load_dataset(path)
+            spelled.sample_ids
+            assert type(packed._sample_ids) is loss_data._PackedIds and type(spelled._sample_ids) is tuple
+            defaults = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m")
+            return [packed, spelled, built, other, newline, load_dataset(numbered), defaults]
+
+        expected = [[_records_equal(x, y) for y in datasets()] for x in datasets()]
+        sets = datasets()
+        assert [[x == y for y in sets] for x in sets] == expected
+        assert expected[0] == [True, True, True, False, False, False, False]
+        assert expected[5] == [False] * 5 + [True, True]
+        assert type(sets[0]._sample_ids) is type(sets[5]._sample_ids) is loss_data._PackedIds  # not spelled out
+
+    def test_columns_compare_as_records_do(self):
+        base = dict(losses=[0.0, 0.5, 2.0], sample_ids=["a", "b", "c"])
+        variants = [
+            {},
+            {"losses": [-0.0, 0.5, 2.0]},
+            {"losses": [0.0, 0.5, 2.5]},
+            {"model_id": "other"},
+            {"sample_ids": ["a", "b", "d"]},
+            {"group_ids": ["g", None, "g"]},
+            {"group_ids": ["g", "h", "g"]},
+            {"grad_norm_sq": [1.0, None, 0.0]},
+            {"grad_norm_sq": np.array([1.0, np.nan, 0.0])},
+            {"grad_norm_sq": np.array([1.0, np.nan, -0.0])},
+            {"grad_norm_sq": [1.0, 2.0, 0.0]},
+            {"grad_norm_sq": np.array([np.nan, np.nan, np.nan])},
+            {"grad_theta": [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]},
+            {"grad_theta": [[1.0, 2.0], [-0.0, 0.0], [3.0, 4.0]]},
+            {"grad_theta": [[1.0, 2.0], [0.0, 1.0], [3.0, 4.0]]},
+            {"grad_theta": [[1.0], [0.0], [3.0]]},
+            {"grad_theta": np.zeros((3, 0))},
+        ]
+        sets = []
+        for change in variants:
+            kwargs = {**base, **change}
+            sets.append(LossDataset.from_columns(np.array(kwargs.pop("losses"), dtype=np.float64), **kwargs))
+        for x in sets:
+            for y in sets:
+                assert (x == y) == _records_equal(x, y), (x.records, y.records)
+        assert sets[0] == sets[1] and sets[7] == sets[8] == sets[9] and sets[0] == sets[11]
+        assert sets[12] == sets[13] != sets[14]
+
+
+def _large_files(directory, rows=100_000):
+    losses = np.random.default_rng(13).exponential(1.0, rows).tolist()
+    csv_path, jsonl_path = directory / "large.csv", directory / "large.jsonl"
+    csv_path.write_text("sample_id,loss\n" + "".join(f"s{i},{v!r}\n" for i, v in enumerate(losses)))
+    jsonl_path.write_text("".join(f'{{"sample_id": "s{i}", "loss": {v!r}, "group_id": "g{i // 4}"}}\n'
+                                  for i, v in enumerate(losses)))
+    return csv_path, jsonl_path
+
+
+class TestLoaderMemory:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        return _large_files(tmp_path_factory.mktemp("large"))
+
+    @pytest.mark.parametrize("fmt, peak_per_file_byte", [("csv", 4.0), ("jsonl", 1.5)])
+    def test_peak_and_retained_size_on_1e5_rows(self, files, fmt, peak_per_file_byte):
+        path = files[0] if fmt == "csv" else files[1]
+        load_dataset(path)  # imports and caches settle first
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 100_000
+        assert peak < peak_per_file_byte * os.path.getsize(path), peak / os.path.getsize(path)
+        assert retained < 48 * len(ds), retained / len(ds)

@@ -10,9 +10,20 @@ their median and quartiles: the end-to-end metrics from the untraced runs
 (``trace0``) and the per-layer metrics from the traced ones (``trace1``).
 For the end-to-end metrics it also counts the pairs, seeds run on both
 sides, in which the change is better, worse or tied, by the metric's
-``better`` direction. Per-layer metrics that read zero in every run (a
-layer the workload never calls) are left out. Failed operations are summed
-per side and workload.
+``better`` direction, and gives a verdict against the metric's
+``BENCHMARK.json`` bound, a fraction of the parent's median:
+
+- ``gain``: at least ten pairs, the change better in at least nine tenths
+  of them (ties count for neither side), and the medians apart by more than
+  the parent's interquartile range, in the better direction;
+- ``regression``: the change's median worse than the parent's by more than
+  the bound;
+- ``unresolved``: the parent's interquartile range wider than the bound,
+  and not every change run better than every parent run;
+- ``within bound``: anything else.
+
+Per-layer metrics that read zero in every run (a layer the workload never
+calls) are left out. Failed operations are summed per side and workload.
 """
 
 from __future__ import annotations
@@ -60,6 +71,25 @@ def pairs(parent: dict, change: dict, better: str) -> dict:
     return {"seeds": seeds, "change_better": wins, "change_worse": losses, "ties": len(seeds) - wins - losses}
 
 
+def verdict(parent: dict, change: dict, paired: dict, better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric; ``parent`` and ``change`` are
+    :func:`spread` results and ``paired`` is the :func:`pairs` count."""
+    sign = 1.0 if better == "higher" else -1.0
+    gap = sign * (change["median"] - parent["median"])  # > 0: the change is better
+    iqr = parent["q3"] - parent["q1"]
+    runs = len(paired["seeds"])
+    if runs >= 10 and paired["change_better"] >= 0.9 * runs and gap > iqr:
+        return "gain"
+    allowed = bound * abs(parent["median"])
+    if -gap > allowed:
+        return "regression"
+    worst_change = min(sign * v for v in change["runs"].values())
+    best_parent = max(sign * v for v in parent["runs"].values())
+    if iqr > allowed and not worst_change > best_parent:
+        return "unresolved"
+    return "within bound"
+
+
 def metric_values(reports: dict, name: str) -> dict:
     return {seed: report["metrics"][name]["value"] for seed, report in reports.items() if name in report["metrics"]}
 
@@ -88,6 +118,8 @@ def collect(parent_runs: dict, change_runs: dict, declared: dict) -> dict:
                 row.update({side: spread(v) for side, v in values.items() if v})
                 if trace == 0 and values["parent"] and values["change"]:
                     row["pairs"] = pairs(values["parent"], values["change"], metric["better"])
+                    row["verdict"] = verdict(row["parent"], row["change"], row["pairs"], metric["better"],
+                                             metric["bound"])
                 if len(row) > 2:
                     entry[section][metric["name"]] = row
         workloads[workload] = entry
