@@ -14,7 +14,12 @@ A loaded dataset keeps no Python object per sample. The loaders read a
 file in chunks of about ``_CHUNK_CHARS`` characters of whole lines, share
 one object per distinct group label, and hold the sample ids as one
 newline-joined string, spelled out as a tuple when ``sample_ids`` is first
-read.
+read. A CSV chunk is split as plain text unless it holds a quote, a lone
+carriage return, a NUL, a blank line or a bad row; from the first such
+chunk on, the csv module reads row by row. A JSONL chunk whose every line
+has one of the two layouts ``dump_dataset`` writes is split into columns
+on its UTF-8 bytes; any other chunk is parsed line by line. Either way the
+values and messages are those of the row and line readers.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 import warnings
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -193,11 +198,12 @@ def _pack(ids: list[str]) -> str | list[str]:
 
 
 def _join_packs(packs: list) -> Sequence[str]:
-    """A loader's sample ids from its non-empty chunks, each packed by :func:`_pack`:
-    a :class:`_PackedIds` when every chunk packed, else a list of the ids."""
-    if all(type(p) is str for p in packs):
+    """A loader's sample ids from its non-empty chunks, each a newline-joined
+    string or a list of ids (see :func:`_pack`): a :class:`_PackedIds` when
+    every chunk is a string, else a list of the ids."""
+    if all(isinstance(p, str) for p in packs):
         return _PackedIds("\n".join(packs))
-    return [i for p in packs for i in (p.split("\n") if type(p) is str else p)]
+    return [i for p in packs for i in (p.split("\n") if isinstance(p, str) else p)]
 
 
 class LossDataset:
@@ -583,21 +589,21 @@ def _load_csv(path: Path) -> dict:
                 f"line 1: header must be one of {['|'.join(h) for h in _CSV_HEADERS]}, got {header}"
             )
         body = handle.read()
-    width = len(header)
-    return _split_csv_body(body, width) or _read_csv_rows(csv.reader(io.StringIO(body, newline="")), width)
+    return _read_csv_body(body, len(header))
 
 
-def _split_csv_body(body: str, width: int) -> dict | None:
-    """Columns of well-formed data rows by plain string splitting, or ``None``.
+def _read_csv_body(body: str, width: int) -> dict:
+    """Columns of the data rows ``body``, split ``_CHUNK_CHARS`` characters of
+    whole lines at a time.
 
     Without quotes, lone carriage returns or NUL characters the csv module
     splits exactly at line ends (``\n`` or ``\r\n``, as ``dump_dataset``
-    writes) and commas, so splitting the text gives the same fields. The
-    body is split ``_CHUNK_CHARS`` characters of whole lines at a time.
-    ``None`` (read the whole body with the csv module instead) covers those
-    characters, blank lines and every malformed or invalid row in any
-    chunk, so that the row-by-row reader reports the first fault with its
-    line number.
+    writes) and commas, so splitting the text gives the same fields. From
+    the first chunk that holds those characters, a blank line or a malformed
+    or invalid row, to the end of the body, the csv module reads row by row,
+    so that it reports the first fault with its line number. The chunks
+    before that one hold no quote, so it starts at a row, and every line
+    before it is one row.
     """
     losses, norms, packs, groups = [], [], [], []
     labels = {"": None}  # one object per distinct group label; an empty one is no group
@@ -607,7 +613,7 @@ def _split_csv_body(body: str, width: int) -> dict | None:
         end = len(body) if end < 0 else end + 1
         chunk = _split_csv_chunk(body[start:end], width)
         if chunk is None:
-            return None
+            break
         ids, chunk_losses, chunk_groups, chunk_norms = chunk
         packs.append("\n".join(ids))
         losses.append(chunk_losses)
@@ -616,16 +622,27 @@ def _split_csv_body(body: str, width: int) -> dict | None:
         if chunk_norms is not None:
             norms.append(chunk_norms)
         start = end
-    if not losses:
-        return None
+    if start == 0:
+        return _read_csv_rows(csv.reader(io.StringIO(body, newline="")), width)
+    norms = np.concatenate(norms) if width == 4 else None
+    if start < len(body):
+        rows = _read_csv_rows(csv.reader(io.StringIO(body[start:], newline="")), width,
+                              first_line=2 + body.count("\n", 0, start), labels=labels)
+        losses.append(rows["losses"])
+        if len(rows["losses"]):
+            packs.append(rows["sample_ids"])
+        if width >= 3:
+            groups.extend(rows["group_ids"])
+        if width == 4:
+            # The row reader marks an absent norm with None, and reads "nan" as a present one.
+            norms = [*_absent_as_none(norms), *rows["grad_norm_sq"]]
     return {"losses": np.concatenate(losses), "sample_ids": _join_packs(packs),
-            "group_ids": groups if width >= 3 else None,
-            "grad_norm_sq": np.concatenate(norms) if width == 4 else None}
+            "group_ids": groups if width >= 3 else None, "grad_norm_sq": norms}
 
 
 def _split_csv_chunk(text: str, width: int) -> tuple | None:
     """Sample ids, losses, group fields and grad norms (NaN where empty) of
-    the whole lines ``text``, or ``None`` for the cases ``_split_csv_body``
+    the whole lines ``text``, or ``None`` for the cases ``_read_csv_body``
     leaves to the csv module."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -674,11 +691,15 @@ def _rows_have_width(body: str, width: int) -> bool:
     return bool((rows[:, -1] == ord("\n")).all() and (rows[:, :-1] == ord(",")).all())
 
 
-def _read_csv_rows(reader, width: int) -> dict:
+def _read_csv_rows(reader, width: int, first_line: int = 2, labels: dict | None = None) -> dict:
+    """Columns of the rows ``reader`` yields, the first on line ``first_line``,
+    with one object per distinct group label of ``labels``, which maps an
+    empty label to ``None``."""
     ids, losses = [], []
     groups = [] if width >= 3 else None
     norms = [] if width == 4 else None
-    for lineno, row in enumerate(reader, start=2):
+    labels = {"": None} if labels is None else labels
+    for lineno, row in enumerate(reader, start=first_line):
         if not row:
             continue
         if len(row) != width:
@@ -689,7 +710,7 @@ def _read_csv_rows(reader, width: int) -> dict:
         ids.append(row[0])
         losses.append(loss)
         if groups is not None:
-            groups.append(row[2] or None)
+            groups.append(labels.setdefault(row[2], row[2]))
         if norms is not None:
             norms.append(_parse_float(row[3], "grad_norm_sq", lineno) if row[3] else None)
     return {"losses": np.array(losses, dtype=np.float64), "sample_ids": _join_packs([_pack(ids)]),
@@ -738,50 +759,192 @@ def _json_number(value, what: str, lineno: int) -> float:
 
 
 def _load_jsonl(path: Path) -> dict:
-    # Each chunk of lines is parsed line by line; its ids are then packed, its
+    # Each chunk of whole lines is split into columns by _split_jsonl_chunk or,
+    # when that declines it, parsed line by line; its ids are then packed, its
     # group labels shared and its annotations kept only once one is present.
     losses, packs, groups, labels = array("d"), [], [], {}
     norms = vectors = None
     lineno = 0
     with open(path, encoding="utf-8") as handle:
-        while lines := handle.readlines(_CHUNK_CHARS):
-            ids, chunk_groups, chunk_norms, chunk_vectors = [], [], [], []
-            for lineno, line in enumerate(lines, start=lineno + 1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = _parse_json_line(line, lineno)
-                if not isinstance(obj, dict):
-                    raise ParseError(f"line {lineno}: expected an object, got {type(obj).__name__}")
-                if "sample_id" not in obj or "loss" not in obj:
-                    raise ParseError(f"line {lineno}: object needs 'sample_id' and 'loss' fields")
-                loss = obj["loss"]
-                value = loss if type(loss) is float else _json_number(loss, "'loss'", lineno)
-                if not 0.0 <= value < math.inf:
-                    shown = repr(loss if math.isfinite(value) else value)  # an int beyond range shows as inf
-                    raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {shown}")
-                grad_theta = obj.get("grad_theta")
-                if grad_theta is not None:
-                    if not isinstance(grad_theta, list):
-                        raise ParseError(f"line {lineno}: 'grad_theta' must be an array of numbers")
-                    grad_theta = [_json_number(x, "each 'grad_theta' value", lineno) for x in grad_theta]
-                group = obj.get("group_id")
-                norm = obj.get("grad_norm_sq")
-                if norm is not None:
-                    norm = _json_number(norm, "'grad_norm_sq'", lineno)
-                ids.append(str(obj["sample_id"]))
-                losses.append(value)
-                chunk_groups.append(None if group is None else str(group))
-                chunk_norms.append(norm)
-                chunk_vectors.append(grad_theta)
-            if ids:
-                packs.append(_pack(ids))
+        # A read of _CHUNK_CHARS characters, completed to the end of its line.
+        while text := handle.read(_CHUNK_CHARS) + handle.readline():
+            columns = _split_jsonl_chunk(text)
+            if columns is None:
+                lines = text.split("\n")
+                ids, chunk_groups, chunk_norms, chunk_vectors = _parse_jsonl_lines(lines, lineno, losses)
+                if ids:
+                    packs.append(_pack(ids))
+                lineno += len(lines) - 1
+            else:
+                packed, chunk_losses, chunk_groups = columns
+                packs.append(packed)
+                losses.frombytes(chunk_losses.tobytes())
+                chunk_norms = chunk_vectors = [None] * len(chunk_losses)  # no row has annotations
+                if chunk_groups is None:
+                    chunk_groups = chunk_norms  # nor a group
+                lineno += len(chunk_losses)  # a line per row; only the file's last line may lack a newline
             before = len(groups)
             groups.extend(map(labels.setdefault, chunk_groups, chunk_groups))
             norms = _extend_present(norms, chunk_norms, before)
             vectors = _extend_present(vectors, chunk_vectors, before)
     return {"losses": np.frombuffer(losses, dtype=np.float64), "sample_ids": _join_packs(packs),
             "group_ids": groups, "grad_norm_sq": norms, "grad_theta": vectors}
+
+
+def _parse_jsonl_lines(lines: list[str], lineno: int, losses: array) -> tuple[list, list, list, list]:
+    """Sample ids, group ids, grad norms and gradient vectors of ``lines``, the
+    first of which is line ``lineno + 1``, parsed one by one; their losses
+    are appended to ``losses``. Blank lines are skipped."""
+    ids, groups, norms, vectors = [], [], [], []
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        line = line.strip()
+        if not line:
+            continue
+        obj = _parse_json_line(line, lineno)
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: expected an object, got {type(obj).__name__}")
+        if "sample_id" not in obj or "loss" not in obj:
+            raise ParseError(f"line {lineno}: object needs 'sample_id' and 'loss' fields")
+        loss = obj["loss"]
+        value = loss if type(loss) is float else _json_number(loss, "'loss'", lineno)
+        if not 0.0 <= value < math.inf:
+            shown = repr(loss if math.isfinite(value) else value)  # an int beyond range shows as inf
+            raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {shown}")
+        grad_theta = obj.get("grad_theta")
+        if grad_theta is not None:
+            if not isinstance(grad_theta, list):
+                raise ParseError(f"line {lineno}: 'grad_theta' must be an array of numbers")
+            grad_theta = [_json_number(x, "each 'grad_theta' value", lineno) for x in grad_theta]
+        group = obj.get("group_id")
+        norm = obj.get("grad_norm_sq")
+        if norm is not None:
+            norm = _json_number(norm, "'grad_norm_sq'", lineno)
+        ids.append(str(obj["sample_id"]))
+        losses.append(value)
+        groups.append(None if group is None else str(group))
+        norms.append(norm)
+        vectors.append(grad_theta)
+    return ids, groups, norms, vectors
+
+
+# The text around a row's fields in the two layouts that json.dumps, and so
+# dump_dataset, writes with its default separators:
+#   {"sample_id": "<id>", "loss": <number>}
+#   {"sample_id": "<id>", "loss": <number>, "group_id": "<group>"}
+_JSONL_HEAD = b'{"sample_id": "'
+_JSONL_LOSS = b'", "loss": '
+_JSONL_GROUP = b', "group_id": "'
+
+
+def _fixed_words(*pieces: tuple[int, bytes]) -> list[tuple[int, int, np.uint64, np.uint64]]:
+    """``(anchor, offset, mask, value)`` of the little-endian 8-byte words that
+    hold each ``(shift, text)`` piece, placed ``shift`` bytes after its anchor;
+    the pieces are given in the order of their anchors."""
+    words = []
+    for anchor, (shift, text) in enumerate(pieces):
+        for k in range(0, len(text), 8):
+            part = text[k:k + 8]
+            words.append((anchor, shift + k, np.uint64((1 << 8 * len(part)) - 1),
+                          np.uint64(int.from_bytes(part, "little"))))
+    return words
+
+
+# Per layout, by the number of quotes in a row: the fixed text around the
+# anchors (line start, closing quote of the id, end of the loss, newline).
+_JSONL_LAYOUTS = {
+    6: _fixed_words((0, _JSONL_HEAD), (0, _JSONL_LOSS), (0, b"}\n")),
+    10: _fixed_words((0, _JSONL_HEAD), (0, _JSONL_LOSS), (0, _JSONL_GROUP), (-2, b'"}\n')),
+}
+
+_DIGIT = np.zeros(256, dtype=bool)
+_DIGIT[np.frombuffer(b"0123456789", dtype=np.uint8)] = True
+_NUMBER_BYTE = _DIGIT.copy()
+_NUMBER_BYTE[np.frombuffer(b".eE+-\n", dtype=np.uint8)] = True
+
+
+def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None] | None:
+    """The sample ids joined by newlines, the losses and the group labels (or
+    ``None`` when no row has one) of the whole lines ``text``, or ``None``
+    unless every line is laid out as ``json.dumps`` writes a dumped row.
+
+    The checks run on the UTF-8 bytes, where no multibyte character holds
+    a quote, a backslash or a byte below 0x20: every line holds the fixed
+    text of one layout at its place; no string holds a backslash (so none
+    holds an escape or a quote) or a control character; every loss matches
+    JSON's number grammar without a sign and is finite. Such a line parses
+    to exactly these values: JSON reads a number with ``float`` or as an
+    ``int``, and both conversions to float are correctly rounded.
+    """
+    if "\\" in text:
+        return None
+    # One buffer holds the bytes, a final newline when the text lacks one, and
+    # zeros after it, so that the 8-byte word from any byte up to 8 past the
+    # last lies inside.
+    encoded = text.encode("utf-8")
+    size = len(encoded) + (not encoded.endswith(b"\n"))
+    buffer = np.zeros(size + 15, dtype=np.uint8)
+    buffer[:len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
+    buffer[size - 1] = ord("\n")
+    del encoded
+    data = buffer[:size]
+    # Every byte below 0x20 ends a row; the fixed text at a row's end makes it a newline.
+    ends = np.flatnonzero(data < 0x20)
+    quotes = np.flatnonzero(data == ord('"'))
+    rows = ends.size
+    width = quotes.size // rows
+    if width not in _JSONL_LAYOUTS or quotes.size != width * rows:
+        return None
+    quotes = quotes.reshape(rows, width)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    # With every row's first quote right after its line start, row k of
+    # ``quotes`` holds exactly the quotes of line k.
+    if not (quotes[:, 0] == starts + 1).all():
+        return None
+    id_end = quotes[:, 3]
+    loss_end = quotes[:, 6] - 2 if width == 10 else ends - 1
+    anchors = (starts, id_end, loss_end, ends)
+    words = np.ndarray((size + 8,), dtype="<u8", buffer=buffer, strides=(1,))  # word k: the 8 bytes from byte k on
+    for anchor, offset, mask, value in _JSONL_LAYOUTS[width]:
+        if not ((words[anchors[anchor] + offset] & mask) == value).all():
+            return None
+    # The loss starts with a digit, and with a 0 only when a digit does not follow.
+    loss_start = id_end + len(_JSONL_LOSS)
+    first = data[loss_start]
+    if not _DIGIT[first].all() or (_DIGIT[data[loss_start + 1]] & (first == ord("0"))).any():
+        return None
+    # Each field is taken with the byte after it, turned into a newline.
+    data[id_end] = data[loss_end] = ord("\n")
+    numbers = _spans(data, loss_start, loss_end)
+    # float() reads the rest of JSON's number grammar, and only it, from these
+    # bytes (each number ended by a newline) once every point is followed by a digit.
+    if not _NUMBER_BYTE[numbers].all() or not _DIGIT[numbers[np.flatnonzero(numbers == ord(".")) + 1]].all():
+        return None
+    try:
+        losses = np.fromiter(map(float, numbers[:-1].tobytes().decode().split("\n")), dtype=np.float64, count=rows)
+    except ValueError:
+        return None
+    if not np.isfinite(losses).all():
+        return None
+    ids = _spans(data, starts + len(_JSONL_HEAD), id_end)[:-1].tobytes().decode()
+    groups = None
+    if width == 10:
+        data[ends - 2] = ord("\n")
+        groups = _spans(data, loss_end + len(_JSONL_GROUP), ends - 2)[:-1].tobytes().decode().split("\n")
+    return ids, losses, groups
+
+
+def _spans(data: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The bytes ``data[first[k]:last[k] + 1]`` of every row k, concatenated;
+    the spans are in order and do not overlap."""
+    edges = np.empty(2 * first.size + 2, dtype=np.intp)
+    edges[0], edges[-1] = 0, data.size
+    edges[1:-1:2] = first
+    edges[2:-1:2] = last + 1
+    inside = np.zeros(edges.size - 1, dtype=bool)
+    inside[1::2] = True
+    return data[np.repeat(inside, np.diff(edges))]
 
 
 def _extend_present(column: list | None, chunk: list, before: int) -> list | None:
@@ -802,6 +965,12 @@ def _absent_as_none(column: np.ndarray | None):
     return [None if math.isnan(v) else v for v in column.tolist()]
 
 
+def _quoted_by_csv(joined: str, count: int) -> bool:
+    """Whether csv.writer quotes one of the ``count`` fields joined by newlines
+    in ``joined``, because one holds a comma, a quote or a line break."""
+    return joined.count("\n") != max(count - 1, 0) or any(c in joined for c in ',"\r')
+
+
 def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None:
     """Write a dataset back to disk; vector annotations require JSONL."""
     path = Path(path)
@@ -809,18 +978,28 @@ def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None
     if format == "csv":
         if ds.grad_theta is not None:
             raise ValidationError("grad_theta vectors do not fit CSV; use jsonl")
+        # csv.writer quotes only a field that holds a comma, a quote or a line
+        # break; without one, it writes the fields joined by commas, each row
+        # ended with \r\n. Default ids and the loss and norm fields hold none.
+        plain = ds._sample_ids is None or not _quoted_by_csv(ds._joined_ids(), len(ds))
         header = ["sample_id", "loss"]
-        columns = [ds.sample_ids, map(repr, ds.losses.tolist())]
+        columns = [ds.sample_ids, map(repr, _floats(ds.losses))]
         if ds.group_ids is not None or ds.grad_norm_sq is not None:
             header.append("group_id")
-            columns.append("" if g is None else g for g in groups)
+            labels = set(ds.group_ids or (None,))
+            columns.append(ds.group_ids if None not in labels else ("" if g is None else g for g in groups))
+            labels.discard(None)
+            plain = plain and not _quoted_by_csv("\n".join(labels), len(labels))
         if ds.grad_norm_sq is not None:
             header.append("grad_norm_sq")
             columns.append("" if v is None else repr(v) for v in _absent_as_none(ds.grad_norm_sq))
+        rows = chain([header], zip(*columns))
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(zip(*columns))
+            if plain:
+                while block := list(islice(rows, _FLOAT_BLOCK)):
+                    handle.write("\r\n".join(map(",".join, block)) + "\r\n")
+            else:
+                csv.writer(handle).writerows(rows)
     elif format == "jsonl":
         vectors = repeat(None) if ds.grad_theta is None else ds.grad_theta.tolist()
         rows = zip(ds.sample_ids, ds.losses.tolist(), groups, _absent_as_none(ds.grad_norm_sq), vectors)

@@ -4,13 +4,18 @@ import copy
 import csv
 import dataclasses
 import io
+import json
 import math
 import os
 import pickle
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratefn import (
     DatasetSummary,
@@ -188,6 +193,75 @@ class TestLoading:
             back = load_dataset(path, fmt)
             assert [r.loss for r in back.records] == [r.loss for r in ds.records]
             assert [r.group_id for r in back.records] == ["g1", "g1", "g2"]
+
+
+def _csv_writer_bytes(ds):
+    """The bytes csv.writer writes for ``ds``'s columns, as dump_dataset writes them."""
+    header, columns = ["sample_id", "loss"], [ds.sample_ids, [repr(v) for v in ds.losses.tolist()]]
+    if ds.group_ids is not None or ds.grad_norm_sq is not None:
+        header.append("group_id")
+        columns.append(["" if g is None else g for g in ds.group_ids or [None] * len(ds)])
+    if ds.grad_norm_sq is not None:
+        header.append("grad_norm_sq")
+        columns.append(["" if math.isnan(v) else repr(v) for v in ds.grad_norm_sq.tolist()])
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([header, *zip(*columns)])
+    return out.getvalue().encode("utf-8")
+
+
+class TestCsvWriter:
+    """dump_dataset joins the fields itself when csv.writer would quote none
+    of them, and writes the same bytes."""
+
+    @pytest.mark.parametrize("ids, groups", [
+        (["a", "b c", "", "é"], None),
+        (["a", "b", "c", "d"], ["g", "", None, "h i"]),
+        (["a,1", "b", "c", "d"], None),
+        (["a", 'b"', "c", "d"], ["g", None, None, "g"]),
+        (["a", "b", "c\r", "d"], None),
+        (["a", "b", "c", "d\n"], ["g", "g", "g", "g"]),
+        (["a\r\nb", "b", "c", "d"], None),
+        (["a", "b", "c", "d"], ["g,h", "g", None, ""]),
+        (["a", "b", "c", "d"], ['"', "g", None, ""]),
+        (["a", "b", "c", "d"], ["\r", "g", "\n", "\r\n"]),
+    ])
+    @pytest.mark.parametrize("norms", [None, [1.5, None, 0.0, 2e-300]])
+    def test_bytes_equal_csv_writers(self, tmp_path, monkeypatch, ids, groups, norms):
+        ds = LossDataset.from_columns(np.array([0.1, 0.0, 1e300, 2.5e-7]), sample_ids=ids, group_ids=groups,
+                                      grad_norm_sq=norms)
+        expected = _csv_writer_bytes(ds)
+        plain = not any(c in f for f in [*ids, *(g for g in groups or () if g)] for c in ',"\r\n')
+        if plain:
+            monkeypatch.setattr(loss_data.csv, "writer", None)  # joined without the csv module
+        path = tmp_path / "out.csv"
+        dump_dataset(ds, path)
+        assert path.read_bytes() == expected
+        monkeypatch.undo()
+        if ds.group_ids is None and norms is None and plain:
+            # Ids packed by the loader are written as they are.
+            loaded = load_dataset(path)
+            assert type(loaded._sample_ids) is loss_data._PackedIds
+            dump_dataset(loaded, path)
+            assert path.read_bytes() == expected
+
+    def test_rows_are_written_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", 3)
+        ds = from_losses(np.arange(10) / 3.0, group_ids=[f"g{i % 4}" for i in range(10)])
+        path = tmp_path / "out.csv"
+        dump_dataset(ds, path)
+        assert path.read_bytes() == _csv_writer_bytes(ds)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.tuples(st.text(max_size=5), st.none() | st.text(max_size=3),
+                              st.none() | st.floats(0.0, 1e300)), min_size=1, max_size=8), st.booleans())
+    def test_random_fields_equal_csv_writers(self, rows, with_norms):
+        ids, groups, norms = map(list, zip(*rows))
+        ds = LossDataset.from_columns(np.arange(len(rows)) / 7.0, sample_ids=ids, group_ids=groups,
+                                      grad_norm_sq=norms if with_norms else None)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "out.csv"
+            dump_dataset(ds, path)
+            assert path.read_bytes() == _csv_writer_bytes(ds)
 
 
 class TestValidation:
@@ -594,25 +668,43 @@ class TestChunkedLoading:
         with pytest.raises(ValidationError, match="grad_theta must be present on all records or none"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("odd_row", ['"s25",0.5,"g1",', ""])
-    def test_csv_quote_or_blank_line_in_a_later_chunk_reads_the_whole_body(self, tmp_path, monkeypatch, odd_row):
+    @pytest.mark.parametrize("odd_row", ['"s25",0.5,"g1",', "", '"s25",0.5,"g\n1",'])
+    def test_csv_quote_or_blank_line_in_a_later_chunk_reads_rows_from_that_chunk_on(self, tmp_path, monkeypatch,
+                                                                                     odd_row):
         rows = list(_CSV_ROWS)
         rows[25] = odd_row
         path = tmp_path / "odd.csv"
         path.write_text("\n".join(["sample_id,loss,group_id,grad_norm_sq", *rows]) + "\n")
         expected = _csv_rows_dataset(path)
-        read_rows, bodies = loss_data._read_csv_rows, []
+        read_rows, rows_read = loss_data._read_csv_rows, {}
 
-        def counted(reader, width):
-            rows_read = list(reader)
-            bodies.append(len(rows_read))
-            return read_rows(iter(rows_read), width)
+        def counted(reader, width, **kwargs):
+            rest = list(reader)
+            rows_read[loss_data._CHUNK_CHARS] = (len(rest), kwargs.get("first_line", 2))
+            return read_rows(iter(rest), width, **kwargs)
 
         monkeypatch.setattr(loss_data, "_read_csv_rows", counted)
-        for chunk_chars in (1, 17, 300, 1 << 30):
+        for chunk_chars in (1, 5, 17, 60, 300, 1 << 30):
             monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
             _same_columns(load_dataset(path), expected)
-        assert bodies == [40] * 4
+        # Rows are read from the line of the chunk that holds the odd row on,
+        # a line per row before it; one chunk reads them all.
+        assert rows_read[1] == (15, 27)
+        assert rows_read[1 << 30] == (40, 2)
+        for count, first_line in rows_read.values():
+            assert first_line <= 27 and count == 40 - (first_line - 2)
+
+    @pytest.mark.parametrize("odd_row", ['"s25",-0.5,"g1",', '"s25",0.5,"g1"', '"s25",0.5,"g1",-1',
+                                         "s25,0.5,g1,\r", '"s25,0.5,g1,\ns26,0.5,g1,', '"s""25",oops,,'])
+    def test_csv_fault_after_a_quote_is_reported_as_in_one_chunk(self, tmp_path, monkeypatch, odd_row):
+        rows = list(_CSV_ROWS)
+        rows[25] = odd_row
+        rows[31] = "s31,-1,,"
+        path = tmp_path / "odd.csv"
+        path.write_text("\n".join(["sample_id,loss,group_id,grad_norm_sq", *rows]) + "\n")
+        whole = _error_text(path, 1 << 30, monkeypatch)
+        for chunk_chars in range(1, 120, 5):
+            assert _error_text(path, chunk_chars, monkeypatch) == whole
 
     @pytest.mark.parametrize("bad_row", [
         "s25,-0.5,g1,", "s25,oops,g1,", "s25,0.5,g1,nan", "s25,0.5,g1,-1.0", "s25,0.5,g1", "s25,0.5,g1,,",
@@ -654,6 +746,173 @@ class TestChunkedLoading:
             assert copied == load_dataset(path)
             assert copied.sample_ids == ids
             _same_columns(copied, _csv_rows_dataset(path))
+
+
+def _load_outcome(path):
+    """What ``load_dataset(path)`` gives: every column's values and bits, or the error."""
+    try:
+        ds = load_dataset(path, "jsonl")
+    except (EmptyDataset, ParseError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    optional = [None if c is None else (c.shape, c.tobytes()) for c in (ds.grad_norm_sq, ds.grad_theta)]
+    return ds.losses.tobytes(), ds.sample_ids, ds.group_ids, optional
+
+
+def _per_line_outcome(path, monkeypatch):
+    """``_load_outcome`` with every chunk parsed line by line."""
+    with monkeypatch.context() as patched:
+        patched.setattr(loss_data, "_split_jsonl_chunk", lambda text: None)
+        patched.setattr(loss_data, "_CHUNK_CHARS", 1 << 18)
+        return _load_outcome(path)
+
+
+def _column_chunks(monkeypatch):
+    """The chunks the JSONL column path accepts, as they are split."""
+    accepted, split = [], loss_data._split_jsonl_chunk
+
+    def counted(text):
+        columns = split(text)
+        if columns is not None:
+            accepted.append(text)
+        return columns
+
+    monkeypatch.setattr(loss_data, "_split_jsonl_chunk", counted)
+    return accepted
+
+
+# The two layouts json.dumps writes, then lines the column path must decline.
+_DUMPED_LINES = [
+    '{"sample_id": "a", "loss": 0.5}',
+    '{"sample_id": "b", "loss": 0, "group_id": "g"}',
+    '{"sample_id": "", "loss": 1E+2, "group_id": ""}',
+    '{"sample_id": "\xe9 \u2028\x85 \U0001f600,", "loss": 1.5e-3, "group_id": "\xa0"}',
+    '{"sample_id": "s", "loss": 1e-400}',
+    '{"sample_id": "s", "loss": 0e0}',
+    '{"sample_id": "s", "loss": 10.25e05, "group_id": "{}"}',
+    '{"sample_id": "s", "loss": 5e-324}',
+    '{"sample_id": "s", "loss": %s}' % ("9" * 300),
+]
+_DECLINED_LINES = [
+    *('{"sample_id": "s", "loss": %s}' % number for number in (
+        "01", "00", "1.", ".5", "1.e5", "-0", "-0.0", "+1", "1e400", "1" + "0" * 400, "NaN", "Infinity",
+        "1_0", "1e", "1e+", "0x1", "1.5.5", "1e5.5", "1-2", "", " 1", "1 ")),
+    '{"sample_id": "a\\u00e9", "loss": 0.5}',
+    '{"sample_id": "a\\"b", "loss": 0.5}',
+    '{"sample_id": "a\\\\b", "loss": 0.5}',
+    '{"sample_id": "a\tb", "loss": 0.5}',
+    '{"loss": 0.5, "sample_id": "a"}',
+    '{"sample_id":"a","loss":0.5}',
+    '{"sample_id": "a", "loss": 0.5 }',
+    ' {"sample_id": "a", "loss": 0.5}',
+    '{"sample_id": "a", "loss": 0.5}  ',
+    '{"sample_id": "a", "sample_id": "b", "loss": 0.5}',
+    '{"sample_id": "a", "loss": 0.5, "loss": 0.25}',
+    '{"sample_id": "a", "loss": 0.5, "grad_norm_sq": 1.0}',
+    '{"sample_id": "a", "loss": 0.5, "group_id": "g", "grad_theta": [1.0]}',
+    '{"sample_id": "a", "loss": 0.5, "group_id": null}',
+    '{"sample_id": 7, "loss": 0.5}',
+    '{"sample_id": "a", "loss": "0.5"}',
+    '{"sample_id": "a", "loss": 0.5, "group_id": 3}',
+    '{"sample_id": "a", "loss": 0.5',
+    '{"sample_id": "a", "loss": 0.5}}',
+    '["sample_id", "a", "loss", 0.5]',
+    '{""""""', '{""""""""""', '{"sample_id": """"}', "\x0c", '\ufeff{"sample_id": "a", "loss": 0.5}',
+    "",
+]
+
+
+def _dumped_line(sample_id, loss, group, ascii):
+    row = {"sample_id": sample_id, "loss": loss}
+    if group is not None:
+        row["group_id"] = group
+    return json.dumps(row, ensure_ascii=ascii)
+
+
+_JSONL_LINES = st.one_of(
+    st.builds(_dumped_line, st.text(max_size=6), st.floats(0.0, 1e300) | st.integers(0, 10 ** 30),
+              st.none() | st.text(max_size=4), st.booleans()),
+    st.builds('{{"sample_id": "x", "loss": {}{}}}'.format,
+              st.sampled_from(["01", "1.", ".5", "-0", "-0.0", "1E+2", "1e400", "1" * 400, "NaN", "0", "2.5"]),
+              st.sampled_from(["", ', "group_id": "g"', ', "group_id": ""'])),
+    st.sampled_from(_DECLINED_LINES),
+)
+
+
+class TestJsonlColumnPath:
+    """Chunks laid out as dump_dataset writes them are split into columns;
+    every other chunk is parsed line by line, with the same results."""
+
+    def _assert_same_as_per_line(self, path, monkeypatch, chunk_sizes=(1, 2, 7, 30, 64, 300, 1 << 18)):
+        expected = _per_line_outcome(path, monkeypatch)
+        for chunk_chars in chunk_sizes:
+            monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
+            assert _load_outcome(path) == expected, chunk_chars
+        return expected
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_dumped_layouts_take_the_column_path(self, tmp_path, monkeypatch, end):
+        path = tmp_path / "dumped.jsonl"
+        path.write_text("\n".join(_DUMPED_LINES) + end, encoding="utf-8")
+        expected = _per_line_outcome(path, monkeypatch)
+        accepted = _column_chunks(monkeypatch)
+        monkeypatch.setattr(loss_data, "_CHUNK_CHARS", 1)
+        assert _load_outcome(path) == expected
+        assert len(accepted) == len(_DUMPED_LINES)  # a line per chunk, the last with or without its newline
+        losses, ids, groups, _ = expected
+        assert np.frombuffer(losses).tolist() == [0.5, 0.0, 100.0, 0.0015, 0.0, 0.0, 1025000.0, 5e-324,
+                                                  float("9" * 300)]
+        assert [ids, groups] == [tuple(json.loads(line).get(key) for line in _DUMPED_LINES)
+                                 for key in ("sample_id", "group_id")]
+
+    @pytest.mark.parametrize("line", _DECLINED_LINES)
+    def test_other_lines_are_parsed_line_by_line(self, tmp_path, monkeypatch, line):
+        path = tmp_path / "odd.jsonl"
+        lines = [*_DUMPED_LINES[:3], line, *_DUMPED_LINES[3:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        accepted = _column_chunks(monkeypatch)
+        self._assert_same_as_per_line(path, monkeypatch)
+        assert all(line not in text.split("\n")[:-1] for text in accepted)
+        assert accepted  # the dumped lines around it still take the column path at small chunk sizes
+
+    def test_quotes_are_counted_per_line(self, tmp_path, monkeypatch):
+        # Ten quotes a line on average, and every fixed text in its place if
+        # the second line's first quote were counted in the first line's row.
+        path = tmp_path / "shifted.jsonl"
+        path.write_text('{"sample_id": "a", "loss": 1, "group_id": "}\n'
+                        '{"sample_id": "b"c", "loss": 1, "group_id": "g"}\n')
+        accepted = _column_chunks(monkeypatch)
+        assert self._assert_same_as_per_line(path, monkeypatch).startswith("ParseError: line 1: invalid JSON")
+        assert accepted == []
+
+    def test_chunks_that_mix_layouts_are_parsed_line_by_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("\n".join(_DUMPED_LINES[:2]) + "\r\n" + "\n".join(_DUMPED_LINES[:2]) + "\n")
+        accepted = _column_chunks(monkeypatch)
+        expected = self._assert_same_as_per_line(path, monkeypatch, (1, 1 << 18))
+        assert accepted == [line + "\n" for line in _DUMPED_LINES[:2] * 2]  # only the one-line chunks
+        assert expected[2] == (None, "g", None, "g")
+
+    def test_dump_dataset_rows_take_the_column_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        ds = LossDataset.from_columns(rng.exponential(1.0, 3000) * 10.0 ** rng.integers(-300, 300, 3000),
+                                      sample_ids=[f"id {i} é," for i in range(3000)],
+                                      group_ids=[f"g{i % 7}" for i in range(3000)])
+        path = tmp_path / "dumped.jsonl"
+        dump_dataset(ds, path, format="jsonl")
+        path.write_text(path.read_text().replace("\\u00e9", "é"), encoding="utf-8")
+        accepted = _column_chunks(monkeypatch)
+        expected = self._assert_same_as_per_line(path, monkeypatch, (1000, 1 << 18))
+        assert "".join(accepted) == path.read_text(encoding="utf-8") * 2
+        assert expected[0] == ds.losses.tobytes() and expected[1] == ds.sample_ids
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.lists(_JSONL_LINES, max_size=12), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_random_files_load_as_line_by_line(self, lines, end, trailing):
+        with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "random.jsonl")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(end.join(lines) + (end if trailing else ""))
+            self._assert_same_as_per_line(path, monkeypatch, (1, 13, 64, 300, 1 << 18))
 
 
 def _records_equal(a, b):
@@ -745,3 +1004,20 @@ class TestLoaderMemory:
         assert len(ds) == 100_000
         assert peak < peak_per_file_byte * os.path.getsize(path), peak / os.path.getsize(path)
         assert retained < 48 * len(ds), retained / len(ds)
+
+    def test_a_quote_in_the_last_row_keeps_the_csv_bound(self, files, tmp_path):
+        text = files[0].read_text()
+        last = text.rindex("\n", 0, -1) + 1
+        path = tmp_path / "quoted.csv"
+        path.write_text(text[:last] + '"' + text[last:].replace(",", '",', 1))
+        expected = _csv_rows_dataset(path)
+        load_dataset(path)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(ds._sample_ids) is loss_data._PackedIds
+        _same_columns(ds, expected)
+        assert peak < 4.0 * os.path.getsize(path), peak / os.path.getsize(path)

@@ -1,0 +1,51 @@
+"""The benchmark's tracer finds every function it times.
+
+``bench/spans.py`` wraps the functions named in its ``LAYERS`` by looking up
+each ``ratefn.<module>`` in ``sys.modules`` once the benchmark has imported
+``ratefn`` and ``ratefn.cli``, so those two imports must load every one of
+those modules eagerly: ``ratefn`` the numerical ones, and the command line
+the serializers. The check runs in a fresh interpreter, where no other test
+has imported anything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_PROBE = """
+import json, sys
+import ratefn
+from spans import LAYERS, Tracer
+package = [name for name in LAYERS if "ratefn." + name in sys.modules]
+import ratefn.cli
+loaded = [name for name in LAYERS if "ratefn." + name in sys.modules]
+names = [(module, fn) for module, fns in LAYERS.items() for fn in fns]
+missing = [f"{module}.{fn}" for module, fn in names
+           if not callable(getattr(sys.modules["ratefn." + module], fn, None))]
+originals = {name: getattr(sys.modules["ratefn." + name[0]], name[1]) for name in names}
+tracer = Tracer("probe")
+tracer.install()
+unwrapped = [f"{module}.{fn}" for (module, fn), original in originals.items()
+             if getattr(sys.modules["ratefn." + module], fn) is original]
+tracer.uninstall()
+restored = all(getattr(sys.modules["ratefn." + m], f) is original for (m, f), original in originals.items())
+print(json.dumps({"package": package, "loaded": loaded, "missing": missing, "unwrapped": unwrapped,
+                  "restored": restored}))
+"""
+
+
+def test_import_loads_every_traced_module_and_function():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["package"] == ["loss_data", "cumulant", "rate", "analysis", "oracle"]
+    assert report["loaded"] == ["loss_data", "cumulant", "rate", "analysis", "oracle", "serialize", "cli"]
+    assert report["missing"] == []
+    assert report["unwrapped"] == []
+    assert report["restored"]
