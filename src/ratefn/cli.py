@@ -20,11 +20,10 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from . import analysis, oracle, serialize
 from .cumulant import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_SIZE, LambdaGrid, cumulant_curve
-from .errors import InputError, InvalidA, InvalidS, ParseError, RatefnError, ValidationError, check_real, not_utf8
+from .errors import InputError, InvalidA, InvalidS, ParseError, RatefnError, ValidationError, check_real, input_file
 from .loss_data import ModelMeta, dump_dataset, load_dataset, reduce_augmented
 from .rate import DEFAULT_TOL, grid_inverse_rate, inverse_rate, rate_curve
 
@@ -451,13 +450,9 @@ def _apply_config(args, parser: argparse.ArgumentParser) -> None:
     """
     if getattr(args, "config", None) is None:
         return
-    path = Path(args.config)
-    if not path.exists():
-        raise ParseError(f"--config: {path}: no such file")
     try:
-        overrides = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise ParseError(f"--config: {not_utf8(path)}") from None
+        with input_file(args.config, "--config: ") as path:
+            overrides = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"--config: {path}: invalid JSON: {exc.msg}") from None
     if not isinstance(overrides, dict):

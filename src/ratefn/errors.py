@@ -1,5 +1,5 @@
 """Exception types shared across the package, the scalar argument check and
-the error for a file that is not UTF-8 text.
+the checks every input file passes.
 
 Every error is an ``InputError`` (bad input data or parameters) or a
 ``ComputeError`` (a computation that could not complete); the command line
@@ -7,6 +7,7 @@ exits with code 2 for the first and 1 for the second.
 """
 
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -101,11 +102,25 @@ def check_real(value, exc: type[InputError], name: str, sign: str = "positive") 
     return x
 
 
-def not_utf8(path: Path) -> ParseError:
-    """The ``ParseError`` for a file that does not decode as UTF-8, naming the first bad byte."""
-    data = Path(path).read_bytes()
+@contextmanager
+def input_file(path: str | Path, prefix: str = ""):
+    """Read the input file ``path`` inside the block; yields it as a ``Path``.
+
+    A missing path, a path that is not a regular file, and a
+    ``UnicodeDecodeError`` raised inside the block raise ``ParseError``
+    with ``prefix`` before the message; the last names the first byte that
+    is not UTF-8.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ParseError(f"{prefix}{path}: {'not a regular file' if path.exists() else 'no such file'}")
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return ParseError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}")
-    return ParseError(f"{path}: not UTF-8 text")
+        yield path
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+            where = ""
+        except UnicodeDecodeError as exc:
+            where = f": byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        raise ParseError(f"{prefix}{path}: not UTF-8 text{where}") from None

@@ -10,16 +10,15 @@ order, so a reordering can move their results in the last bits. The summary
 is computed once per dataset and cached on it; its variance, which only the
 quadratic approximations read, is computed on first read.
 
-A loaded dataset keeps no Python object per sample. The loaders read a
-file in chunks of about ``_CHUNK_CHARS`` characters of whole lines, share
-one object per distinct group label, and hold the sample ids as one
-newline-joined string, spelled out as a tuple when ``sample_ids`` is first
-read. A CSV chunk is split as plain text unless it holds a quote, a lone
-carriage return, a NUL, a blank line or a bad row; from the first such
-chunk on, the csv module reads row by row. A JSONL chunk whose every line
-has one of the two layouts ``dump_dataset`` writes is split into columns
-on its UTF-8 bytes; any other chunk is parsed line by line. Either way the
-values and messages are those of the row and line readers.
+A loaded dataset keeps no Python object per sample. One loop reads a CSV
+or JSONL file in chunks of about ``_CHUNK_CHARS`` characters of whole
+lines, shares one object per distinct group label, and holds the sample
+ids as one newline-joined string, spelled out as a tuple when
+``sample_ids`` is first read. A chunk whose every line is a plain CSV row,
+or has one of the two JSONL layouts ``dump_dataset`` writes, is split into
+columns on its UTF-8 bytes. Any other JSONL chunk is parsed line by line;
+from the first other CSV chunk on, the csv module reads row by row. Either
+way the values and messages are those of the row and line readers.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .errors import (
     UnknownSampleId,
     ValidationError,
     check_real,
-    not_utf8,
+    input_file,
 )
 
 # Values within this fraction of the gap (mean - min) above the minimum count
@@ -562,144 +561,124 @@ def load_dataset(path: str | Path, format: str | None = None) -> LossDataset:
     ``format`` is ``"csv"`` or ``"jsonl"``; when omitted it is inferred from
     the file suffix.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    fmt = format if format is not None else _infer_format(path)
-    if fmt not in ("csv", "jsonl"):
-        raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
-    try:
-        columns = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    with input_file(path) as path:
+        fmt = format if format is not None else _infer_format(path)
+        if fmt not in ("csv", "jsonl"):
+            raise ValidationError(f"unknown format {fmt!r}; expected 'csv' or 'jsonl'")
+        columns = _load_columns(path, fmt)
     if len(columns["losses"]) == 0:
         raise EmptyDataset(f"{path}: no data rows")
     return LossDataset.from_columns(model_id=path.stem, **columns)
 
 
-def _load_csv(path: Path) -> dict:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = tuple(cell.strip() for cell in next(reader))
-        except StopIteration:
-            raise EmptyDataset(f"{path}: empty file") from None
-        if header not in _CSV_HEADERS:
-            raise ParseError(
-                f"line 1: header must be one of {['|'.join(h) for h in _CSV_HEADERS]}, got {header}"
-            )
-        body = handle.read()
-    return _read_csv_body(body, len(header))
+def _load_columns(path: Path, fmt: str) -> dict:
+    """The columns of the data rows of ``path``, read ``_CHUNK_CHARS``
+    characters of whole lines at a time.
 
-
-def _read_csv_body(body: str, width: int) -> dict:
-    """Columns of the data rows ``body``, split ``_CHUNK_CHARS`` characters of
-    whole lines at a time.
-
-    Without quotes, lone carriage returns or NUL characters the csv module
-    splits exactly at line ends (``\n`` or ``\r\n``, as ``dump_dataset``
-    writes) and commas, so splitting the text gives the same fields. From
-    the first chunk that holds those characters, a blank line or a malformed
-    or invalid row, to the end of the body, the csv module reads row by row,
-    so that it reports the first fault with its line number. The chunks
-    before that one hold no quote, so it starts at a row, and every line
-    before it is one row.
+    The format's splitter turns a chunk into columns. A chunk it declines
+    goes to the reader of its format, which reports the first fault with
+    its line number: a JSONL chunk to the line reader, a CSV chunk together
+    with the rest of the file to the row reader, as a quoted field may span
+    lines. The CSV chunks before that one hold no quote, so the row reader
+    starts at a row, and every line before it is one row.
     """
-    losses, norms, packs, groups = [], [], [], []
-    labels = {"": None}  # one object per distinct group label; an empty one is no group
-    start = 0
-    while start < len(body):
-        end = body.find("\n", start + _CHUNK_CHARS)
-        end = len(body) if end < 0 else end + 1
-        chunk = _split_csv_chunk(body[start:end], width)
-        if chunk is None:
-            break
-        ids, chunk_losses, chunk_groups, chunk_norms = chunk
-        packs.append("\n".join(ids))
-        losses.append(chunk_losses)
-        if chunk_groups is not None:
-            groups.extend(map(labels.setdefault, chunk_groups, chunk_groups))
-        if chunk_norms is not None:
-            norms.append(chunk_norms)
-        start = end
-    if start == 0:
-        return _read_csv_rows(csv.reader(io.StringIO(body, newline="")), width)
-    norms = np.concatenate(norms) if width == 4 else None
-    if start < len(body):
-        rows = _read_csv_rows(csv.reader(io.StringIO(body[start:], newline="")), width,
-                              first_line=2 + body.count("\n", 0, start), labels=labels)
-        losses.append(rows["losses"])
-        if len(rows["losses"]):
-            packs.append(rows["sample_ids"])
-        if width >= 3:
-            groups.extend(rows["group_ids"])
-        if width == 4:
-            # The row reader marks an absent norm with None, and reads "nan" as a present one.
-            norms = [*_absent_as_none(norms), *rows["grad_norm_sq"]]
-    return {"losses": np.concatenate(losses), "sample_ids": _join_packs(packs),
-            "group_ids": groups if width >= 3 else None, "grad_norm_sq": norms}
+    losses, packs = array("d"), []
+    groups = norms = vectors = None
+    labels = {"": None} if fmt == "csv" else {}  # one object per distinct group label; an empty CSV field is no group
+    with open(path, encoding="utf-8", newline="" if fmt == "csv" else None) as handle:
+        width = lineno = 0
+        if fmt == "csv":
+            try:
+                header = tuple(cell.strip() for cell in next(csv.reader(handle)))
+            except StopIteration:
+                raise EmptyDataset(f"{path}: empty file") from None
+            if header not in _CSV_HEADERS:
+                raise ParseError(f"line 1: header must be one of {['|'.join(h) for h in _CSV_HEADERS]}, got {header}")
+            width, lineno = len(header), 1
+        # A read of _CHUNK_CHARS characters, completed to the end of its line.
+        while text := handle.read(_CHUNK_CHARS) + handle.readline():
+            before = len(losses)
+            chunk_vectors = None
+            columns = _split_csv_chunk(text, width) if width else _split_jsonl_chunk(text)
+            if columns is not None:
+                ids, chunk_losses, chunk_groups, chunk_norms = columns
+                losses.frombytes(chunk_losses.tobytes())
+                lineno += len(chunk_losses)  # a line per row; only the file's last line may lack a newline
+            elif width:
+                rows = chain(io.StringIO(text, newline=""), handle)
+                ids, chunk_groups, chunk_norms = _read_csv_rows(rows, width, lineno, losses)
+            else:
+                lines = text.split("\n")
+                ids, chunk_groups, chunk_norms, chunk_vectors = _parse_jsonl_lines(lines, lineno, losses)
+                lineno += len(lines) - 1
+            count = len(losses) - before
+            if count:
+                packs.append(ids if isinstance(ids, str) else _pack(ids))
+            if chunk_groups is not None:
+                chunk_groups = list(map(labels.setdefault, chunk_groups, chunk_groups))
+            groups = _extend_present(groups, chunk_groups, before, count)
+            norms = _extend_present(norms, chunk_norms, before, count)
+            vectors = _extend_present(vectors, chunk_vectors, before, count)
+    return {"losses": np.frombuffer(losses, dtype=np.float64), "sample_ids": _join_packs(packs),
+            "group_ids": groups, "grad_norm_sq": norms, "grad_theta": vectors}
 
 
-def _split_csv_chunk(text: str, width: int) -> tuple | None:
-    """Sample ids, losses, group fields and grad norms (NaN where empty) of
-    the whole lines ``text``, or ``None`` for the cases ``_read_csv_body``
-    leaves to the csv module."""
+def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, list[str] | None, list | None] | None:
+    """The sample ids joined by newlines, the losses, and the group fields
+    and grad norms (``None`` where empty) when the rows hold them, of the
+    whole lines ``text``; or ``None`` unless every line is a row of
+    ``width`` plain fields with a valid loss and an empty or numeric norm.
+
+    Without quotes, NULs or carriage returns outside a ``\\r\\n`` the csv
+    module splits exactly at commas and line ends, so splitting the UTF-8
+    bytes there gives the same fields: no multibyte character holds one of
+    those bytes. The separators must repeat ``width - 1`` commas then a
+    newline, which a blank line breaks.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    data = _line_bytes(text)
+    is_newline = data == ord("\n")
+    ends = np.flatnonzero(is_newline | (data == ord(",")))  # the byte after every field
+    rows = ends.size // width
+    line_ends = ends[width - 1::width]
+    if ends.size != rows * width or np.count_nonzero(is_newline) != rows or not is_newline[line_ends].all():
+        return None
+    # The column of every byte's field; the byte after a field, turned into a
+    # newline, counts as its last.
+    lengths = np.empty_like(ends)
+    lengths[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    column = np.arange(width, dtype=np.uint8)[None].repeat(rows, axis=0).ravel().repeat(lengths)
     if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
-    if not text or any(c in text for c in ('"', "\r", "\0")):
+        returns = line_ends - 1
+        returns = returns[data[returns] == ord("\r")]
+        if returns.size != np.count_nonzero(data == ord("\r")):
+            return None
+        column[returns] = width  # in no field: "\r\n" ends a row as "\n" does
+    data[ends] = ord("\n")
+    losses = _non_negative_floats(data[column == 1], rows)
+    if losses is None:
         return None
-    # A blank line holds no comma, so this also sends blank lines to the row reader.
-    if not _rows_have_width(text, width):
-        return None
-    fields = text.replace("\n", ",").split(",")
-    count = len(fields) // width
-    norms = norm_fields = None
-    try:
-        losses = np.fromiter(map(float, fields[1::width]), dtype=np.float64, count=count)
-        if width == 4:
-            norm_fields = fields[3::width]
-            norms = np.fromiter((float(t) if t else math.nan for t in norm_fields), dtype=np.float64, count=count)
-    except ValueError:
-        return None
-    if not np.all((losses >= 0.0) & (losses < math.inf)):
-        return None
-    # Empty norm fields read as NaN, the mark of an absent value. Any other
-    # value that is not finite and non-negative (a "nan" among them) goes to
-    # the row reader, which reads it as present and so rejects it.
-    if norms is not None and np.count_nonzero(~((norms >= 0.0) & (norms < math.inf))) != norm_fields.count(""):
-        return None
-    return fields[0::width], losses, (fields[2::width] if width >= 3 else None), norms
+    norms = None
+    if width == 4:
+        try:
+            norms = [float(t) if t else None for t in data[column == 3][:-1].tobytes().decode().split("\n")]
+        except ValueError:
+            return None
+    ids = data[column == 0][:-1].tobytes().decode()
+    groups = data[column == 2][:-1].tobytes().decode().split("\n") if width >= 3 else None
+    return ids, losses, groups, norms
 
 
-def _rows_have_width(body: str, width: int) -> bool:
-    """Whether every line of ``body`` (no newline after the last) holds
-    ``width - 1`` commas.
-
-    UTF-8 never puts a comma or a newline byte inside a multibyte character,
-    so the check runs on the encoded bytes: the separators, with the cut
-    final newline put back, must repeat ``width - 1`` commas then a newline.
-    """
-    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    is_separator = data == ord(",")
-    is_separator |= data == ord("\n")
-    separators = np.append(data[is_separator], np.uint8(ord("\n")))
-    if separators.size % width:
-        return False
-    rows = separators.reshape(-1, width)
-    return bool((rows[:, -1] == ord("\n")).all() and (rows[:, :-1] == ord(",")).all())
-
-
-def _read_csv_rows(reader, width: int, first_line: int = 2, labels: dict | None = None) -> dict:
-    """Columns of the rows ``reader`` yields, the first on line ``first_line``,
-    with one object per distinct group label of ``labels``, which maps an
-    empty label to ``None``."""
-    ids, losses = [], []
+def _read_csv_rows(lines, width: int, lineno: int, losses: array) -> tuple[list, list | None, list | None]:
+    """Sample ids, group fields and grad norms of the rows the csv module reads
+    from ``lines``, the first of which is line ``lineno + 1``; their losses
+    are appended to ``losses``. Blank rows are skipped."""
+    ids = []
     groups = [] if width >= 3 else None
     norms = [] if width == 4 else None
-    labels = {"": None} if labels is None else labels
-    for lineno, row in enumerate(reader, start=first_line):
+    for lineno, row in enumerate(csv.reader(lines), start=lineno + 1):
         if not row:
             continue
         if len(row) != width:
@@ -710,11 +689,10 @@ def _read_csv_rows(reader, width: int, first_line: int = 2, labels: dict | None 
         ids.append(row[0])
         losses.append(loss)
         if groups is not None:
-            groups.append(labels.setdefault(row[2], row[2]))
+            groups.append(row[2])
         if norms is not None:
             norms.append(_parse_float(row[3], "grad_norm_sq", lineno) if row[3] else None)
-    return {"losses": np.array(losses, dtype=np.float64), "sample_ids": _join_packs([_pack(ids)]),
-            "group_ids": groups, "grad_norm_sq": norms}
+    return ids, groups, norms
 
 
 # What json.loads runs once leading whitespace is skipped; see _parse_json_line.
@@ -756,39 +734,6 @@ def _json_number(value, what: str, lineno: int) -> float:
         except OverflowError:
             return math.inf if value > 0 else -math.inf
     raise ParseError(f"line {lineno}: {what} must be a number, got {value!r}")
-
-
-def _load_jsonl(path: Path) -> dict:
-    # Each chunk of whole lines is split into columns by _split_jsonl_chunk or,
-    # when that declines it, parsed line by line; its ids are then packed, its
-    # group labels shared and its annotations kept only once one is present.
-    losses, packs, groups, labels = array("d"), [], [], {}
-    norms = vectors = None
-    lineno = 0
-    with open(path, encoding="utf-8") as handle:
-        # A read of _CHUNK_CHARS characters, completed to the end of its line.
-        while text := handle.read(_CHUNK_CHARS) + handle.readline():
-            columns = _split_jsonl_chunk(text)
-            if columns is None:
-                lines = text.split("\n")
-                ids, chunk_groups, chunk_norms, chunk_vectors = _parse_jsonl_lines(lines, lineno, losses)
-                if ids:
-                    packs.append(_pack(ids))
-                lineno += len(lines) - 1
-            else:
-                packed, chunk_losses, chunk_groups = columns
-                packs.append(packed)
-                losses.frombytes(chunk_losses.tobytes())
-                chunk_norms = chunk_vectors = [None] * len(chunk_losses)  # no row has annotations
-                if chunk_groups is None:
-                    chunk_groups = chunk_norms  # nor a group
-                lineno += len(chunk_losses)  # a line per row; only the file's last line may lack a newline
-            before = len(groups)
-            groups.extend(map(labels.setdefault, chunk_groups, chunk_groups))
-            norms = _extend_present(norms, chunk_norms, before)
-            vectors = _extend_present(vectors, chunk_vectors, before)
-    return {"losses": np.frombuffer(losses, dtype=np.float64), "sample_ids": _join_packs(packs),
-            "group_ids": groups, "grad_norm_sq": norms, "grad_theta": vectors}
 
 
 def _parse_jsonl_lines(lines: list[str], lineno: int, losses: array) -> tuple[list, list, list, list]:
@@ -862,10 +807,11 @@ _NUMBER_BYTE = _DIGIT.copy()
 _NUMBER_BYTE[np.frombuffer(b".eE+-\n", dtype=np.uint8)] = True
 
 
-def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None] | None:
-    """The sample ids joined by newlines, the losses and the group labels (or
-    ``None`` when no row has one) of the whole lines ``text``, or ``None``
-    unless every line is laid out as ``json.dumps`` writes a dumped row.
+def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None, None] | None:
+    """The sample ids joined by newlines, the losses, the group labels (or
+    ``None`` when no row has one) and no grad norms of the whole lines
+    ``text``, or ``None`` unless every line is laid out as ``json.dumps``
+    writes a dumped row.
 
     The checks run on the UTF-8 bytes, where no multibyte character holds
     a quote, a backslash or a byte below 0x20: every line holds the fixed
@@ -877,16 +823,9 @@ def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None] | 
     """
     if "\\" in text:
         return None
-    # One buffer holds the bytes, a final newline when the text lacks one, and
-    # zeros after it, so that the 8-byte word from any byte up to 8 past the
-    # last lies inside.
-    encoded = text.encode("utf-8")
-    size = len(encoded) + (not encoded.endswith(b"\n"))
-    buffer = np.zeros(size + 15, dtype=np.uint8)
-    buffer[:len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
-    buffer[size - 1] = ord("\n")
-    del encoded
-    data = buffer[:size]
+    # Zeros after the bytes put the 8-byte word from any byte up to 8 past the last inside the buffer.
+    buffer = _line_bytes(text, 15)
+    data = buffer[:-15]
     # Every byte below 0x20 ends a row; the fixed text at a row's end makes it a newline.
     ends = np.flatnonzero(data < 0x20)
     quotes = np.flatnonzero(data == ord('"'))
@@ -905,7 +844,7 @@ def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None] | 
     id_end = quotes[:, 3]
     loss_end = quotes[:, 6] - 2 if width == 10 else ends - 1
     anchors = (starts, id_end, loss_end, ends)
-    words = np.ndarray((size + 8,), dtype="<u8", buffer=buffer, strides=(1,))  # word k: the 8 bytes from byte k on
+    words = np.ndarray((data.size + 8,), dtype="<u8", buffer=buffer, strides=(1,))  # word k: the 8 bytes from byte k on
     for anchor, offset, mask, value in _JSONL_LAYOUTS[width]:
         if not ((words[anchors[anchor] + offset] & mask) == value).all():
             return None
@@ -921,18 +860,37 @@ def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None] | 
     # bytes (each number ended by a newline) once every point is followed by a digit.
     if not _NUMBER_BYTE[numbers].all() or not _DIGIT[numbers[np.flatnonzero(numbers == ord(".")) + 1]].all():
         return None
-    try:
-        losses = np.fromiter(map(float, numbers[:-1].tobytes().decode().split("\n")), dtype=np.float64, count=rows)
-    except ValueError:
-        return None
-    if not np.isfinite(losses).all():
+    losses = _non_negative_floats(numbers, rows)
+    if losses is None:
         return None
     ids = _spans(data, starts + len(_JSONL_HEAD), id_end)[:-1].tobytes().decode()
     groups = None
     if width == 10:
         data[ends - 2] = ord("\n")
         groups = _spans(data, loss_end + len(_JSONL_GROUP), ends - 2)[:-1].tobytes().decode().split("\n")
-    return ids, losses, groups
+    return ids, losses, groups, None
+
+
+def _line_bytes(text: str, pad: int = 0) -> np.ndarray:
+    """A writeable buffer of the UTF-8 bytes of the whole lines ``text``, a
+    final newline when ``text`` lacks one, and ``pad`` zeros."""
+    encoded = text.encode("utf-8")
+    size = len(encoded) + (not encoded.endswith(b"\n"))
+    buffer = np.zeros(size + pad, dtype=np.uint8)
+    buffer[:len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
+    buffer[size - 1] = ord("\n")
+    return buffer
+
+
+def _non_negative_floats(numbers: np.ndarray, count: int) -> np.ndarray | None:
+    """The ``count`` numbers whose texts, each ended by a newline, make up the
+    bytes ``numbers``, read by ``float``; or ``None`` when one does not read
+    or is not finite and non-negative."""
+    try:
+        values = np.fromiter(map(float, numbers[:-1].tobytes().decode().split("\n")), dtype=np.float64, count=count)
+    except ValueError:
+        return None
+    return values if ((values >= 0.0) & (values < math.inf)).all() else None
 
 
 def _spans(data: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -947,14 +905,15 @@ def _spans(data: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
     return data[np.repeat(inside, np.diff(edges))]
 
 
-def _extend_present(column: list | None, chunk: list, before: int) -> list | None:
+def _extend_present(column: list | None, chunk: list | None, before: int, count: int) -> list | None:
     """``column`` (``None`` while no value is present in the first ``before``
-    samples) extended by ``chunk``, which holds values and ``None``s."""
-    if column is None:
-        if chunk.count(None) == len(chunk):
-            return None
-        column = [None] * before
-    column.extend(chunk)
+    samples) extended by the ``count`` values of ``chunk``, which holds
+    values and ``None``s, or is ``None`` when every value is absent."""
+    if column is not None:
+        column.extend(repeat(None, count) if chunk is None else chunk)
+    elif chunk and (chunk[0] is not None or chunk.count(None) < count):
+        # The first value settles it in the common cases, sparing a count over present values.
+        column = [None] * before + chunk
     return column
 
 

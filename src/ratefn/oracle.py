@@ -25,7 +25,7 @@ from .errors import (
     SolverFailure,
     ValidationError,
     check_real,
-    not_utf8,
+    input_file,
 )
 from .loss_data import LossDataset
 
@@ -511,13 +511,9 @@ def estimator_bias_probe(
 
 def load_distribution(path: str | Path) -> DiscreteLossDistribution:
     """Load a distribution from JSON: ``{"values": [...], "probs": [...]}``."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+        with input_file(path) as path:
+            obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict) or "values" not in obj or "probs" not in obj:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .cumulant import CumulantCurve
-from .errors import ParseError, not_utf8
+from .errors import ParseError, input_file
 
 SCHEMA_VERSION = "1"
 
@@ -108,13 +108,11 @@ def cumulant_curve_to_json(curve: CumulantCurve) -> str:
 def load_cumulant_curve_csv(path: str | Path) -> tuple[list[float], list[float], list[float]]:
     """Reload an emitted cumulant curve; returns (lambdas, j, j_deriv).
 
-    A row without three numbers, or a file that is not UTF-8, raises
-    ``ParseError``.
+    A row without three numbers, or a missing, irregular or non-UTF-8 file,
+    raises ``ParseError``.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    with input_file(path) as path:
+        text = path.read_text(encoding="utf-8")
     lams, js, djs = [], [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#") or line.startswith("lambda"):

@@ -507,6 +507,23 @@ class TestRejectedScalars:
         assert f"ParseError: {'--config: ' if name == 'config.json' else ''}{path}: not UTF-8 text" in err
         assert "byte 0xff at offset 9" in err
 
+    @pytest.mark.parametrize("argv, prefix", [
+        (["rate", "--input", "{dir}", "--input-format", "csv", "--a", "0.1"], ""),
+        (["compare", "--input-a", "{data}/a.csv", "--input-b", "{dir}", "--a", "0.1"], ""),
+        (["oracle-exact", "--dist", "{dir}", "--lambda", "1"], ""),
+        (["rate", "--input", "{data}/a.csv", "--a", "0.1", "--config", "{dir}"], "--config: "),
+    ])
+    def test_directory_input_is_parse_error(self, argv, prefix, tmp_path, capsys):
+        argv = [arg.format(dir=tmp_path, data=DATA) for arg in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.endswith(f"ParseError: {prefix}{tmp_path}: not a regular file\n")
+
+    def test_curve_reload_checks_the_path(self, tmp_path):
+        with pytest.raises(ratefn.ParseError, match="nope.csv: no such file$"):
+            load_cumulant_curve_csv(tmp_path / "nope.csv")
+        with pytest.raises(ratefn.ParseError, match="not a regular file$"):
+            load_cumulant_curve_csv(tmp_path)
+
 
 class TestErrorClasses:
     EXPORTED = [

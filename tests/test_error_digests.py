@@ -43,6 +43,7 @@ INPUTS = {
 CASES = {
     "parse-error": ["rate", "--input", "{tmp}/text.csv", "--a", "0.1"],
     "parse-error-missing-file": ["rate", "--input", "{tmp}/nope.csv", "--a", "0.1"],
+    "parse-error-input-is-directory": ["rate", "--input", "{tmp}", "--input-format", "csv", "--a", "0.1"],
     "validation-error": ["rate", "--input", "{tmp}/negative.csv", "--a", "0.1"],
     "validation-error-m-const": ["grad-bound", "--input", GROUPED, "--m-const", "-1", "--s", "0.1"],
     "empty-dataset": ["cumulant", "--input", "{tmp}/header.csv"],
@@ -83,6 +84,7 @@ CASES = {
 ERRORS = {
     'parse-error': (2, "rate: ParseError: line 3: field 'loss' is not a number: 'x'\n"),
     'parse-error-missing-file': (2, 'rate: ParseError: <tmp>/nope.csv: no such file\n'),
+    'parse-error-input-is-directory': (2, 'rate: ParseError: <tmp>: not a regular file\n'),
     'validation-error': (2, "rate: ValidationError: line 3: loss must be finite and non-negative, got '-1'\n"),
     'validation-error-m-const': (2, 'grad-bound: ValidationError: m_const must be finite and positive, got -1.0\n'),
     'empty-dataset': (2, 'cumulant: EmptyDataset: <tmp>/header.csv: no data rows\n'),
