@@ -160,6 +160,12 @@ class TestCumulantCommand:
         with pytest.raises(ratefn.ParseError, match="not UTF-8 text: byte 0xff at offset 28"):
             load_cumulant_curve_csv(path)
 
+    def test_curve_reload_checks_the_path(self, tmp_path):
+        with pytest.raises(ratefn.ParseError, match="nope.csv: no such file$"):
+            load_cumulant_curve_csv(tmp_path / "nope.csv")
+        with pytest.raises(ratefn.ParseError, match="not a regular file$"):
+            load_cumulant_curve_csv(tmp_path)
+
     def test_json_has_schema_version(self, two_point_csv, capsys):
         assert run(["cumulant", "--input", str(two_point_csv), "--grid", "0.5:1.5:3:linear"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -517,12 +523,6 @@ class TestRejectedScalars:
         argv = [arg.format(dir=tmp_path, data=DATA) for arg in argv]
         assert run(argv) == 2
         assert capsys.readouterr().err.endswith(f"ParseError: {prefix}{tmp_path}: not a regular file\n")
-
-    def test_curve_reload_checks_the_path(self, tmp_path):
-        with pytest.raises(ratefn.ParseError, match="nope.csv: no such file$"):
-            load_cumulant_curve_csv(tmp_path / "nope.csv")
-        with pytest.raises(ratefn.ParseError, match="not a regular file$"):
-            load_cumulant_curve_csv(tmp_path)
 
 
 class TestErrorClasses:

@@ -707,6 +707,7 @@ class TestChunkedLoading:
     @pytest.mark.parametrize("bad_row", [
         "s25,-0.5,g1,", "s25,oops,g1,", "s25,0.5,g1,nan", "s25,0.5,g1,-1.0", "s25,0.5,g1", "s25,0.5,g1,,",
         "s25,0.5\r,g1,", "s25,inf,,",
+        "s25,0.5\ng1,",  # two short lines whose commas and newlines line up as one row's
     ])
     def test_csv_fault_in_any_chunk_is_reported_as_in_one(self, tmp_path, monkeypatch, bad_row):
         rows = list(_CSV_ROWS)
@@ -921,14 +922,20 @@ def _row_reader_outcome(path, monkeypatch):
         return _load_outcome(path)
 
 
-# Plain fields, which the split path takes, and odd ones: separators,
-# quotes, line breaks and NULs in ids and labels, numbers it must read as the
-# row reader does or leave to it, and absent, bad or present norms.
-_CSV_PLAIN = [st.text(alphabet="ab7 \xe9\u20ac\U0001f600", max_size=4), st.floats(0.0, 1e300).map(repr)]
-_CSV_PLAIN += [_CSV_PLAIN[0], st.sampled_from(["", "0.25"]) | _CSV_PLAIN[1]]
-_CSV_ODD = [st.sampled_from([",", '"', "\n", "\r", "\0", "a\rb", "\r\n", 'a"b', "\xe9,\n"]),
-            st.sampled_from(["0", "-0.0", "2.5e-3", "1_0", " 3", "-1", "nan", "inf", "1e400", "", "x", "\u0661"])]
-_CSV_ODD += [_CSV_ODD[0], st.sampled_from(["nan", "-1", "inf", "1e400", "1_0", "-0.0", " "])]
+# By column (sample_id, loss, group_id, grad_norm_sq): plain fields, which
+# the split path takes, and odd ones: separators, quotes, line breaks and NULs
+# in ids and labels, numbers it must read as the row reader does or leave to
+# it, and absent, bad or present norms.
+_CSV_TEXT = st.text(alphabet="ab7 \xe9\u20ac\U0001f600", max_size=4)
+_CSV_ODD_TEXT = st.sampled_from([",", '"', "\n", "\r", "\0", "a\rb", "\r\n", 'a"b', "\xe9,\n"])
+_CSV_LOSS = st.floats(0.0, 1e300).map(repr)
+_CSV_PLAIN = [_CSV_TEXT, _CSV_LOSS, _CSV_TEXT, st.sampled_from(["", "0.25"]) | _CSV_LOSS]
+_CSV_ODD = [
+    _CSV_ODD_TEXT,
+    st.sampled_from(["0", "-0.0", "2.5e-3", "1_0", " 3", "-1", "nan", "inf", "1e400", "", "x", "\u0661"]),
+    _CSV_ODD_TEXT,
+    st.sampled_from(["nan", "-1", "inf", "1e400", "1_0", "-0.0", " "]),
+]
 
 
 @st.composite
@@ -943,8 +950,9 @@ def _csv_files(draw):
 
     lines = [",".join(("sample_id", "loss", "group_id", "grad_norm_sq")[:width])]
     for _ in range(draw(st.integers(0, 12))):
-        if odd():
-            lines.append("" if draw(st.booleans()) else ",".join(["0"] * draw(st.integers(1, 5))))
+        if odd():  # a blank line, or one to three rows of 1 to 5 fields
+            rows = [",".join(["0"] * draw(st.integers(1, 5))) for _ in range(draw(st.integers(1, 3)))]
+            lines.extend([""] if draw(st.booleans()) else rows)
             continue
         fields = [draw(_CSV_ODD[k] if odd() else _CSV_PLAIN[k]) for k in range(width)]
         lines.append(",".join('"' + f.replace('"', '""') + '"' if odd() else f for f in fields))
