@@ -11,7 +11,6 @@ stands in for the training loss.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
     ZeroVariance,
     check_real,
 )
-from .loss_data import LossDataset, ModelMeta, reduce_augmented, summarize
+from .loss_data import LossDataset, ModelMeta, _group_sizes, reduce_augmented, summarize
 from .rate import InverseRateEvaluation, RateSolver, inverse_rate, rate
 
 DOMINANCE_SLACK = 1e-12
@@ -321,7 +320,7 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
     if grid is None:
         grid = LambdaGrid.default()
     reduced = reduce_augmented(ds_grouped)  # raises MissingGroupId when ungrouped
-    sizes = Counter(ds_grouped.group_ids)
+    sizes = _group_sizes(ds_grouped)
     flat_curve = cumulant_curve(ds_grouped, grid)
     reduced_curve = cumulant_curve(reduced, grid)
     gaps = tuple(jf - jr for jf, jr in zip(flat_curve.j_values, reduced_curve.j_values))
@@ -334,7 +333,7 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
         gaps=gaps,
         mean_flat=mean_flat,
         mean_reduced=mean_reduced,
-        equal_group_sizes=len(set(sizes.values())) == 1,
+        equal_group_sizes=bool(sizes.min() == sizes.max()),
         mean_preserved=mean_reduced == mean_flat,
     )
 

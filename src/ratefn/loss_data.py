@@ -10,13 +10,20 @@ order, so a reordering can move their results in the last bits. The summary
 is computed once per dataset and cached on it; its variance, which only the
 quadratic approximations read, is computed on first read.
 
+A dataset keeps its group labels as an int32 code per sample, -1 for no
+group, and a tuple of the distinct labels in order of first appearance, so
+one object stands for each label. ``group_ids`` spells them out as a tuple
+per sample only when read; the augmentation reductions, comparison,
+pickling and ``dump_dataset`` work on the codes.
+
 A loaded dataset keeps no Python object per sample. One loop reads a CSV
 or JSONL file in chunks of about ``_CHUNK_CHARS`` characters of whole
-lines, shares one object per distinct group label, and holds the sample
-ids as one newline-joined string, spelled out as a tuple when
-``sample_ids`` is first read. A chunk whose every line is a plain CSV row,
-or has one of the two JSONL layouts ``dump_dataset`` writes, is split into
-columns on its UTF-8 bytes. Any other JSONL chunk is parsed line by line;
+lines, codes the group labels as it goes, and holds the sample ids as one
+newline-joined string, spelled out as a tuple when ``sample_ids`` is first
+read. A chunk whose every line is a plain CSV row, or has one of the two
+JSONL layouts ``dump_dataset`` writes, is split into columns on its UTF-8
+bytes; in a JSONL chunk, only the first label of a run of rows with the
+same group label is decoded. Any other JSONL chunk is parsed line by line;
 from the first other CSV chunk on, the csv module reads row by row. Either
 way the values and messages are those of the row and line readers.
 """
@@ -32,7 +39,7 @@ from array import array
 from dataclasses import FrozenInstanceError, dataclass, fields
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +63,8 @@ TIE_TOL = 1e-11
 # a time, so their working set does not grow with the file.
 _CHUNK_CHARS = 1 << 18
 
-# Sums over Python floats convert the loss array this many values at a time.
+# Sums over Python floats convert the loss array this many values at a time,
+# and group labels are spelled out this many samples at a time.
 _FLOAT_BLOCK = 1 << 13
 
 
@@ -205,11 +213,59 @@ def _join_packs(packs: list) -> Sequence[str]:
     return [i for p in packs for i in (p.split("\n") if isinstance(p, str) else p)]
 
 
+class _GroupCodes(NamedTuple):
+    """A group column: per sample an int32 code, the index of its label in
+    ``labels``, or -1 when the sample has no group. ``labels`` holds each
+    distinct label once, in order of first appearance."""
+
+    codes: np.ndarray
+    labels: tuple
+
+
+def _add_group_keys(keys: array, table: dict, groups: Sequence, repeats: np.ndarray | None = None) -> None:
+    """Append to ``keys`` a key per sample for the group labels ``groups``,
+    label k standing for ``repeats[k]`` samples when given.
+
+    ``table`` maps each label met so far to its key: the index in ``keys`` of
+    the first sample that had it, so keys grow in order of first appearance.
+    Its first entry maps the label that stands for no group to -1. A label
+    it lacks is added with the index of its first sample, so each label in
+    ``groups`` costs one dict lookup. :func:`_group_column` numbers the keys.
+    """
+    first = len(keys)
+    if repeats is None:
+        starts = range(first, first + len(groups))
+    else:
+        starts = (np.cumsum(repeats) - repeats + first).tolist()
+    chunk = np.fromiter(map(table.setdefault, groups, starts), dtype=np.intc, count=len(groups))
+    keys.frombytes((chunk if repeats is None else chunk.repeat(repeats)).tobytes())
+
+
+def _group_column(keys: array, table: dict) -> _GroupCodes | None:
+    """The group column of the keys and table :func:`_add_group_keys`
+    filled, or ``None`` when no sample has a group. Empties ``table``."""
+    labels = tuple(table)[1:]
+    table.clear()
+    if not labels:
+        return None
+    codes = np.frombuffer(keys, dtype=np.intc)
+    # A label's key is the index of its first sample, so the first samples
+    # are those whose key is their own index; numbered in order, they give
+    # each key its code. The last entry maps key -1 (no group) to -1.
+    number = np.empty(len(codes) + 1, dtype=np.intc)
+    np.cumsum(codes == np.arange(len(codes), dtype=np.intc), dtype=np.intc, out=number[:-1])
+    number[-1] = 0
+    number -= 1
+    return _GroupCodes(np.take(number, codes, out=codes, mode="wrap"), labels)
+
+
 class LossDataset:
     """An ordered, immutable set of per-sample losses for one model, held as columns.
 
-    ``losses`` is a read-only float64 array. ``group_ids`` is a tuple of
-    ``str | None`` per sample, or ``None`` when no sample has a group.
+    ``losses`` is a read-only float64 array. Group labels are held as an
+    int32 code per sample and a tuple of the distinct labels, each object
+    once; ``group_ids`` spells them out as a tuple of ``str | None`` per
+    sample on first read, or is ``None`` when no sample has a group.
     ``grad_norm_sq`` is a read-only float64 array with NaN where a sample has
     no value, or ``None`` when none has one; ``grad_theta`` is a read-only
     ``(count, dim)`` array, or ``None``. Sample ids default to ``s0, s1, ...``;
@@ -221,8 +277,8 @@ class LossDataset:
     built on first access.
     """
 
-    __slots__ = ("losses", "model_id", "group_ids", "grad_norm_sq", "grad_theta",
-                 "_sample_ids", "_records", "_summary")
+    __slots__ = ("losses", "model_id", "grad_norm_sq", "grad_theta",
+                 "_sample_ids", "_groups", "_group_ids", "_records", "_summary")
 
     def __init__(self, records: Iterable[LossRecord] = (), model_id: str = "model"):
         records = tuple(records)
@@ -250,7 +306,8 @@ class LossDataset:
         ``losses`` is taken as a float64 array without a copy and made
         read-only, so the caller must not keep a writeable reference to it.
         Optional columns may hold ``None`` for absent values; a float array
-        for ``grad_norm_sq`` marks absent values with NaN.
+        for ``grad_norm_sq`` marks absent values with NaN. Group labels must
+        be hashable: equal labels form one group, held as one object.
         """
         ds = cls.__new__(cls)
         ds._set_columns(model_id, losses, sample_ids, group_ids, grad_norm_sq, grad_theta)
@@ -270,20 +327,24 @@ class LossDataset:
                              ("grad_norm_sq", grad_norm_sq), ("grad_theta", grad_theta)):
             if column is None:
                 continue
-            size = column.count("\n") + 1 if type(column) is _PackedIds else len(column)
+            size = (column.count("\n") + 1 if type(column) is _PackedIds
+                    else len(column.codes) if type(column) is _GroupCodes else len(column))
             if size != count:
                 raise ValidationError(f"{name} has {size} entries for {count} losses")
+        if group_ids is not None and type(group_ids) is not _GroupCodes:
+            keys, table = array("i"), {None: -1}
+            _add_group_keys(keys, table, group_ids)
+            group_ids = _group_column(keys, table)
         if group_ids is not None:
-            group_ids = tuple(group_ids)
-            if all(g is None for g in group_ids):
-                group_ids = None
+            _read_only(group_ids.codes)
         norms, bad_norm = _optional_floats(grad_norm_sq)
         vectors, bad_length, partial = _vector_column(grad_theta)
 
         set_(self, "losses", _read_only(losses))
         set_(self, "model_id", model_id)
         set_(self, "_sample_ids", sample_ids)
-        set_(self, "group_ids", group_ids)
+        set_(self, "_groups", group_ids)
+        set_(self, "_group_ids", None)
         set_(self, "grad_norm_sq", norms)
         set_(self, "grad_theta", vectors)
         set_(self, "_records", None)
@@ -330,7 +391,7 @@ class LossDataset:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.model_id == other.model_id and np.array_equal(self.losses, other.losses)
-                and self._same_ids(other) and self.group_ids == other.group_ids
+                and self._same_ids(other) and _same_groups(self._groups, other._groups)
                 and _same_optional(self.grad_norm_sq, other.grad_norm_sq)
                 and _same_optional(self.grad_theta, other.grad_theta))
 
@@ -339,7 +400,7 @@ class LossDataset:
 
     def __reduce__(self):
         # Attribute assignment is blocked, so copies and pickles rebuild from the columns.
-        return LossDataset.from_columns, (self.losses, self.model_id, self._sample_ids, self.group_ids,
+        return LossDataset.from_columns, (self.losses, self.model_id, self._sample_ids, self._groups,
                                           self.grad_norm_sq, self.grad_theta)
 
     def __repr__(self) -> str:
@@ -353,6 +414,21 @@ class LossDataset:
             ids = tuple(f"s{i}" for i in range(len(self))) if ids is None else tuple(ids.split("\n"))
             object.__setattr__(self, "_sample_ids", ids)
         return ids
+
+    @property
+    def group_ids(self) -> tuple[str | None, ...] | None:
+        """One group label, or ``None``, per sample; ``None`` when no sample
+        has a group. Spelled out from the codes on first access."""
+        if self._group_ids is None and self._groups is not None:
+            object.__setattr__(self, "_group_ids", tuple(self._each_group()))
+        return self._group_ids
+
+    def _each_group(self, absent=None):
+        """Each sample's group label, or ``absent`` where it has none."""
+        codes, labels = self._groups
+        names = np.fromiter((*labels, absent), dtype=object, count=len(labels) + 1)  # code -1 picks absent
+        blocks = range(0, len(codes), _FLOAT_BLOCK)
+        return chain.from_iterable(names[codes[i:i + _FLOAT_BLOCK]].tolist() for i in blocks)
 
     def _same_ids(self, other: "LossDataset") -> bool:
         """Whether two datasets of one length hold the same sample ids, without
@@ -376,12 +452,20 @@ class LossDataset:
     def records(self) -> tuple[LossRecord, ...]:
         """The samples as frozen :class:`LossRecord` objects, built on first access."""
         if self._records is None:
-            groups = repeat(None) if self.group_ids is None else self.group_ids
+            groups = repeat(None) if self._groups is None else self._each_group()
             norms = _absent_as_none(self.grad_norm_sq)
             vectors = repeat(None) if self.grad_theta is None else map(tuple, self.grad_theta.tolist())
             records = tuple(map(LossRecord, self.sample_ids, self.losses.tolist(), groups, norms, vectors))
             object.__setattr__(self, "_records", records)
         return self._records
+
+
+def _same_groups(mine: _GroupCodes | None, theirs: _GroupCodes | None) -> bool:
+    # Codes number the labels in order of first appearance, so two columns
+    # hold the same label per sample exactly when labels and codes are equal.
+    if mine is None or theirs is None:
+        return mine is theirs
+    return mine.labels == theirs.labels and np.array_equal(mine.codes, theirs.codes)
 
 
 def _same_optional(mine: np.ndarray | None, theirs: np.ndarray | None) -> bool:
@@ -462,45 +546,62 @@ def _variance(losses: np.ndarray, mean: float) -> float:
         return math.inf
 
 
+def _group_sizes(ds: LossDataset) -> np.ndarray:
+    """The number of samples in each group, indexed by group code; raises
+    ``MissingGroupId`` unless every sample has a group."""
+    groups = ds._groups
+    if groups is None or groups.codes.min() < 0:
+        i = 0 if groups is None else int(np.argmin(groups.codes))
+        raise MissingGroupId(f"record {i} ({ds.sample_ids[i]!r}) has no group_id")
+    return np.bincount(groups.codes, minlength=len(groups.labels))
+
+
 def reduce_augmented(ds: LossDataset) -> LossDataset:
     """Collapse each augmentation group to a single record with the group mean loss.
 
     Every record must carry a group id. Group order follows first appearance;
     gradient annotations do not survive the reduction. Unequal group sizes are
     allowed (each group still contributes its own mean) but warned about,
-    because only equal sizes preserve the grand mean exactly.
+    because only equal sizes preserve the grand mean exactly. A group whose
+    sum of losses lies beyond the float64 range raises ``ValidationError``.
     """
-    groups = ds.group_ids
-    if groups is None or None in groups:
-        i = 0 if groups is None else groups.index(None)
-        raise MissingGroupId(f"record {i} ({ds.sample_ids[i]!r}) has no group_id")
-    position = {g: k for k, g in enumerate(dict.fromkeys(groups))}
-    codes = np.fromiter(map(position.__getitem__, groups), dtype=np.intp, count=len(groups))
-    sizes = np.bincount(codes)
-    distinct = set(sizes.tolist())
-    if len(distinct) > 1:
+    sizes = _group_sizes(ds)
+    codes, labels = ds._groups
+    largest = int(sizes.max())
+    if sizes.min() != largest:
         warnings.warn(
             UnequalGroupsWarning(
-                f"group sizes differ ({sorted(distinct)}); grand mean becomes a mean of group means"
+                f"group sizes differ ({np.unique(sizes).tolist()}); grand mean becomes a mean of group means"
             )
         )
-    # math.fsum is correctly rounded, so summing each group in sorted order
+    # math.fsum is correctly rounded, so summing each group in code order
     # gives the same mean as summing it in record order. The sorted losses
     # become Python floats a block of whole groups at a time: at most
-    # _FLOAT_BLOCK losses, or one group that holds more.
-    by_group = ds.losses[np.argsort(codes, kind="stable")]
-    bounds = [0, *np.cumsum(sizes).tolist()]
-    step = max(1, _FLOAT_BLOCK // max(distinct))
-    means = []
+    # _FLOAT_BLOCK losses, or one group that holds more. Groups written one
+    # after another have their codes in order already, and need no sort.
+    by_group = ds.losses
+    if not (codes[1:] >= codes[:-1]).all():
+        by_group = by_group[np.argsort(codes, kind="stable")]
+    bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=bounds[1:])
+    step = max(1, _FLOAT_BLOCK // largest)
+    means = np.empty(len(sizes), dtype=np.float64)
     for first in range(0, len(sizes), step):
-        ends = bounds[first:first + step + 1]
+        ends = bounds[first:first + step + 1].tolist()
         base = ends[0]
         block = by_group[base:ends[-1]].tolist()
         if base:
             ends = [end - base for end in ends]
-        means += [math.fsum(block[start:end]) / (end - start) for start, end in zip(ends, ends[1:])]
-    return LossDataset.from_columns(np.array(means, dtype=np.float64), model_id=ds.model_id,
-                                    sample_ids=tuple(position))
+        spans = list(zip(ends, ends[1:]))
+        try:
+            means[first:first + len(spans)] = [math.fsum(block[start:end]) / (end - start) for start, end in spans]
+        except OverflowError:
+            for k, (start, end) in enumerate(spans, start=first):
+                try:
+                    math.fsum(block[start:end])
+                except OverflowError:
+                    raise ValidationError(f"the sum of the losses of group {labels[k]!r} overflows float64") from None
+    return LossDataset.from_columns(means, model_id=ds.model_id, sample_ids=labels)
 
 
 def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> LossDataset:
@@ -518,7 +619,7 @@ def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> Lo
         ds.losses,
         model_id=ds.model_id,
         sample_ids=ids,
-        group_ids=[outer_group_map[sid] for sid in ids],
+        group_ids=list(map(outer_group_map.__getitem__, ids)),
         grad_norm_sq=ds.grad_norm_sq,
         grad_theta=ds.grad_theta,
     )
@@ -583,8 +684,8 @@ def _load_columns(path: Path, fmt: str) -> dict:
     starts at a row, and every line before it is one row.
     """
     losses, packs = array("d"), []
-    groups = norms = vectors = None
-    labels = {"": None} if fmt == "csv" else {}  # one object per distinct group label; an empty CSV field is no group
+    keys = norms = vectors = None
+    table = {"": -1} if fmt == "csv" else {None: -1}  # group label -> key; an empty CSV field is no group
     with open(path, encoding="utf-8", newline="" if fmt == "csv" else None) as handle:
         width = lineno = 0
         if fmt == "csv":
@@ -592,6 +693,8 @@ def _load_columns(path: Path, fmt: str) -> dict:
                 header = tuple(cell.strip() for cell in next(csv.reader(handle)))
             except StopIteration:
                 raise EmptyDataset(f"{path}: empty file") from None
+            except csv.Error as exc:
+                raise ParseError(f"line 1: {exc}") from None
             if header not in _CSV_HEADERS:
                 raise ParseError(f"line 1: header must be one of {['|'.join(h) for h in _CSV_HEADERS]}, got {header}")
             width, lineno = len(header), 1
@@ -607,33 +710,42 @@ def _load_columns(path: Path, fmt: str) -> dict:
             elif width:
                 rows = chain(io.StringIO(text, newline=""), handle)
                 ids, chunk_groups, chunk_norms = _read_csv_rows(rows, width, lineno, losses)
+                chunk_groups = None if chunk_groups is None else (chunk_groups, None)
             else:
                 lines = text.split("\n")
                 ids, chunk_groups, chunk_norms, chunk_vectors = _parse_jsonl_lines(lines, lineno, losses)
+                chunk_groups = (chunk_groups, None)
                 lineno += len(lines) - 1
             count = len(losses) - before
             if count:
                 packs.append(ids if isinstance(ids, str) else _pack(ids))
             if chunk_groups is not None:
-                chunk_groups = list(map(labels.setdefault, chunk_groups, chunk_groups))
-            groups = _extend_present(groups, chunk_groups, before, count)
+                if keys is None:
+                    keys = array("i", [-1]) * before
+                _add_group_keys(keys, table, *chunk_groups)
+            elif keys is not None:
+                keys.extend(repeat(-1, count))
             norms = _extend_present(norms, chunk_norms, before, count)
             vectors = _extend_present(vectors, chunk_vectors, before, count)
+    groups = None if keys is None else _group_column(keys, table)
     return {"losses": np.frombuffer(losses, dtype=np.float64), "sample_ids": _join_packs(packs),
             "group_ids": groups, "grad_norm_sq": norms, "grad_theta": vectors}
 
 
-def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, list[str] | None, list | None] | None:
+def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, tuple | None, list | None] | None:
     """The sample ids joined by newlines, the losses, and the group fields
-    and grad norms (``None`` where empty) when the rows hold them, of the
-    whole lines ``text``; or ``None`` unless every line is a row of
-    ``width`` plain fields with a valid loss and an empty or numeric norm.
+    (paired with ``None``: one field per row, no run lengths; see
+    :func:`_label_runs`) and grad norms (``None`` where empty) when the rows
+    hold them, of the whole lines ``text``; or ``None`` unless every line is
+    a row of ``width`` plain fields with a valid loss and an empty or
+    numeric norm, none longer than the csv module's field size limit.
 
     Without quotes, NULs or carriage returns outside a ``\\r\\n`` the csv
     module splits exactly at commas and line ends, so splitting the UTF-8
     bytes there gives the same fields: no multibyte character holds one of
     those bytes. The separators must repeat ``width - 1`` commas then a
-    newline, which a blank line breaks.
+    newline, which a blank line breaks. A field has at least as many bytes
+    as characters, so one that the limit could reject goes to the row reader.
     """
     if '"' in text or "\0" in text:
         return None
@@ -649,6 +761,8 @@ def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, list[str] 
     lengths = np.empty_like(ends)
     lengths[0] = ends[0] + 1
     np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    if lengths.max() > csv.field_size_limit() + 1:
+        return None
     column = np.arange(width, dtype=np.uint8)[None].repeat(rows, axis=0).ravel().repeat(lengths)
     if "\r" in text:
         returns = line_ends - 1
@@ -667,31 +781,35 @@ def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, list[str] 
         except ValueError:
             return None
     ids = data[column == 0][:-1].tobytes().decode()
-    groups = data[column == 2][:-1].tobytes().decode().split("\n") if width >= 3 else None
+    groups = (data[column == 2][:-1].tobytes().decode().split("\n"), None) if width >= 3 else None
     return ids, losses, groups, norms
 
 
 def _read_csv_rows(lines, width: int, lineno: int, losses: array) -> tuple[list, list | None, list | None]:
     """Sample ids, group fields and grad norms of the rows the csv module reads
     from ``lines``, the first of which is line ``lineno + 1``; their losses
-    are appended to ``losses``. Blank rows are skipped."""
+    are appended to ``losses``. Blank rows are skipped; a row the csv module
+    rejects (a field past its size limit) raises ``ParseError``."""
     ids = []
     groups = [] if width >= 3 else None
     norms = [] if width == 4 else None
-    for lineno, row in enumerate(csv.reader(lines), start=lineno + 1):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        loss = _parse_float(row[1], "loss", lineno)
-        if not 0.0 <= loss < math.inf:
-            raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {row[1]!r}")
-        ids.append(row[0])
-        losses.append(loss)
-        if groups is not None:
-            groups.append(row[2])
-        if norms is not None:
-            norms.append(_parse_float(row[3], "grad_norm_sq", lineno) if row[3] else None)
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=lineno + 1):
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
+            loss = _parse_float(row[1], "loss", lineno)
+            if not 0.0 <= loss < math.inf:
+                raise ValidationError(f"line {lineno}: loss must be finite and non-negative, got {row[1]!r}")
+            ids.append(row[0])
+            losses.append(loss)
+            if groups is not None:
+                groups.append(row[2])
+            if norms is not None:
+                norms.append(_parse_float(row[3], "grad_norm_sq", lineno) if row[3] else None)
+    except csv.Error as exc:
+        raise ParseError(f"line {lineno + 1}: {exc}") from None
     return ids, groups, norms
 
 
@@ -807,11 +925,11 @@ _NUMBER_BYTE = _DIGIT.copy()
 _NUMBER_BYTE[np.frombuffer(b".eE+-\n", dtype=np.uint8)] = True
 
 
-def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None, None] | None:
-    """The sample ids joined by newlines, the losses, the group labels (or
-    ``None`` when no row has one) and no grad norms of the whole lines
-    ``text``, or ``None`` unless every line is laid out as ``json.dumps``
-    writes a dumped row.
+def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, tuple | None, None] | None:
+    """The sample ids joined by newlines, the losses, the group labels (as
+    :func:`_label_runs` gives them, or ``None`` when no row has one) and no
+    grad norms of the whole lines ``text``, or ``None`` unless every line is
+    laid out as ``json.dumps`` writes a dumped row.
 
     The checks run on the UTF-8 bytes, where no multibyte character holds
     a quote, a backslash or a byte below 0x20: every line holds the fixed
@@ -867,8 +985,39 @@ def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None, No
     groups = None
     if width == 10:
         data[ends - 2] = ord("\n")
-        groups = _spans(data, loss_end + len(_JSONL_GROUP), ends - 2)[:-1].tobytes().decode().split("\n")
+        groups = _label_runs(data, words, loss_end + len(_JSONL_GROUP), ends - 2)
     return ids, losses, groups, None
+
+
+# Group labels of up to this many bytes are compared on their bytes to find
+# runs of equal labels; each longer label starts a run of its own.
+_RUN_BYTES = 64
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # masks of the k low bytes
+
+
+def _label_runs(data: np.ndarray, words: np.ndarray, first: np.ndarray,
+                last: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The group labels ``data[first[k]:last[k]]`` of rows k, each followed by
+    a newline at ``last[k]``, as the label of each run of rows that hold the
+    same label and the number of rows in each run.
+
+    ``words[i]`` is the little-endian 8-byte word from byte ``i`` on. Labels
+    are compared a word at a time, so only the first row of a run is decoded:
+    augmented copies of a sample are mostly written one after another.
+    """
+    size = last - first
+    same = size[1:] == size[:-1]
+    longest = int(size.max())
+    for offset in range(0, min(longest, _RUN_BYTES), 8):
+        left = np.minimum(np.maximum(size - offset, 0), 8)  # bytes of the label in this word
+        word = words[np.minimum(first + offset, last)] & _LOW_BYTES[left]
+        same &= word[1:] == word[:-1]
+    if longest > _RUN_BYTES:
+        same &= size[1:] <= _RUN_BYTES
+    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
+    heads = bounds[:-1]
+    labels = _spans(data, first[heads], last[heads])[:-1].tobytes().decode().split("\n")
+    return labels, bounds[1:] - heads
 
 
 def _line_bytes(text: str, pad: int = 0) -> np.ndarray:
@@ -933,7 +1082,6 @@ def _quoted_by_csv(joined: str, count: int) -> bool:
 def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None:
     """Write a dataset back to disk; vector annotations require JSONL."""
     path = Path(path)
-    groups = repeat(None) if ds.group_ids is None else ds.group_ids
     if format == "csv":
         if ds.grad_theta is not None:
             raise ValidationError("grad_theta vectors do not fit CSV; use jsonl")
@@ -943,11 +1091,10 @@ def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None
         plain = ds._sample_ids is None or not _quoted_by_csv(ds._joined_ids(), len(ds))
         header = ["sample_id", "loss"]
         columns = [ds.sample_ids, map(repr, _floats(ds.losses))]
-        if ds.group_ids is not None or ds.grad_norm_sq is not None:
+        if ds._groups is not None or ds.grad_norm_sq is not None:
             header.append("group_id")
-            labels = set(ds.group_ids or (None,))
-            columns.append(ds.group_ids if None not in labels else ("" if g is None else g for g in groups))
-            labels.discard(None)
+            labels = () if ds._groups is None else ds._groups.labels
+            columns.append(repeat("") if ds._groups is None else ds._each_group(""))
             plain = plain and not _quoted_by_csv("\n".join(labels), len(labels))
         if ds.grad_norm_sq is not None:
             header.append("grad_norm_sq")
@@ -961,6 +1108,7 @@ def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None
                 csv.writer(handle).writerows(rows)
     elif format == "jsonl":
         vectors = repeat(None) if ds.grad_theta is None else ds.grad_theta.tolist()
+        groups = repeat(None) if ds._groups is None else ds._each_group()
         rows = zip(ds.sample_ids, ds.losses.tolist(), groups, _absent_as_none(ds.grad_norm_sq), vectors)
         with open(path, "w", encoding="utf-8") as handle:
             for sample_id, loss, group, norm, vector in rows:

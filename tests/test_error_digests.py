@@ -37,6 +37,10 @@ INPUTS = {
     # Two minima 1e-9 apart: a deviation 1e-12 short of the gap needs a tilt past the cap.
     "near-tie.csv": "sample_id,loss\ns0,0.0\ns1,1e-9\ns2,2.0\n",
     "naive-method.json": '{"method": "naive"}',
+    # An id one character past the csv module's field size limit (131072).
+    "long-id.csv": "sample_id,loss\ns0,0.5\n" + "x" * 131073 + ",0.5\n",
+    # Two finite losses whose sum lies beyond the float64 range, in one group.
+    "overflow-group.csv": "sample_id,loss,group_id\ns0,1.7e308,g0\ns1,1.7e308,g0\ns2,0.5,g1\ns3,0.5,g1\n",
 }
 
 # name -> argv
@@ -44,7 +48,11 @@ CASES = {
     "parse-error": ["rate", "--input", "{tmp}/text.csv", "--a", "0.1"],
     "parse-error-missing-file": ["rate", "--input", "{tmp}/nope.csv", "--a", "0.1"],
     "parse-error-input-is-directory": ["rate", "--input", "{tmp}", "--input-format", "csv", "--a", "0.1"],
+    "parse-error-field-limit": ["rate", "--input", "{tmp}/long-id.csv", "--a", "0.1"],
     "validation-error": ["rate", "--input", "{tmp}/negative.csv", "--a", "0.1"],
+    "validation-error-group-overflow": ["augment", "--input", "{tmp}/overflow-group.csv",
+                                        "--output", "{tmp}/out.csv"],
+    "validation-error-group-overflow-da": ["da-check", "--input", "{tmp}/overflow-group.csv"],
     "validation-error-m-const": ["grad-bound", "--input", GROUPED, "--m-const", "-1", "--s", "0.1"],
     "empty-dataset": ["cumulant", "--input", "{tmp}/header.csv"],
     "missing-group-id": ["augment", "--input", A, "--output", "{tmp}/out.csv"],
@@ -85,6 +93,9 @@ ERRORS = {
     'parse-error': (2, "rate: ParseError: line 3: field 'loss' is not a number: 'x'\n"),
     'parse-error-missing-file': (2, 'rate: ParseError: <tmp>/nope.csv: no such file\n'),
     'parse-error-input-is-directory': (2, 'rate: ParseError: <tmp>: not a regular file\n'),
+    'parse-error-field-limit': (2, 'rate: ParseError: line 3: field larger than field limit (131072)\n'),
+    'validation-error-group-overflow': (2, "augment: ValidationError: the sum of the losses of group 'g0' overflows float64\n"),
+    'validation-error-group-overflow-da': (2, "da-check: ValidationError: the sum of the losses of group 'g0' overflows float64\n"),
     'validation-error': (2, "rate: ValidationError: line 3: loss must be finite and non-negative, got '-1'\n"),
     'validation-error-m-const': (2, 'grad-bound: ValidationError: m_const must be finite and positive, got -1.0\n'),
     'empty-dataset': (2, 'cumulant: EmptyDataset: <tmp>/header.csv: no data rows\n'),

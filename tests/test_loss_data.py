@@ -10,6 +10,7 @@ import os
 import pickle
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from ratefn import (
     UnknownSampleId,
     ValidationError,
     compose_augmented,
+    da_inequality_check,
     dump_dataset,
     from_losses,
     load_dataset,
@@ -545,6 +547,31 @@ class TestReduceAugmented:
         ds = from_losses(losses, group_ids=["g1", "g1", "g2", "g2", "g3", "g3"])
         assert summarize(reduce_augmented(ds)).empirical_loss == summarize(ds).empirical_loss
 
+    @pytest.mark.parametrize("block", [1, 1 << 13])
+    def test_overflowing_group_sum_names_the_group(self, monkeypatch, block):
+        monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", block)
+        ds = from_losses([0.5, 1.7e308, 0.5, 1.7e308, 1.0, 1.0], group_ids=["a", "big", "a", "big", "c", "c"])
+        for check in (reduce_augmented, da_inequality_check):
+            with pytest.raises(ValidationError, match="^the sum of the losses of group 'big' overflows float64$"):
+                check(ds)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(0.0, 1e300), st.sampled_from(["a", "b", "c", "d\xe9", "e"])),
+                    min_size=1, max_size=60),
+           st.booleans(), st.sampled_from([1, 3, 8, 1 << 13]))
+    def test_means_equal_a_per_group_fsum(self, rows, contiguous, block):
+        # Interleaved labels take the sort by code; contiguous ones skip it.
+        if contiguous:
+            rows = sorted(rows, key=lambda row: row[1])
+        losses, labels = [v for v, _ in rows], [g for _, g in rows]
+        expected = {g: math.fsum(v for v, h in rows if h == g) / labels.count(g) for g in dict.fromkeys(labels)}
+        with pytest.MonkeyPatch.context() as patched, warnings.catch_warnings():
+            patched.setattr(loss_data, "_FLOAT_BLOCK", block)
+            warnings.simplefilter("ignore", UnequalGroupsWarning)
+            reduced = reduce_augmented(from_losses(losses, group_ids=labels))
+        assert reduced.sample_ids == tuple(expected)
+        assert [v.hex() for v in reduced.losses.tolist()] == [v.hex() for v in expected.values()]
+
     def test_min_loss_never_decreases(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -927,7 +954,8 @@ def _row_reader_outcome(path, monkeypatch):
 # in ids and labels, numbers it must read as the row reader does or leave to
 # it, and absent, bad or present norms.
 _CSV_TEXT = st.text(alphabet="ab7 \xe9\u20ac\U0001f600", max_size=4)
-_CSV_ODD_TEXT = st.sampled_from([",", '"', "\n", "\r", "\0", "a\rb", "\r\n", 'a"b', "\xe9,\n"])
+_CSV_ODD_TEXT = st.sampled_from([",", '"', "\n", "\r", "\0", "a\rb", "\r\n", 'a"b', "\xe9,\n",
+                                 "x" * (csv.field_size_limit() + 1), "\xe9" * csv.field_size_limit()])
 _CSV_LOSS = st.floats(0.0, 1e300).map(repr)
 _CSV_PLAIN = [_CSV_TEXT, _CSV_LOSS, _CSV_TEXT, st.sampled_from(["", "0.25"]) | _CSV_LOSS]
 _CSV_ODD = [
@@ -1051,6 +1079,140 @@ class TestEquality:
         assert sets[12] == sets[13] != sets[14]
 
 
+# Group labels with byte lengths at and around the 8-byte words the JSONL
+# splitter compares and past _RUN_BYTES, with look-alikes of equal length.
+_LABEL_POOL = ["", "g", "g1", "g2", "abcdefg", "abcdefh", "abcdefgh", "abcdefgi", "abcdefghi", "abcdefghj",
+               "\xe9", "\u20ac\u20ac", "\U0001f600", "a\U0001f600b", "x" * 64, "x" * 63 + "y", "x" * 65,
+               "x" * 64 + "y"]
+
+
+class TestGroupCodes:
+    """Group labels are held as an int32 code per sample and the distinct
+    labels; ``group_ids`` spells them out only when read."""
+
+    def test_codes_number_labels_in_order_of_first_appearance(self):
+        ds = from_losses(np.arange(6.0), group_ids=["b", "a", None, "b", "c", "a"])
+        codes, labels = ds._groups
+        assert codes.dtype == np.int32 and not codes.flags.writeable
+        assert codes.tolist() == [0, 1, -1, 0, 2, 1] and labels == ("b", "a", "c")
+        assert ds._group_ids is None
+        assert ds.group_ids == ("b", "a", None, "b", "c", "a") and ds.group_ids is ds.group_ids
+        assert from_losses([1.0, 2.0], group_ids=[None, None]).group_ids is None
+        assert from_losses([1.0, 2.0]).group_ids is None
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.tuples(st.none() | st.sampled_from(_LABEL_POOL), st.integers(1, 4)), min_size=1, max_size=15))
+    def test_loaded_labels_equal_the_readers_and_share_objects(self, runs):
+        labels = [g for g, count in runs for _ in range(count)]
+        # Rows with and without a group do not share a JSONL chunk on the
+        # column path, so the JSONL file holds the grouped rows only.
+        grouped = [g for g in labels if g is not None] or [""]
+        with pytest.MonkeyPatch.context() as patched, tempfile.TemporaryDirectory() as directory:
+            csv_path, jsonl_path = Path(directory, "g.csv"), Path(directory, "g.jsonl")
+            csv_path.write_text("sample_id,loss,group_id\n" + "".join(
+                f"s{i},{i / 8!r},{g or ''}\n" for i, g in enumerate(labels)), encoding="utf-8")
+            jsonl_path.write_text("".join(_dumped_line(f"s{i}", i / 8, g, False) + "\n" for i, g in enumerate(grouped)),
+                                  encoding="utf-8")
+            # An empty CSV field is no group; JSONL keeps "" as a label.
+            expected = {csv_path: tuple(g or None for g in labels), jsonl_path: tuple(grouped)}
+            readers = {csv_path: _csv_rows_dataset(csv_path).group_ids,
+                       jsonl_path: _per_line_outcome(jsonl_path, patched)[2]}
+            patched.setattr(loss_data, "_read_csv_rows", _no_row_reader)
+            patched.setattr(loss_data, "_parse_jsonl_lines", _no_row_reader)
+            for path, groups in expected.items():
+                assert readers[path] == (None if set(groups) == {None} else groups)
+                for chunk_chars in (1, 50, 130, 1 << 18):
+                    patched.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
+                    ds = load_dataset(path)
+                    assert ds.group_ids == readers[path]
+                    if ds.group_ids is not None:
+                        codes, distinct = ds._groups
+                        assert distinct == tuple(dict.fromkeys(g for g in groups if g is not None))
+                        assert tuple(distinct[c] if c >= 0 else None for c in codes.tolist()) == groups
+                        assert len({id(g) for g in ds.group_ids if g is not None}) == len(distinct)
+
+    def test_equality_pickle_copy_and_records_keep_the_codes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(loss_data, "_CHUNK_CHARS", 8)
+        path = tmp_path / "g.csv"
+        path.write_text("sample_id,loss,group_id\na,0.5,g1\nb,1.5,\nc,0.25,g1\nd,1.0,g\u20ac\n", encoding="utf-8")
+        groups = ("g1", None, "g1", "g\u20ac")
+
+        def built(group_ids):
+            return LossDataset.from_columns(np.array([0.5, 1.5, 0.25, 1.0]), model_id="g", sample_ids=list("abcd"),
+                                            group_ids=group_ids)
+
+        loaded = load_dataset(path)
+        assert loaded == built(groups) and loaded == built(np.array(groups, dtype=object))
+        assert loaded != built(["g1", None, "g\u20ac", "g1"]) and loaded != built(["g1", "g2", "g1", "g\u20ac"])
+        assert loaded != built(None) and built(None) == built([None] * 4)
+        for copied in (pickle.loads(pickle.dumps(loaded)), copy.copy(loaded), copy.deepcopy(loaded)):
+            assert copied == loaded and copied._group_ids is None
+            assert copied._groups.codes.tolist() == [0, -1, 0, 1] and not copied._groups.codes.flags.writeable
+        assert [r.group_id for r in loaded.records] == list(groups)
+        assert loaded._group_ids is None  # comparing, pickling and the records read the codes
+        assert loaded.group_ids == groups
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_compose_and_dump_round_trip(self, tmp_path, fmt):
+        ds = from_losses(np.arange(8) / 4.0, group_ids=["i0", "i1", "i0", "i1", "i2", "i3", "i2", "i3"])
+        reduced = reduce_augmented(ds)
+        composed = compose_augmented(reduced, {"i0": "o\xe9", "i1": "o,1", "i2": "o\xe9", "i3": None})
+        assert composed._groups.labels == ("o\xe9", "o,1") and composed._groups.codes.tolist() == [0, 1, 0, -1]
+        path = tmp_path / f"composed.{fmt}"
+        dump_dataset(composed, path, format=fmt)
+        assert ds._group_ids is None and composed._group_ids is None
+        back = load_dataset(path)
+        assert back.group_ids == ("o\xe9", "o,1", "o\xe9", None) and back.sample_ids == reduced.sample_ids
+        assert back.losses.tobytes() == reduced.losses.tobytes()
+
+    def test_reduction_and_check_read_the_codes(self):
+        ds = from_losses(np.arange(12) / 7.0, group_ids=[f"g{i % 3}" for i in range(12)])
+        assert reduce_augmented(ds).sample_ids == ("g0", "g1", "g2")
+        assert da_inequality_check(ds).equal_group_sizes
+        assert ds._group_ids is None
+
+
+class TestCsvFieldLimit:
+    """A field longer than the csv module's field size limit (131072
+    characters unless raised) is a ``ParseError`` on either path."""
+
+    LIMIT = csv.field_size_limit()
+
+    @pytest.mark.parametrize("quote_row", [None, 2, 9])
+    def test_field_past_the_limit_is_a_parse_error(self, tmp_path, monkeypatch, quote_row):
+        rows = list(_CSV_ROWS[:12])
+        rows[6] = "x" * (self.LIMIT + 1) + ",0.5,g1,"
+        if quote_row is not None:
+            rows[quote_row] = f'"s{quote_row}",0.5,g1,'
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(["sample_id,loss,group_id,grad_norm_sq", *rows]) + "\n")
+        expected = f"ParseError: line 8: field larger than field limit ({self.LIMIT})"
+        for chunk_chars in (1, 60, 1 << 18, 1 << 30):
+            assert _error_text(path, chunk_chars, monkeypatch) == expected
+        monkeypatch.setattr(loss_data, "_split_csv_chunk", lambda text, width: None)
+        assert _error_text(path, 1 << 18, monkeypatch) == expected
+
+    def test_long_header_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("sample_id,loss" + "x" * self.LIMIT + "\ns0,0.5\n")
+        with pytest.raises(ParseError, match="^line 1: field larger than field limit"):
+            load_dataset(path)
+
+    def test_fields_at_the_limit_load_on_both_paths(self, tmp_path, monkeypatch):
+        # A multibyte field at the limit holds more bytes than the limit, so
+        # the splitter leaves it to the row reader, which takes it.
+        rows = list(_CSV_ROWS[:12])
+        rows[3] = "x" * self.LIMIT + ",0.5,g1,"
+        rows[7] = "s7,0.5," + "\xe9" * self.LIMIT + ","
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join(["sample_id,loss,group_id,grad_norm_sq", *rows]) + "\n", encoding="utf-8")
+        expected = _csv_rows_dataset(path)
+        assert len(expected.sample_ids[3]) == len(expected.group_ids[7]) == self.LIMIT
+        for chunk_chars in (1, 60, 1 << 18):
+            monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
+            _same_columns(load_dataset(path), expected)
+
+
 def _large_files(directory, rows=100_000):
     losses = np.random.default_rng(13).exponential(1.0, rows).tolist()
     csv_path, jsonl_path = directory / "large.csv", directory / "large.jsonl"
@@ -1078,6 +1240,20 @@ class TestLoaderMemory:
         assert len(ds) == 100_000
         assert peak < peak_per_file_byte * os.path.getsize(path), peak / os.path.getsize(path)
         assert retained < 48 * len(ds), retained / len(ds)
+
+    def test_load_and_reduce_peak_on_1e5_grouped_rows(self, files):
+        # Group codes keep this near 0.92 times the file; a tuple of labels per
+        # sample plus label-keyed dicts in the reduction take 1.29 times.
+        path = files[1]
+        reduce_augmented(load_dataset(path))
+        tracemalloc.start()
+        try:
+            reduced = reduce_augmented(load_dataset(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reduced) == 25_000
+        assert peak < 1.1 * os.path.getsize(path), peak / os.path.getsize(path)
 
     def test_a_quote_in_the_last_row_keeps_the_csv_bound(self, files, tmp_path):
         text = files[0].read_text()
