@@ -1242,7 +1242,7 @@ class TestLoaderMemory:
         assert retained < 48 * len(ds), retained / len(ds)
 
     def test_load_and_reduce_peak_on_1e5_grouped_rows(self, files):
-        # Group codes keep this near 0.92 times the file; a tuple of labels per
+        # Group codes keep this near 0.93 times the file; a tuple of labels per
         # sample plus label-keyed dicts in the reduction take 1.29 times.
         path = files[1]
         reduce_augmented(load_dataset(path))
