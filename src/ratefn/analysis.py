@@ -28,7 +28,7 @@ from .errors import (
     ZeroVariance,
     check_real,
 )
-from .loss_data import LossDataset, ModelMeta, _group_sizes, reduce_augmented, summarize
+from .loss_data import LossDataset, ModelMeta, group_sizes, reduce_augmented, summarize
 from .rate import InverseRateEvaluation, RateSolver, inverse_rate, rate
 
 DOMINANCE_SLACK = 1e-12
@@ -320,7 +320,7 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
     if grid is None:
         grid = LambdaGrid.default()
     reduced = reduce_augmented(ds_grouped)  # raises MissingGroupId when ungrouped
-    sizes = _group_sizes(ds_grouped)
+    sizes = group_sizes(ds_grouped)
     flat_curve = cumulant_curve(ds_grouped, grid)
     reduced_curve = cumulant_curve(reduced, grid)
     gaps = tuple(jf - jr for jf, jr in zip(flat_curve.j_values, reduced_curve.j_values))

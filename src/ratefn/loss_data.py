@@ -22,8 +22,7 @@ lines, codes the group labels as it goes, and holds the sample ids as one
 newline-joined string, spelled out as a tuple when ``sample_ids`` is first
 read. A chunk whose every line is a plain CSV row, or has one of the two
 JSONL layouts ``dump_dataset`` writes, is split into columns on its UTF-8
-bytes; in a JSONL chunk, only the first label of a run of rows with the
-same group label is decoded. Any other JSONL chunk is parsed line by line;
+bytes. Any other JSONL chunk is parsed line by line;
 from the first other CSV chunk on, the csv module reads row by row. Either
 way the values and messages are those of the row and line readers.
 """
@@ -222,9 +221,8 @@ class _GroupCodes(NamedTuple):
     labels: tuple
 
 
-def _add_group_keys(keys: array, table: dict, groups: Sequence, repeats: np.ndarray | None = None) -> None:
-    """Append to ``keys`` a key per sample for the group labels ``groups``,
-    label k standing for ``repeats[k]`` samples when given.
+def _add_group_keys(keys: array, table: dict, groups: Sequence) -> None:
+    """Append to ``keys`` a key per sample for the group labels ``groups``.
 
     ``table`` maps each label met so far to its key: the index in ``keys`` of
     the first sample that had it, so keys grow in order of first appearance.
@@ -233,12 +231,8 @@ def _add_group_keys(keys: array, table: dict, groups: Sequence, repeats: np.ndar
     ``groups`` costs one dict lookup. :func:`_group_column` numbers the keys.
     """
     first = len(keys)
-    if repeats is None:
-        starts = range(first, first + len(groups))
-    else:
-        starts = (np.cumsum(repeats) - repeats + first).tolist()
-    chunk = np.fromiter(map(table.setdefault, groups, starts), dtype=np.intc, count=len(groups))
-    keys.frombytes((chunk if repeats is None else chunk.repeat(repeats)).tobytes())
+    starts = range(first, first + len(groups))
+    keys.frombytes(np.fromiter(map(table.setdefault, groups, starts), dtype=np.intc, count=len(groups)).tobytes())
 
 
 def _group_column(keys: array, table: dict) -> _GroupCodes | None:
@@ -546,8 +540,9 @@ def _variance(losses: np.ndarray, mean: float) -> float:
         return math.inf
 
 
-def _group_sizes(ds: LossDataset) -> np.ndarray:
-    """The number of samples in each group, indexed by group code; raises
+def group_sizes(ds: LossDataset) -> np.ndarray:
+    """The number of samples in each group, groups in order of first
+    appearance as :func:`reduce_augmented` lists them; raises
     ``MissingGroupId`` unless every sample has a group."""
     groups = ds._groups
     if groups is None or groups.codes.min() < 0:
@@ -565,7 +560,7 @@ def reduce_augmented(ds: LossDataset) -> LossDataset:
     because only equal sizes preserve the grand mean exactly. A group whose
     sum of losses lies beyond the float64 range raises ``ValidationError``.
     """
-    sizes = _group_sizes(ds)
+    sizes = group_sizes(ds)
     codes, labels = ds._groups
     largest = int(sizes.max())
     if sizes.min() != largest:
@@ -710,11 +705,9 @@ def _load_columns(path: Path, fmt: str) -> dict:
             elif width:
                 rows = chain(io.StringIO(text, newline=""), handle)
                 ids, chunk_groups, chunk_norms = _read_csv_rows(rows, width, lineno, losses)
-                chunk_groups = None if chunk_groups is None else (chunk_groups, None)
             else:
                 lines = text.split("\n")
                 ids, chunk_groups, chunk_norms, chunk_vectors = _parse_jsonl_lines(lines, lineno, losses)
-                chunk_groups = (chunk_groups, None)
                 lineno += len(lines) - 1
             count = len(losses) - before
             if count:
@@ -722,7 +715,7 @@ def _load_columns(path: Path, fmt: str) -> dict:
             if chunk_groups is not None:
                 if keys is None:
                     keys = array("i", [-1]) * before
-                _add_group_keys(keys, table, *chunk_groups)
+                _add_group_keys(keys, table, chunk_groups)
             elif keys is not None:
                 keys.extend(repeat(-1, count))
             norms = _extend_present(norms, chunk_norms, before, count)
@@ -732,13 +725,12 @@ def _load_columns(path: Path, fmt: str) -> dict:
             "group_ids": groups, "grad_norm_sq": norms, "grad_theta": vectors}
 
 
-def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, tuple | None, list | None] | None:
+def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, list[str] | None, list | None] | None:
     """The sample ids joined by newlines, the losses, and the group fields
-    (paired with ``None``: one field per row, no run lengths; see
-    :func:`_label_runs`) and grad norms (``None`` where empty) when the rows
-    hold them, of the whole lines ``text``; or ``None`` unless every line is
-    a row of ``width`` plain fields with a valid loss and an empty or
-    numeric norm, none longer than the csv module's field size limit.
+    and grad norms (``None`` where empty) when the rows hold them, of the
+    whole lines ``text``; or ``None`` unless every line is a row of
+    ``width`` plain fields with a valid loss and an empty or numeric norm,
+    none longer than the csv module's field size limit.
 
     Without quotes, NULs or carriage returns outside a ``\\r\\n`` the csv
     module splits exactly at commas and line ends, so splitting the UTF-8
@@ -781,7 +773,7 @@ def _split_csv_chunk(text: str, width: int) -> tuple[str, np.ndarray, tuple | No
         except ValueError:
             return None
     ids = data[column == 0][:-1].tobytes().decode()
-    groups = (data[column == 2][:-1].tobytes().decode().split("\n"), None) if width >= 3 else None
+    groups = data[column == 2][:-1].tobytes().decode().split("\n") if width >= 3 else None
     return ids, losses, groups, norms
 
 
@@ -925,11 +917,11 @@ _NUMBER_BYTE = _DIGIT.copy()
 _NUMBER_BYTE[np.frombuffer(b".eE+-\n", dtype=np.uint8)] = True
 
 
-def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, tuple | None, None] | None:
-    """The sample ids joined by newlines, the losses, the group labels (as
-    :func:`_label_runs` gives them, or ``None`` when no row has one) and no
-    grad norms of the whole lines ``text``, or ``None`` unless every line is
-    laid out as ``json.dumps`` writes a dumped row.
+def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, list[str] | None, None] | None:
+    """The sample ids joined by newlines, the losses, the group labels (or
+    ``None`` when no row has one) and no grad norms of the whole lines
+    ``text``, or ``None`` unless every line is laid out as ``json.dumps``
+    writes a dumped row.
 
     The checks run on the UTF-8 bytes, where no multibyte character holds
     a quote, a backslash or a byte below 0x20: every line holds the fixed
@@ -985,39 +977,8 @@ def _split_jsonl_chunk(text: str) -> tuple[str, np.ndarray, tuple | None, None] 
     groups = None
     if width == 10:
         data[ends - 2] = ord("\n")
-        groups = _label_runs(data, words, loss_end + len(_JSONL_GROUP), ends - 2)
+        groups = _spans(data, loss_end + len(_JSONL_GROUP), ends - 2)[:-1].tobytes().decode().split("\n")
     return ids, losses, groups, None
-
-
-# Group labels of up to this many bytes are compared on their bytes to find
-# runs of equal labels; each longer label starts a run of its own.
-_RUN_BYTES = 64
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # masks of the k low bytes
-
-
-def _label_runs(data: np.ndarray, words: np.ndarray, first: np.ndarray,
-                last: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The group labels ``data[first[k]:last[k]]`` of rows k, each followed by
-    a newline at ``last[k]``, as the label of each run of rows that hold the
-    same label and the number of rows in each run.
-
-    ``words[i]`` is the little-endian 8-byte word from byte ``i`` on. Labels
-    are compared a word at a time, so only the first row of a run is decoded:
-    augmented copies of a sample are mostly written one after another.
-    """
-    size = last - first
-    same = size[1:] == size[:-1]
-    longest = int(size.max())
-    for offset in range(0, min(longest, _RUN_BYTES), 8):
-        left = np.minimum(np.maximum(size - offset, 0), 8)  # bytes of the label in this word
-        word = words[np.minimum(first + offset, last)] & _LOW_BYTES[left]
-        same &= word[1:] == word[:-1]
-    if longest > _RUN_BYTES:
-        same &= size[1:] <= _RUN_BYTES
-    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
-    heads = bounds[:-1]
-    labels = _spans(data, first[heads], last[heads])[:-1].tobytes().decode().split("\n")
-    return labels, bounds[1:] - heads
 
 
 def _line_bytes(text: str, pad: int = 0) -> np.ndarray:

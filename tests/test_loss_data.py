@@ -1079,8 +1079,7 @@ class TestEquality:
         assert sets[12] == sets[13] != sets[14]
 
 
-# Group labels with byte lengths at and around the 8-byte words the JSONL
-# splitter compares and past _RUN_BYTES, with look-alikes of equal length.
+# Group labels: empty, short, multibyte and long, with look-alikes of equal length.
 _LABEL_POOL = ["", "g", "g1", "g2", "abcdefg", "abcdefh", "abcdefgh", "abcdefgi", "abcdefghi", "abcdefghj",
                "\xe9", "\u20ac\u20ac", "\U0001f600", "a\U0001f600b", "x" * 64, "x" * 63 + "y", "x" * 65,
                "x" * 64 + "y"]
@@ -1168,6 +1167,8 @@ class TestGroupCodes:
     def test_reduction_and_check_read_the_codes(self):
         ds = from_losses(np.arange(12) / 7.0, group_ids=[f"g{i % 3}" for i in range(12)])
         assert reduce_augmented(ds).sample_ids == ("g0", "g1", "g2")
+        assert loss_data.group_sizes(ds).tolist() == [4, 4, 4]
+        assert loss_data.group_sizes(from_losses(np.arange(3.0), group_ids=["b", "a", "b"])).tolist() == [2, 1]
         assert da_inequality_check(ds).equal_group_sizes
         assert ds._group_ids is None
 
@@ -1242,7 +1243,7 @@ class TestLoaderMemory:
         assert retained < 48 * len(ds), retained / len(ds)
 
     def test_load_and_reduce_peak_on_1e5_grouped_rows(self, files):
-        # Group codes keep this near 0.93 times the file; a tuple of labels per
+        # Group codes keep this near 0.95 times the file; a tuple of labels per
         # sample plus label-keyed dicts in the reduction take 1.29 times.
         path = files[1]
         reduce_augmented(load_dataset(path))
