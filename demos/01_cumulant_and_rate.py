@@ -25,7 +25,7 @@ LN2 = math.log(2.0)
 # the other assigns probability 1/2 to the truth (loss ln 2).
 ds = from_losses([0.0, LN2], model_id="two-point")
 s = summarize(ds)
-print(f"dataset: losses {[r.loss for r in ds.records]}")
+print(f"dataset: losses {ds.losses.tolist()}")
 print(f"mean {s.empirical_loss:.6f}, min {s.min_loss}, variance {s.variance:.6f}\n")
 
 print("cumulant values (always >= 0, increasing, convex, J(0) = 0):")

@@ -15,7 +15,6 @@ import numpy as np
 
 from ratefn import (
     LossDataset,
-    LossRecord,
     covariance_taylor,
     from_losses,
     gradient_norm_bound,
@@ -53,10 +52,7 @@ print("as the deviation approaches the gap.")
 # Parameter-space expansion from per-sample gradients at a reference point.
 rng = np.random.default_rng(3)
 grads = rng.normal(size=(200, 4)) * np.array([1.0, 0.5, 0.1, 0.05])
-records = tuple(
-    LossRecord(f"s{i}", 0.5, grad_theta=tuple(g)) for i, g in enumerate(grads)
-)
-ds_grad = LossDataset(records, model_id="gradient-annotated")
+ds_grad = LossDataset(np.full(len(grads), 0.5), model_id="gradient-annotated", grad_theta=grads)
 displacement = [0.3, -0.2, 1.0, 0.0]
 result = covariance_taylor(ds_grad, displacement, lam=0.5, s=0.01)
 print(f"\ngradient-covariance quadratic form q = {result.quadratic_form:.5f}")
@@ -66,10 +62,7 @@ print("shrinking the displacement shrinks q quadratically, the mechanism by")
 print("which weight decay smooths a model.")
 
 # Input-gradient norms: a distribution-free bound of the same square-root shape.
-records = tuple(
-    LossRecord(f"s{i}", 0.5, grad_norm_sq=float(g)) for i, g in enumerate(rng.gamma(2.0, 2.0, 50))
-)
-ds_norm = LossDataset(records, model_id="norm-annotated")
+ds_norm = LossDataset(np.full(50, 0.5), model_id="norm-annotated", grad_norm_sq=rng.gamma(2.0, 2.0, 50))
 bound = gradient_norm_bound(ds_norm, m_const=1.0, s=0.01, lam=0.5)
 print(f"\nmean squared input-gradient norm: {bound.mean_grad_norm_sq:.4f}")
 print(f"cumulant bound coefficient {bound.j_coefficient:.4f}, at lam 0.5: {bound.bound_j:.4f}")

@@ -62,7 +62,7 @@ class SmoothnessVerdict:
     ``cumulant_dominance`` holds when A's cumulant sits below B's on the
     tested tilts of the grid. It bears on A's rate dominating B's only on the
     tested tilts/deviations, not at every deviation: the cumulants may cross
-    off the grid (ROADMAP item 2 has a counterexample, where A's cumulant
+    off the grid (the ROADMAP has a counterexample, where A's cumulant
     passes B's at a tilt of 1e6). ``rate_dominance_on`` is the largest tested
     deviation up to which A's rate dominates pointwise (0 when even the first
     point fails).
@@ -219,7 +219,7 @@ def compare_smoothness(
     A is "smoother" when its cumulant lies below B's on the tested tilts of
     the grid (pointwise, with round-off slack). Read as rate dominance, this
     holds only on the tested tilts/deviations: nothing checks the tilts
-    between or beyond the grid points, and ROADMAP item 2 gives a pair whose
+    between or beyond the grid points, and the ROADMAP gives a pair whose
     cumulants cross past the default grid, where the verdict is wrong.
     Failing that, A is "beta_smoother" when its rate
     dominates B's on all tested deviations up to ``beta`` (``max(a_values)``
@@ -279,7 +279,7 @@ def interpolator_ordering(
     ``beta`` is A's inverse rate at the bound budget; the smoothness premise
     asks A's rate to dominate B's on deviations up to ``beta``, and
     ``beta_smooth_ok`` checks it on the tested deviations ``a_values`` only,
-    not between them (ROADMAP item 2). A violated training-loss premise is
+    not between them (see the ROADMAP). A violated training-loss premise is
     reported, not raised.
     """
     eps = meta.epsilon if epsilon is None else check_real(epsilon, ValidationError, "epsilon", "non-negative")

@@ -287,10 +287,10 @@ def _cmd_interpolator_check(args):
 
 
 def _cmd_augment(args):
-    ds = _load_input(args)
-    reduced = reduce_augmented(ds)
     if args.output is None:
         raise ValidationError("--output: augment writes a dataset file; an output path is required")
+    ds = _load_input(args)
+    reduced = reduce_augmented(ds)
     dump_dataset(reduced, args.output, format=args.format)
     return f"augment: {len(ds)} records reduced to {len(reduced)} groups -> {args.output}", None
 

@@ -1,20 +1,20 @@
 """Loading, validation, and summaries of per-sample loss data.
 
 Losses are natural-log losses (nats) and must be non-negative and finite.
-A dataset holds its samples in order as read-only columns: a float64 loss
-array, sample ids, and optional group ids, squared input-gradient norms and
-parameter-gradient vectors. Every estimate is a function of the multiset of
-loss values. The summary sums with ``math.fsum``, so reordering samples
-leaves it bit for bit the same; the cumulant and rate passes add in array
-order, so a reordering can move their results in the last bits. The summary
-is computed once per dataset and cached on it; its variance, which only the
-quadratic approximations read, is computed on first read.
+One constructor takes a dataset's samples, in order, as read-only columns: a
+float64 loss array, sample ids, and optional group ids, squared input-gradient
+norms and parameter-gradient vectors. Every estimate is a function of the
+multiset of loss values. The summary sums with ``math.fsum``, so reordering
+samples leaves it bit for bit the same; the cumulant and rate passes add in
+array order, so a reordering can move their results in the last bits. The
+summary is computed once per dataset and cached on it; its variance, which
+only the quadratic approximations read, is computed on first read.
 
 A dataset keeps its group labels as an int32 code per sample, -1 for no
 group, and a tuple of the distinct labels in order of first appearance, so
 one object stands for each label. ``group_ids`` spells them out as a tuple
-per sample only when read; the augmentation reductions, comparison,
-pickling and ``dump_dataset`` work on the codes.
+per sample only when read; the augmentation reductions, comparison, pickling,
+``dump_dataset`` and iteration, the one per-sample view, work on the codes.
 
 A loaded dataset keeps no Python object per sample. One loop reads a CSV
 or JSONL file in chunks of about ``_CHUNK_CHARS`` characters of whole
@@ -266,48 +266,26 @@ class LossDataset:
     default ids, and the packed ids of a loaded dataset, are only spelled out
     as a tuple when first read.
 
-    ``LossDataset(records)`` builds the columns from :class:`LossRecord`
-    objects; ``records`` and iteration give them back as a tuple of records
-    built on first access.
+    The constructor validates the columns. It takes ``losses`` as a float64
+    array without a copy and makes it read-only, so the caller must not keep
+    a writeable reference to it. Optional columns may hold ``None`` for absent
+    values; a float array for ``grad_norm_sq`` marks them with NaN. Group
+    labels must be hashable: equal labels form one group, held as one object.
+    Iteration builds a frozen :class:`LossRecord` per sample and keeps none.
     """
 
     __slots__ = ("losses", "model_id", "grad_norm_sq", "grad_theta",
-                 "_sample_ids", "_groups", "_group_ids", "_records", "_summary")
+                 "_sample_ids", "_groups", "_group_ids", "_summary")
 
-    def __init__(self, records: Iterable[LossRecord] = (), model_id: str = "model"):
-        records = tuple(records)
-        self._set_columns(
-            model_id,
-            np.array([float(r.loss) for r in records], dtype=np.float64),
-            sample_ids=tuple(r.sample_id for r in records),
-            group_ids=[r.group_id for r in records],
-            grad_norm_sq=[r.grad_norm_sq for r in records],
-            grad_theta=[r.grad_theta for r in records],
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        losses: np.ndarray,
+    def __init__(
+        self,
+        losses: np.ndarray | Sequence[float],
         model_id: str = "model",
         sample_ids: Sequence[str] | None = None,
         group_ids: Sequence[str | None] | None = None,
         grad_norm_sq: Sequence[float | None] | np.ndarray | None = None,
         grad_theta: Sequence[Sequence[float] | None] | np.ndarray | None = None,
-    ) -> "LossDataset":
-        """Build a dataset from columns, validated as ``LossDataset(records)`` is.
-
-        ``losses`` is taken as a float64 array without a copy and made
-        read-only, so the caller must not keep a writeable reference to it.
-        Optional columns may hold ``None`` for absent values; a float array
-        for ``grad_norm_sq`` marks absent values with NaN. Group labels must
-        be hashable: equal labels form one group, held as one object.
-        """
-        ds = cls.__new__(cls)
-        ds._set_columns(model_id, losses, sample_ids, group_ids, grad_norm_sq, grad_theta)
-        return ds
-
-    def _set_columns(self, model_id, losses, sample_ids=None, group_ids=None, grad_norm_sq=None, grad_theta=None):
+    ):
         set_ = object.__setattr__
         losses = np.asarray(losses, dtype=np.float64)
         if losses.ndim != 1:
@@ -341,7 +319,6 @@ class LossDataset:
         set_(self, "_group_ids", None)
         set_(self, "grad_norm_sq", norms)
         set_(self, "grad_theta", vectors)
-        set_(self, "_records", None)
         set_(self, "_summary", None)
 
         # Report the first faulty sample, checking each one's loss, then its
@@ -377,7 +354,10 @@ class LossDataset:
         return self.losses.shape[0]
 
     def __iter__(self):
-        return iter(self.records)
+        groups = repeat(None) if self._groups is None else self._each_group()
+        norms = _absent_as_none(self.grad_norm_sq)
+        vectors = repeat(None) if self.grad_theta is None else map(tuple, self.grad_theta.tolist())
+        return map(LossRecord, self.sample_ids, _floats(self.losses), groups, norms, vectors)
 
     def __eq__(self, other):
         # The columns compare as the records would: a NaN grad_norm_sq is an
@@ -394,8 +374,8 @@ class LossDataset:
 
     def __reduce__(self):
         # Attribute assignment is blocked, so copies and pickles rebuild from the columns.
-        return LossDataset.from_columns, (self.losses, self.model_id, self._sample_ids, self._groups,
-                                          self.grad_norm_sq, self.grad_theta)
+        return LossDataset, (self.losses, self.model_id, self._sample_ids, self._groups,
+                             self.grad_norm_sq, self.grad_theta)
 
     def __repr__(self) -> str:
         return f"LossDataset(model_id={self.model_id!r}, count={len(self)})"
@@ -442,17 +422,6 @@ class LossDataset:
             return ids
         return "\n".join((f"s{i}" for i in range(len(self))) if ids is None else ids)
 
-    @property
-    def records(self) -> tuple[LossRecord, ...]:
-        """The samples as frozen :class:`LossRecord` objects, built on first access."""
-        if self._records is None:
-            groups = repeat(None) if self._groups is None else self._each_group()
-            norms = _absent_as_none(self.grad_norm_sq)
-            vectors = repeat(None) if self.grad_theta is None else map(tuple, self.grad_theta.tolist())
-            records = tuple(map(LossRecord, self.sample_ids, self.losses.tolist(), groups, norms, vectors))
-            object.__setattr__(self, "_records", records)
-        return self._records
-
 
 def _same_groups(mine: _GroupCodes | None, theirs: _GroupCodes | None) -> bool:
     # Codes number the labels in order of first appearance, so two columns
@@ -482,9 +451,7 @@ def from_losses(
         values = np.array(losses, dtype=np.float64)
     else:
         values = np.fromiter(map(float, losses), dtype=np.float64)
-    if group_ids is not None and len(group_ids) != len(values):
-        raise ValidationError("group_ids must match the number of losses")
-    return LossDataset.from_columns(values, model_id=model_id, group_ids=group_ids)
+    return LossDataset(values, model_id=model_id, group_ids=group_ids)
 
 
 def summarize(ds: LossDataset) -> DatasetSummary:
@@ -596,7 +563,7 @@ def reduce_augmented(ds: LossDataset) -> LossDataset:
                     math.fsum(block[start:end])
                 except OverflowError:
                     raise ValidationError(f"the sum of the losses of group {labels[k]!r} overflows float64") from None
-    return LossDataset.from_columns(means, model_id=ds.model_id, sample_ids=labels)
+    return LossDataset(means, model_id=ds.model_id, sample_ids=labels)
 
 
 def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> LossDataset:
@@ -610,7 +577,7 @@ def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> Lo
     if not all(map(outer_group_map.__contains__, ids)):
         i = next(i for i, sid in enumerate(ids) if sid not in outer_group_map)
         raise UnknownSampleId(f"record {i}: sample id {ids[i]!r} missing from map")
-    return LossDataset.from_columns(
+    return LossDataset(
         ds.losses,
         model_id=ds.model_id,
         sample_ids=ids,
@@ -664,7 +631,7 @@ def load_dataset(path: str | Path, format: str | None = None) -> LossDataset:
         columns = _load_columns(path, fmt)
     if len(columns["losses"]) == 0:
         raise EmptyDataset(f"{path}: no data rows")
-    return LossDataset.from_columns(model_id=path.stem, **columns)
+    return LossDataset(model_id=path.stem, **columns)
 
 
 def _load_columns(path: Path, fmt: str) -> dict:
@@ -1034,9 +1001,15 @@ def _absent_as_none(column: np.ndarray | None):
     return [None if math.isnan(v) else v for v in column.tolist()]
 
 
-def _quoted_by_csv(joined: str, count: int) -> bool:
-    """Whether csv.writer quotes one of the ``count`` fields joined by newlines
-    in ``joined``, because one holds a comma, a quote or a line break."""
+def _quoted_by_csv(fields: Sequence[str], count: int, what: str) -> bool:
+    """Whether csv.writer quotes one of the ``count`` fields, a sequence or
+    packed ids, because one holds a comma, a quote or a line break. A field
+    that is not a string, which CSV would read back as one, raises ``ValidationError``."""
+    try:
+        joined = fields if type(fields) is _PackedIds else "\n".join(fields)
+    except TypeError:
+        bad = next(f for f in fields if not isinstance(f, str))
+        raise ValidationError(f"{what} {bad!r} is not a string and does not fit CSV; use jsonl") from None
     return joined.count("\n") != max(count - 1, 0) or any(c in joined for c in ',"\r')
 
 
@@ -1049,14 +1022,16 @@ def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None
         # csv.writer quotes only a field that holds a comma, a quote or a line
         # break; without one, it writes the fields joined by commas, each row
         # ended with \r\n. Default ids and the loss and norm fields hold none.
-        plain = ds._sample_ids is None or not _quoted_by_csv(ds._joined_ids(), len(ds))
+        plain = ds._sample_ids is None or not _quoted_by_csv(ds._sample_ids, len(ds), "sample id")
         header = ["sample_id", "loss"]
         columns = [ds.sample_ids, map(repr, _floats(ds.losses))]
         if ds._groups is not None or ds.grad_norm_sq is not None:
             header.append("group_id")
             labels = () if ds._groups is None else ds._groups.labels
+            if "" in labels:
+                raise ValidationError("group label '' does not fit CSV, where an empty field is no group; use jsonl")
             columns.append(repeat("") if ds._groups is None else ds._each_group(""))
-            plain = plain and not _quoted_by_csv("\n".join(labels), len(labels))
+            plain = not _quoted_by_csv(labels, len(labels), "group label") and plain
         if ds.grad_norm_sq is not None:
             header.append("grad_norm_sq")
             columns.append("" if v is None else repr(v) for v in _absent_as_none(ds.grad_norm_sq))

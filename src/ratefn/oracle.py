@@ -352,7 +352,7 @@ def sample_dataset(dist: DiscreteLossDistribution, n: int, seed: int) -> LossDat
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
     losses = _draw_losses(dist, _generator(seed), n)
-    return LossDataset.from_columns(losses, model_id=f"sampled-{seed}")
+    return LossDataset(losses, model_id=f"sampled-{seed}")
 
 
 def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossDataset:
@@ -368,7 +368,7 @@ def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossD
                 f"probability {p!r} times denominator {denominator} is not a positive integer"
             )
         counts.append(int(count))
-    return LossDataset.from_columns(
+    return LossDataset(
         np.repeat(np.asarray(dist.values, dtype=np.float64), counts),
         model_id=f"expanded-{denominator}",
         sample_ids=[f"v{i}c{j}" for i, c in enumerate(counts) for j in range(c)],

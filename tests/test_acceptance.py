@@ -187,8 +187,8 @@ def test_criterion_05_augmentation_jensen():
             outer = {f"g{k}": f"o{k // 2}" for k in range(n_groups)}
             twice = reduce_augmented(
                 from_losses(
-                    [r.loss for r in reduced.records],
-                    group_ids=[outer[r.sample_id] for r in reduced.records],
+                    reduced.losses,
+                    group_ids=[outer[sample_id] for sample_id in reduced.sample_ids],
                 )
             )
             for lam in grid.values[::8]:

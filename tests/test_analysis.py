@@ -9,7 +9,6 @@ from ratefn import (
     DimensionMismatch,
     InvalidA,
     LambdaGrid,
-    LossRecord,
     LossDataset,
     MissingGradients,
     MissingGradNorms,
@@ -306,11 +305,7 @@ class TestVarianceOnDemand:
 
 
 def _grad_dataset(grads, losses=None):
-    losses = losses or [0.5] * len(grads)
-    records = tuple(
-        LossRecord(f"s{i}", losses[i], grad_theta=tuple(g)) for i, g in enumerate(grads)
-    )
-    return LossDataset(records)
+    return LossDataset(losses or [0.5] * len(grads), grad_theta=grads)
 
 
 class TestCovarianceTaylor:
@@ -350,8 +345,7 @@ class TestCovarianceTaylor:
 
 class TestGradientNormBound:
     def _dataset(self, norms):
-        records = tuple(LossRecord(f"s{i}", 0.5, grad_norm_sq=g) for i, g in enumerate(norms))
-        return LossDataset(records)
+        return LossDataset([0.5] * len(norms), grad_norm_sq=norms)
 
     def test_zero_norms_give_zero_bounds(self):
         report = gradient_norm_bound(self._dataset([0.0, 0.0]), m_const=1.0, s=0.01, lam=2.0)

@@ -56,6 +56,8 @@ CASES = {
     "validation-error-m-const": ["grad-bound", "--input", GROUPED, "--m-const", "-1", "--s", "0.1"],
     "empty-dataset": ["cumulant", "--input", "{tmp}/header.csv"],
     "missing-group-id": ["augment", "--input", A, "--output", "{tmp}/out.csv"],
+    # --output is checked before the input is read, so the missing group is not reached.
+    "validation-error-augment-no-output": ["augment", "--input", A],
     "invalid-lambda-taylor": ["taylor", "--input", A, "--mode", "j", "--x", "-1"],
     "invalid-lambda-covariance": ["taylor", "--input", GRADS, "--mode", "covariance", "--x", "0",
                                   "--theta-delta", "1,2,3"],
@@ -100,6 +102,7 @@ ERRORS = {
     'validation-error-m-const': (2, 'grad-bound: ValidationError: m_const must be finite and positive, got -1.0\n'),
     'empty-dataset': (2, 'cumulant: EmptyDataset: <tmp>/header.csv: no data rows\n'),
     'missing-group-id': (2, "augment: MissingGroupId: record 0 ('a0') has no group_id\n"),
+    'validation-error-augment-no-output': (2, 'augment: ValidationError: --output: augment writes a dataset file; an output path is required\n'),
     'invalid-lambda-taylor': (2, 'taylor: InvalidLambda: tilt must be finite and positive, got -1.0\n'),
     'invalid-lambda-covariance': (2, 'taylor: InvalidLambda: tilt must be finite and positive, got 0.0\n'),
     'invalid-lambda-grad-bound': (2, 'grad-bound: InvalidLambda: tilt must be finite and positive, got -1.0\n'),

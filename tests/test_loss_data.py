@@ -53,7 +53,7 @@ class TestLoading:
         path.write_text("sample_id,loss\ns1,0.7\ns2,0.7\ns3,0.7\n")
         ds = load_dataset(path, "csv")
         assert len(ds) == 3
-        assert [r.loss for r in ds.records] == [0.7, 0.7, 0.7]
+        assert [r.loss for r in ds] == [0.7, 0.7, 0.7]
         assert ds.model_id == "losses"
 
     def test_negative_loss_rejected_with_line_number(self, tmp_path):
@@ -89,11 +89,11 @@ class TestLoading:
     def test_csv_with_grad_norm_column(self, tmp_path):
         path = tmp_path / "norms.csv"
         path.write_text("sample_id,loss,group_id,grad_norm_sq\ns1,0.5,g1,4.0\ns2,0.25,,\n")
-        ds = load_dataset(path, "csv")
-        assert ds.records[0].grad_norm_sq == 4.0
-        assert ds.records[0].group_id == "g1"
-        assert ds.records[1].grad_norm_sq is None
-        assert ds.records[1].group_id is None
+        first, second = load_dataset(path, "csv")
+        assert first.grad_norm_sq == 4.0
+        assert first.group_id == "g1"
+        assert second.grad_norm_sq is None
+        assert second.group_id is None
 
     def test_jsonl_groups_and_vectors(self, tmp_path):
         path = tmp_path / "losses.jsonl"
@@ -101,9 +101,9 @@ class TestLoading:
             '{"sample_id": "a", "loss": 0.5, "group_id": "g1", "grad_theta": [1.0, -1.0]}\n'
             '{"sample_id": "b", "loss": 0.25, "group_id": "g1", "grad_theta": [0.5, 0.5]}\n'
         )
-        ds = load_dataset(path, "jsonl")
-        assert ds.records[0].group_id == "g1"
-        assert ds.records[1].grad_theta == (0.5, 0.5)
+        first, second = load_dataset(path, "jsonl")
+        assert first.group_id == "g1"
+        assert second.grad_theta == (0.5, 0.5)
 
     def test_jsonl_bad_line_number(self, tmp_path):
         path = tmp_path / "losses.jsonl"
@@ -124,7 +124,7 @@ class TestLoading:
         old_mac = tmp_path / "old_mac.csv"
         old_mac.write_bytes(b"sample_id,loss,group_id\ra,0.5,g1\rb,1_0,\rc,0.25,g2\r")
         a, b, c = load_dataset(plain), load_dataset(other), load_dataset(old_mac)
-        assert a.records == b.records == c.records
+        assert tuple(a) == tuple(b) == tuple(c)
         assert a.losses.tolist() == [0.5, 10.0, 0.25]
         assert a.group_ids == ("g1", None, "g2")
 
@@ -138,13 +138,13 @@ class TestLoading:
             load_dataset(path, "csv")
 
     def test_dumped_csv_takes_the_fast_path(self, tmp_path, monkeypatch):
-        ds = LossDataset.from_columns(np.array([0.1, 0.0, 2.5, 0.3]), group_ids=["g1", "g1", None, "g2"],
-                                      grad_norm_sq=[1.0, None, 0.5, 2.0])
+        ds = LossDataset(np.array([0.1, 0.0, 2.5, 0.3]), group_ids=["g1", "g1", None, "g2"],
+                         grad_norm_sq=[1.0, None, 0.5, 2.0])
         path = tmp_path / "grouped.csv"
         dump_dataset(ds, path)
         assert path.read_bytes().count(b"\r\n") == 5  # the csv module's default line end
         monkeypatch.setattr(loss_data, "_read_csv_rows", _no_row_reader)
-        assert load_dataset(path).records == ds.records
+        assert tuple(load_dataset(path)) == tuple(ds)
 
     def test_lone_cr_and_quotes_are_read_row_by_row(self, tmp_path, monkeypatch):
         widths = []
@@ -193,8 +193,8 @@ class TestLoading:
             path = tmp_path / name
             dump_dataset(ds, path, format=fmt)
             back = load_dataset(path, fmt)
-            assert [r.loss for r in back.records] == [r.loss for r in ds.records]
-            assert [r.group_id for r in back.records] == ["g1", "g1", "g2"]
+            assert [r.loss for r in back] == [r.loss for r in ds]
+            assert [r.group_id for r in back] == ["g1", "g1", "g2"]
 
 
 def _csv_writer_bytes(ds):
@@ -229,13 +229,15 @@ class TestCsvWriter:
     ])
     @pytest.mark.parametrize("norms", [None, [1.5, None, 0.0, 2e-300]])
     def test_bytes_equal_csv_writers(self, tmp_path, monkeypatch, ids, groups, norms):
-        ds = LossDataset.from_columns(np.array([0.1, 0.0, 1e300, 2.5e-7]), sample_ids=ids, group_ids=groups,
-                                      grad_norm_sq=norms)
+        ds = LossDataset(np.array([0.1, 0.0, 1e300, 2.5e-7]), sample_ids=ids, group_ids=groups, grad_norm_sq=norms)
+        path = tmp_path / "out.csv"
+        if "" in (groups or ()):
+            _assert_empty_label_refused(ds, path)
+            return
         expected = _csv_writer_bytes(ds)
         plain = not any(c in f for f in [*ids, *(g for g in groups or () if g)] for c in ',"\r\n')
         if plain:
             monkeypatch.setattr(loss_data.csv, "writer", None)  # joined without the csv module
-        path = tmp_path / "out.csv"
         dump_dataset(ds, path)
         assert path.read_bytes() == expected
         monkeypatch.undo()
@@ -258,42 +260,69 @@ class TestCsvWriter:
                               st.none() | st.floats(0.0, 1e300)), min_size=1, max_size=8), st.booleans())
     def test_random_fields_equal_csv_writers(self, rows, with_norms):
         ids, groups, norms = map(list, zip(*rows))
-        ds = LossDataset.from_columns(np.arange(len(rows)) / 7.0, sample_ids=ids, group_ids=groups,
-                                      grad_norm_sq=norms if with_norms else None)
+        ds = LossDataset(np.arange(len(rows)) / 7.0, sample_ids=ids, group_ids=groups,
+                         grad_norm_sq=norms if with_norms else None)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "out.csv"
+            if "" in groups:
+                _assert_empty_label_refused(ds, path)
+                return
             dump_dataset(ds, path)
             assert path.read_bytes() == _csv_writer_bytes(ds)
+
+    def test_fields_csv_cannot_read_back_are_refused(self, tmp_path):
+        # CSV reads an empty group field as no group, and every field as a string.
+        path = tmp_path / "out.csv"
+        _assert_empty_label_refused(from_losses([0.5, 1.5], group_ids=["", ""]), path)
+        numbered = from_losses([0.5, 1.5, 2.5, 3.5], group_ids=[1, 1, 2, 2])
+        quoted = LossDataset([0.5, 1.5], sample_ids=["a,b", "c"], group_ids=[1, 1])  # csv.writer's path
+        for ds in (numbered, quoted):
+            with pytest.raises(ValidationError, match="^group label 1 is not a string and does not fit CSV"):
+                dump_dataset(ds, path)
+        with pytest.raises(ValidationError, match="^sample id 1 is not a string and does not fit CSV; use jsonl$"):
+            dump_dataset(reduce_augmented(numbered), path)
+        assert not path.exists()
+
+    def test_jsonl_reads_back_what_csv_refuses(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        dump_dataset(from_losses([0.5, 1.5], group_ids=["", ""]), path, format="jsonl")
+        assert reduce_augmented(load_dataset(path)).sample_ids == ("",)
+        dump_dataset(reduce_augmented(from_losses([0.5, 1.5, 2.5, 3.5], group_ids=[1, 1, 2, 2])), path, format="jsonl")
+        assert load_dataset(path).sample_ids == ("1", "2")
+
+
+def _assert_empty_label_refused(ds, path):
+    """An empty field reads back as no group, so dump_dataset refuses a "" label
+    before it opens the file, on the joined and the csv.writer path alike."""
+    with pytest.raises(ValidationError, match="^group label '' does not fit CSV, where an empty field is no group; "
+                                              "use jsonl$"):
+        dump_dataset(ds, path)
+    assert not path.exists()
 
 
 class TestValidation:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            LossDataset(records=())
+            LossDataset([])
 
     def test_negative_loss(self):
         with pytest.raises(ValidationError):
             from_losses([0.5, -0.01])
 
     def test_gradient_length_mismatch(self):
-        records = (
-            LossRecord("a", 0.5, grad_theta=(1.0, 2.0)),
-            LossRecord("b", 0.5, grad_theta=(1.0,)),
-        )
         with pytest.raises(ValidationError):
-            LossDataset(records)
+            LossDataset([0.5, 0.5], sample_ids=["a", "b"], grad_theta=[(1.0, 2.0), (1.0,)])
 
     def test_partial_gradients_rejected(self):
-        records = (LossRecord("a", 0.5, grad_theta=(1.0,)), LossRecord("b", 0.5))
         with pytest.raises(ValidationError):
-            LossDataset(records)
+            LossDataset([0.5, 0.5], sample_ids=["a", "b"], grad_theta=[(1.0,), None])
 
     def test_non_finite_grad_theta_rejected(self):
         losses = np.array([0.5, 0.7, 0.9])
         for vectors in ([[1.0, 2.0], [3.0, math.inf], [math.nan, 0.0]],
                         np.array([[1.0, 2.0], [3.0, -math.inf], [math.nan, 0.0]])):
             with pytest.raises(ValidationError, match=r"record 1 \('s1'\): grad_theta values must be finite"):
-                LossDataset.from_columns(losses.copy(), grad_theta=vectors)
+                LossDataset(losses.copy(), grad_theta=vectors)
 
     def test_jsonl_overflowing_grad_theta_rejected(self, tmp_path):
         path = tmp_path / "grads.jsonl"
@@ -334,9 +363,8 @@ class TestValidation:
         assert ds.grad_theta.tolist() == [[3.0, -4.0]]
 
     def test_first_faulty_record_is_reported(self):
-        records = (LossRecord("a", 0.5, grad_norm_sq=-1.0), LossRecord("b", -0.5, grad_norm_sq=1.0))
         with pytest.raises(ValidationError, match=r"record 0 \('a'\): grad_norm_sq"):
-            LossDataset(records)
+            LossDataset([0.5, -0.5], sample_ids=["a", "b"], grad_norm_sq=[-1.0, 1.0])
 
     def test_model_meta(self):
         ModelMeta(10, 1000, 0.05)
@@ -421,22 +449,41 @@ class TestColumnarDataset:
         assert ds.losses.tolist() == [0.5, 1.5]
         assert values.flags.writeable
 
-    def test_records_view_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("block", [1, 1 << 13])
+    def test_iteration_equals_the_columns(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", block)
         path = tmp_path / "full.jsonl"
         path.write_text(
             '{"sample_id": "a", "loss": 0.5, "group_id": "g1", "grad_norm_sq": 4.0, "grad_theta": [1, -1]}\n'
             '{"sample_id": "b", "loss": 0.25, "group_id": null, "grad_theta": [0.5, 0.5]}\n'
         )
-        ds = load_dataset(path)
-        again = LossDataset(ds.records, model_id=ds.model_id)
-        assert again == ds
-        assert list(again) == list(ds.records)
-        assert again.sample_ids == ("a", "b")
-        assert again.group_ids == ("g1", None)
-        assert np.array_equal(again.grad_norm_sq, [4.0, np.nan], equal_nan=True)
-        assert again.grad_theta.tolist() == [[1.0, -1.0], [0.5, 0.5]]
-        assert ds.records[1] == LossRecord("b", 0.25, None, None, (0.5, 0.5))
-        assert pickle.loads(pickle.dumps(ds)) == copy.deepcopy(ds) == ds
+        full = load_dataset(path)
+        assert list(full) == [LossRecord("a", 0.5, "g1", 4.0, (1.0, -1.0)),
+                              LossRecord("b", 0.25, None, None, (0.5, 0.5))]
+        assert pickle.loads(pickle.dumps(full)) == copy.deepcopy(full) == full
+        grouped = from_losses(np.arange(5.0), group_ids=["a", None, "b", "a", None])
+        normed = LossDataset([0.5, 1.5, 2.5], sample_ids=["x", "y", "z"], grad_norm_sq=np.array([np.nan, 1.0, np.nan]))
+        for ds in (full, from_losses([0.3, 0.0, 0.3]), grouped, normed):
+            count = len(ds)
+            groups = ds.group_ids or [None] * count
+            norms = [None] * count if ds.grad_norm_sq is None else [
+                None if math.isnan(v) else v for v in ds.grad_norm_sq.tolist()]
+            vectors = [None] * count if ds.grad_theta is None else [tuple(v) for v in ds.grad_theta.tolist()]
+            expected = [LossRecord(*row) for row in zip(ds.sample_ids, ds.losses.tolist(), groups, norms, vectors)]
+            assert list(ds) == expected
+
+    def test_iteration_builds_each_record_afresh_and_keeps_none(self):
+        ds = LossDataset([0.5, 1.5], sample_ids=["a", "b"], group_ids=["g", None], grad_norm_sq=[1.0, None],
+                         grad_theta=[[1.0], [2.0]])
+        slots = {name: getattr(ds, name) for name in LossDataset.__slots__}
+        first, second = list(ds), list(ds)
+        assert first == second and all(a is not b for a, b in zip(first, second))
+        assert all(getattr(ds, name) is value for name, value in slots.items())
+
+    def test_iteration_leaves_group_ids_unset(self):
+        ds = from_losses(np.arange(4.0), group_ids=["a", None, "b", "a"])
+        assert [r.group_id for r in ds] == ["a", None, "b", "a"]
+        assert ds._group_ids is None
 
     def test_summary_matches_python_loop_bit_for_bit(self):
         # (v - mean) ** 2 rounds differently from (v - mean) * (v - mean), which
@@ -498,18 +545,19 @@ class TestReduceAugmented:
         ds = from_losses([1.0, 3.0], group_ids=["g1", "g1"])
         reduced = reduce_augmented(ds)
         assert len(reduced) == 1
-        assert reduced.records[0].sample_id == "g1"
-        assert reduced.records[0].loss == 2.0
+        (record,) = reduced
+        assert record.sample_id == "g1"
+        assert record.loss == 2.0
 
     def test_singleton_groups_preserve_multiset(self):
         ds = from_losses([0.3, 0.1, 0.2], group_ids=["a", "b", "c"])
         reduced = reduce_augmented(ds)
-        assert sorted(r.loss for r in reduced.records) == [0.1, 0.2, 0.3]
+        assert sorted(r.loss for r in reduced) == [0.1, 0.2, 0.3]
 
     def test_hand_groups(self):
         ds = from_losses([0.0, LN2, LN2, LN2], group_ids=["g1", "g1", "g2", "g2"])
         reduced = reduce_augmented(ds)
-        by_group = {r.sample_id: r.loss for r in reduced.records}
+        by_group = {r.sample_id: r.loss for r in reduced}
         np.testing.assert_allclose(by_group["g1"], LN2 / 2, rtol=1e-15)
         np.testing.assert_allclose(by_group["g2"], LN2, rtol=1e-15)
 
@@ -524,7 +572,7 @@ class TestReduceAugmented:
         ds = from_losses([0.0, 1.0, 1.0], group_ids=["g1", "g1", "g2"])
         with pytest.warns(UnequalGroupsWarning):
             reduced = reduce_augmented(ds)
-        by_group = {r.sample_id: r.loss for r in reduced.records}
+        by_group = {r.sample_id: r.loss for r in reduced}
         assert by_group == {"g1": 0.5, "g2": 1.0}
 
     def test_blocks_of_groups_give_each_group_its_fsum_mean(self, monkeypatch):
@@ -585,15 +633,16 @@ class TestComposeAugmented:
     def test_identity_map(self):
         ds = from_losses([0.1, 0.2], group_ids=["a", "b"])
         composed = compose_augmented(ds, {"s0": "a", "s1": "b"})
-        assert [r.group_id for r in composed.records] == ["a", "b"]
-        assert [r.loss for r in composed.records] == [0.1, 0.2]
+        assert [r.group_id for r in composed] == ["a", "b"]
+        assert [r.loss for r in composed] == [0.1, 0.2]
 
     def test_full_collapse(self):
         ds = from_losses([0.25, 0.75, 0.5, 1.0])
         composed = compose_augmented(ds, {f"s{i}": "all" for i in range(4)})
         reduced = reduce_augmented(composed)
         assert len(reduced) == 1
-        assert reduced.records[0].loss == summarize(ds).empirical_loss
+        (record,) = reduced
+        assert record.loss == summarize(ds).empirical_loss
 
     def test_unknown_sample_id(self):
         ds = from_losses([0.1, 0.2])
@@ -614,9 +663,9 @@ class TestComposeAugmented:
         assert {r.sample_id: r.loss for r in twice} == {r.sample_id: r.loss for r in direct}
 
 
-def test_records_are_immutable(two_point_ds):
+def test_each_record_is_immutable(two_point_ds):
     with pytest.raises(AttributeError):
-        two_point_ds.records[0].loss = 1.0
+        next(iter(two_point_ds)).loss = 1.0
 
 
 def _csv_rows_dataset(path):
@@ -920,9 +969,9 @@ class TestJsonlColumnPath:
 
     def test_dump_dataset_rows_take_the_column_path(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
-        ds = LossDataset.from_columns(rng.exponential(1.0, 3000) * 10.0 ** rng.integers(-300, 300, 3000),
-                                      sample_ids=[f"id {i} é," for i in range(3000)],
-                                      group_ids=[f"g{i % 7}" for i in range(3000)])
+        ds = LossDataset(rng.exponential(1.0, 3000) * 10.0 ** rng.integers(-300, 300, 3000),
+                         sample_ids=[f"id {i} é," for i in range(3000)],
+                         group_ids=[f"g{i % 7}" for i in range(3000)])
         path = tmp_path / "dumped.jsonl"
         dump_dataset(ds, path, format="jsonl")
         path.write_text(path.read_text().replace("\\u00e9", "é"), encoding="utf-8")
@@ -1017,18 +1066,18 @@ class TestCsvSplitPath:
         assert 0.2 < sum(accepted) / len(accepted) < 0.9, sum(accepted) / len(accepted)
 
 
-def _records_equal(a, b):
+def _equal_record_by_record(a, b):
     """Dataset equality by its definition: the model id and the records."""
-    return a.model_id == b.model_id and a.records == b.records
+    return a.model_id == b.model_id and tuple(a) == tuple(b)
 
 
 class TestEquality:
     def test_packed_and_spelled_out_ids(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("sample_id,loss\na,0.5\nb,1.5\n")
-        built = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m", sample_ids=["a", "b"])
-        other = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m", sample_ids=["a", "c"])
-        newline = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m", sample_ids=["a\nb", ""])
+        built = LossDataset(np.array([0.5, 1.5]), model_id="m", sample_ids=["a", "b"])
+        other = LossDataset(np.array([0.5, 1.5]), model_id="m", sample_ids=["a", "c"])
+        newline = LossDataset(np.array([0.5, 1.5]), model_id="m", sample_ids=["a\nb", ""])
         numbered = tmp_path / "n" / "m.csv"
         numbered.parent.mkdir()
         numbered.write_text("sample_id,loss\ns0,0.5\ns1,1.5\n")
@@ -1037,17 +1086,17 @@ class TestEquality:
             packed, spelled = load_dataset(path), load_dataset(path)
             spelled.sample_ids
             assert type(packed._sample_ids) is loss_data._PackedIds and type(spelled._sample_ids) is tuple
-            defaults = LossDataset.from_columns(np.array([0.5, 1.5]), model_id="m")
+            defaults = LossDataset(np.array([0.5, 1.5]), model_id="m")
             return [packed, spelled, built, other, newline, load_dataset(numbered), defaults]
 
-        expected = [[_records_equal(x, y) for y in datasets()] for x in datasets()]
+        expected = [[_equal_record_by_record(x, y) for y in datasets()] for x in datasets()]
         sets = datasets()
         assert [[x == y for y in sets] for x in sets] == expected
         assert expected[0] == [True, True, True, False, False, False, False]
         assert expected[5] == [False] * 5 + [True, True]
         assert type(sets[0]._sample_ids) is type(sets[5]._sample_ids) is loss_data._PackedIds  # not spelled out
 
-    def test_columns_compare_as_records_do(self):
+    def test_columns_compare_as_record_tuples_do(self):
         base = dict(losses=[0.0, 0.5, 2.0], sample_ids=["a", "b", "c"])
         variants = [
             {},
@@ -1071,10 +1120,10 @@ class TestEquality:
         sets = []
         for change in variants:
             kwargs = {**base, **change}
-            sets.append(LossDataset.from_columns(np.array(kwargs.pop("losses"), dtype=np.float64), **kwargs))
+            sets.append(LossDataset(np.array(kwargs.pop("losses"), dtype=np.float64), **kwargs))
         for x in sets:
             for y in sets:
-                assert (x == y) == _records_equal(x, y), (x.records, y.records)
+                assert (x == y) == _equal_record_by_record(x, y), (tuple(x), tuple(y))
         assert sets[0] == sets[1] and sets[7] == sets[8] == sets[9] and sets[0] == sets[11]
         assert sets[12] == sets[13] != sets[14]
 
@@ -1130,15 +1179,15 @@ class TestGroupCodes:
                         assert tuple(distinct[c] if c >= 0 else None for c in codes.tolist()) == groups
                         assert len({id(g) for g in ds.group_ids if g is not None}) == len(distinct)
 
-    def test_equality_pickle_copy_and_records_keep_the_codes(self, tmp_path, monkeypatch):
+    def test_equality_pickle_copy_and_iteration_keep_the_codes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(loss_data, "_CHUNK_CHARS", 8)
         path = tmp_path / "g.csv"
         path.write_text("sample_id,loss,group_id\na,0.5,g1\nb,1.5,\nc,0.25,g1\nd,1.0,g\u20ac\n", encoding="utf-8")
         groups = ("g1", None, "g1", "g\u20ac")
 
         def built(group_ids):
-            return LossDataset.from_columns(np.array([0.5, 1.5, 0.25, 1.0]), model_id="g", sample_ids=list("abcd"),
-                                            group_ids=group_ids)
+            return LossDataset(np.array([0.5, 1.5, 0.25, 1.0]), model_id="g", sample_ids=list("abcd"),
+                               group_ids=group_ids)
 
         loaded = load_dataset(path)
         assert loaded == built(groups) and loaded == built(np.array(groups, dtype=object))
@@ -1147,8 +1196,8 @@ class TestGroupCodes:
         for copied in (pickle.loads(pickle.dumps(loaded)), copy.copy(loaded), copy.deepcopy(loaded)):
             assert copied == loaded and copied._group_ids is None
             assert copied._groups.codes.tolist() == [0, -1, 0, 1] and not copied._groups.codes.flags.writeable
-        assert [r.group_id for r in loaded.records] == list(groups)
-        assert loaded._group_ids is None  # comparing, pickling and the records read the codes
+        assert [r.group_id for r in loaded] == list(groups)
+        assert loaded._group_ids is None  # comparing, pickling and iteration read the codes
         assert loaded.group_ids == groups
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

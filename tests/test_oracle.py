@@ -109,7 +109,7 @@ class TestSampling:
     def test_single_atom(self):
         dist = DiscreteLossDistribution((0.3,), (1.0,))
         ds = sample_dataset(dist, 10, seed=1)
-        assert all(r.loss == 0.3 for r in ds.records)
+        assert all(r.loss == 0.3 for r in ds)
 
     def test_atom_frequencies(self):
         dist = DiscreteLossDistribution((0.0, 1.0, 2.0), (0.2, 0.5, 0.3))
@@ -124,18 +124,18 @@ class TestExpansion:
     def test_half_half(self):
         dist = DiscreteLossDistribution((0.0, LN2), (0.5, 0.5))
         ds = expand_to_dataset(dist, 2)
-        assert [r.loss for r in ds.records] == [0.0, LN2]
+        assert [r.loss for r in ds] == [0.0, LN2]
 
     def test_thirds(self):
         dist = DiscreteLossDistribution((0.0, 1.0), (1 / 3, 2 / 3))
         ds = expand_to_dataset(dist, 3)
-        assert sorted(r.loss for r in ds.records) == [0.0, 1.0, 1.0]
+        assert sorted(r.loss for r in ds) == [0.0, 1.0, 1.0]
 
     def test_tenths(self):
         dist = DiscreteLossDistribution((0.0, 1.0), (0.3, 0.7))
         ds = expand_to_dataset(dist, 10)
-        assert sum(r.loss == 0.0 for r in ds.records) == 3
-        assert sum(r.loss == 1.0 for r in ds.records) == 7
+        assert sum(r.loss == 0.0 for r in ds) == 3
+        assert sum(r.loss == 1.0 for r in ds) == 7
 
     def test_non_rational(self):
         dist = DiscreteLossDistribution((0.0, 1.0), (1 / 3, 2 / 3))

@@ -1,11 +1,13 @@
-"""The benchmark's tracer finds every function it times.
+"""The benchmark's tracer finds every function it times, and its checks pass.
 
 ``bench/spans.py`` wraps the functions named in its ``LAYERS`` by looking up
 each ``ratefn.<module>`` in ``sys.modules`` once the benchmark has imported
 ``ratefn`` and ``ratefn.cli``, so those two imports must load every one of
 those modules eagerly: ``ratefn`` the numerical ones, and the command line
-the serializers. The check runs in a fresh interpreter, where no other test
-has imported anything.
+the serializers. The benchmark's operations also check what the library
+returns, for example the records that iterating a dataset yields, so one
+round of a workload must run without a failed operation. The checks run in a
+fresh interpreter, where no other test has imported anything.
 """
 
 import json
@@ -38,14 +40,37 @@ print(json.dumps({"package": package, "loaded": loaded, "missing": missing, "unw
 """
 
 
-def test_import_loads_every_traced_module_and_function():
+_SMALL_ROUND = """
+import json, sys
+from pathlib import Path
+import workloads
+workload = workloads.WORKLOADS["small_many"](0, Path(sys.argv[1]))
+workload.prepare_checks()
+records = workloads.run_rounds(workload, 1)
+workload.close()
+print(json.dumps({"ops": len(records), "errors": [(r.name, r.error) for r in records if r.error]}))
+"""
+
+
+def _probe(code: str, *args: str) -> dict:
+    """The JSON object that ``code`` prints last, run with ``src`` and ``bench`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    report = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_every_traced_module_and_function():
+    report = _probe(_PROBE)
     assert report["package"] == ["loss_data", "cumulant", "rate", "analysis", "oracle"]
     assert report["loaded"] == ["loss_data", "cumulant", "rate", "analysis", "oracle", "serialize", "cli"]
     assert report["missing"] == []
     assert report["unwrapped"] == []
     assert report["restored"]
+
+
+def test_one_small_many_round_passes_its_checks(tmp_path):
+    report = _probe(_SMALL_ROUND, str(tmp_path))
+    assert report["ops"] > 0
+    assert report["errors"] == []
