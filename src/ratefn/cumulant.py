@@ -85,8 +85,14 @@ class LambdaGrid:
 
     @staticmethod
     def default() -> "LambdaGrid":
-        """64 log-spaced tilts on [1e-3, 1e3]; covers the curvature region for nat-scale losses."""
-        return LambdaGrid.log_spaced(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_SIZE)
+        """64 log-spaced tilts on [1e-3, 1e3]; covers the curvature region for nat-scale losses.
+
+        Grids are immutable, so every call returns the one instance built at import.
+        """
+        return _DEFAULT_GRID
+
+
+_DEFAULT_GRID = LambdaGrid.log_spaced(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_SIZE)
 
 
 @dataclass(frozen=True)

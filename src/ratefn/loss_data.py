@@ -15,14 +15,16 @@ group, and a tuple of the distinct labels in order of first appearance, so
 one object stands for each label. ``group_ids`` spells them out as a tuple
 per sample only when read; the augmentation reductions, comparison, pickling,
 ``dump_dataset`` and iteration, the one per-sample view, work on the codes.
+Sample ids stay in the form a dataset was built with: none (the default
+``s0, s1, ...``), one newline-joined string, or a tuple. The same paths read
+them a block at a time; only ``sample_ids`` spells them out.
 
 A loaded dataset keeps no Python object per sample. One loop reads a CSV
 or JSONL file in chunks of about ``_CHUNK_CHARS`` characters of whole
 lines, codes the group labels as it goes, and holds the sample ids as one
-newline-joined string, spelled out as a tuple when ``sample_ids`` is first
-read. A chunk whose every line is a plain CSV row, or has one of the two
-JSONL layouts ``dump_dataset`` writes, is split into columns on its UTF-8
-bytes. Any other JSONL chunk is parsed line by line;
+newline-joined string. A chunk whose every line is a plain CSV row, or has
+one of the two JSONL layouts ``dump_dataset`` writes, is split into columns
+on its UTF-8 bytes. Any other JSONL chunk is parsed line by line;
 from the first other CSV chunk on, the csv module reads row by row. Either
 way the values and messages are those of the row and line readers.
 """
@@ -63,7 +65,7 @@ TIE_TOL = 1e-11
 _CHUNK_CHARS = 1 << 18
 
 # Sums over Python floats convert the loss array this many values at a time,
-# and group labels are spelled out this many samples at a time.
+# and group labels and sample ids are spelled out this many samples at a time.
 _FLOAT_BLOCK = 1 << 13
 
 
@@ -197,6 +199,60 @@ class _PackedIds(str):
     __slots__ = ()
 
 
+def _numbered_ids(prefixes: Sequence[str], counts: Sequence[int]) -> _PackedIds:
+    """The ids ``f"{prefix}{j}"`` for ``j < count``, prefix by prefix, packed
+    without a Python string per id. Each count is at least 1, and no prefix
+    holds a newline.
+
+    The decimal lines of ``0 .. max(counts) - 1`` are written once with
+    numpy digit arithmetic; each prefix takes the first ``count`` of them
+    and puts itself before each with one ``str.replace``.
+    """
+    largest = max(counts)
+    runs = []  # (first, end, digits) of each run of numbers with one number of digits
+    first, digits = 0, 1
+    while first < largest:
+        end = min(10 ** digits, largest)
+        runs.append((first, end, digits))
+        first, digits = end, digits + 1
+
+    def chars(count: int) -> int:
+        """The characters of the first ``count`` lines, newlines included."""
+        return sum((min(end, count) - first) * (digits + 1) for first, end, digits in runs if first < count)
+
+    buffer = np.empty(chars(largest), dtype=np.uint8)
+    start = 0
+    for first, end, digits in runs:
+        rows = buffer[start:start + (end - first) * (digits + 1)].reshape(end - first, digits + 1)
+        numbers = np.arange(first, end, dtype=np.min_scalar_type(largest))
+        for column in range(digits - 1, -1, -1):
+            np.remainder(numbers, 10, out=rows[:, column], casting="unsafe")
+            numbers //= 10
+        rows[:, :digits] += ord("0")
+        rows[:, digits] = ord("\n")
+        start += rows.size
+    lines = str(buffer, "ascii")
+    del buffer
+    joined = "\n".join([prefix + lines[:chars(count) - 1].replace("\n", "\n" + prefix)
+                        for prefix, count in zip(prefixes, counts)])
+    del lines
+    return _PackedIds(joined)  # a copy, made once the pieces are gone
+
+
+def _packed_blocks(ids: _PackedIds, count: int):
+    """Lists of the ``count`` ids packed in ``ids``, in order, about
+    ``_FLOAT_BLOCK`` to a list: each list ends at the first line end past
+    its share of the characters, so no slice is copied twice."""
+    step = max(1, len(ids) * _FLOAT_BLOCK // count)
+    start = 0
+    while start <= len(ids):
+        end = ids.find("\n", start + step)
+        if end < 0:
+            end = len(ids)
+        yield ids[start:end].split("\n")
+        start = end + 1
+
+
 def _pack(ids: list[str]) -> str | list[str]:
     """``ids`` joined by newlines, or ``ids`` itself when one of them holds a newline."""
     joined = "\n".join(ids)
@@ -262,9 +318,10 @@ class LossDataset:
     sample on first read, or is ``None`` when no sample has a group.
     ``grad_norm_sq`` is a read-only float64 array with NaN where a sample has
     no value, or ``None`` when none has one; ``grad_theta`` is a read-only
-    ``(count, dim)`` array, or ``None``. Sample ids default to ``s0, s1, ...``;
-    default ids, and the packed ids of a loaded dataset, are only spelled out
-    as a tuple when first read.
+    ``(count, dim)`` array, or ``None``. Sample ids default to ``s0, s1, ...``.
+    Default ids, and the ids of a loaded or expanded dataset, packed into one
+    newline-joined string, stay so however the dataset is walked, copied or
+    compared; only ``sample_ids`` spells them out, as a tuple.
 
     The constructor validates the columns. It takes ``losses`` as a float64
     array without a copy and makes it read-only, so the caller must not keep
@@ -340,7 +397,7 @@ class LossDataset:
             problems.append((int(bad_vector[0]), 2, "grad_theta values must be finite"))
         if problems:
             i, _, message = min(problems)
-            raise ValidationError(f"record {i} ({self.sample_ids[i]!r}): {message}")
+            raise ValidationError(f"record {i} ({self._id_at(i)!r}): {message}")
         if partial:
             raise ValidationError("grad_theta must be present on all records or none")
 
@@ -357,7 +414,7 @@ class LossDataset:
         groups = repeat(None) if self._groups is None else self._each_group()
         norms = _absent_as_none(self.grad_norm_sq)
         vectors = repeat(None) if self.grad_theta is None else map(tuple, self.grad_theta.tolist())
-        return map(LossRecord, self.sample_ids, _floats(self.losses), groups, norms, vectors)
+        return map(LossRecord, self._each_id(), _floats(self.losses), groups, norms, vectors)
 
     def __eq__(self, other):
         # The columns compare as the records would: a NaN grad_norm_sq is an
@@ -382,10 +439,11 @@ class LossDataset:
 
     @property
     def sample_ids(self) -> tuple[str, ...]:
-        """One id per sample; ``s0, s1, ...`` unless given, spelled out on first access."""
+        """One id per sample; ``s0, s1, ...`` unless given. Spelled out on first
+        access and kept; no library path reads it."""
         ids = self._sample_ids
         if type(ids) is not tuple:
-            ids = tuple(f"s{i}" for i in range(len(self))) if ids is None else tuple(ids.split("\n"))
+            ids = tuple(self._each_id())
             object.__setattr__(self, "_sample_ids", ids)
         return ids
 
@@ -404,23 +462,35 @@ class LossDataset:
         blocks = range(0, len(codes), _FLOAT_BLOCK)
         return chain.from_iterable(names[codes[i:i + _FLOAT_BLOCK]].tolist() for i in blocks)
 
+    def _id_blocks(self):
+        """The sample ids in order, in lists or tuples of about ``_FLOAT_BLOCK``,
+        from whichever form the dataset holds; none is kept."""
+        ids, count = self._sample_ids, len(self)
+        if type(ids) is _PackedIds:
+            yield from _packed_blocks(ids, count)
+        else:
+            for first in range(0, count, _FLOAT_BLOCK):
+                last = min(first + _FLOAT_BLOCK, count)
+                yield [f"s{i}" for i in range(first, last)] if ids is None else ids[first:last]
+
+    def _each_id(self):
+        """Each sample's id, spelled out a block at a time."""
+        return chain.from_iterable(self._id_blocks())
+
+    def _id_at(self, i: int):
+        """Sample ``i``'s id, for a message."""
+        return next(islice(self._each_id(), i, None))
+
     def _same_ids(self, other: "LossDataset") -> bool:
         """Whether two datasets of one length hold the same sample ids, without
-        spelling out packed ones."""
+        spelling out either side's."""
         ids, other_ids = self._sample_ids, other._sample_ids
-        if ids is other_ids:
-            return True
-        if _PackedIds in (type(ids), type(other_ids)):
-            # A packed side holds one newline fewer than it holds ids, so equal
-            # joins mean that no id holds a newline and the ids match.
-            return self._joined_ids() == other._joined_ids()
-        return self.sample_ids == other.sample_ids
-
-    def _joined_ids(self) -> str:
-        ids = self._sample_ids
-        if type(ids) is _PackedIds:
-            return ids
-        return "\n".join((f"s{i}" for i in range(len(self))) if ids is None else ids)
+        if ids is other_ids or (type(ids) is type(other_ids) and ids is not None):
+            # Two tuples compare id by id. Two packed strings each hold one
+            # newline fewer than they hold ids, so they are equal exactly
+            # when their ids are.
+            return ids == other_ids
+        return all(a is b or a == b for a, b in zip(self._each_id(), other._each_id()))
 
 
 def _same_groups(mine: _GroupCodes | None, theirs: _GroupCodes | None) -> bool:
@@ -514,7 +584,7 @@ def group_sizes(ds: LossDataset) -> np.ndarray:
     groups = ds._groups
     if groups is None or groups.codes.min() < 0:
         i = 0 if groups is None else int(np.argmin(groups.codes))
-        raise MissingGroupId(f"record {i} ({ds.sample_ids[i]!r}) has no group_id")
+        raise MissingGroupId(f"record {i} ({ds._id_at(i)!r}) has no group_id")
     return np.bincount(groups.codes, minlength=len(groups.labels))
 
 
@@ -571,17 +641,20 @@ def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> Lo
 
     ``outer_group_map`` must cover every sample id in ``ds`` (typically the
     output of a previous :func:`reduce_augmented`, whose sample ids are the
-    inner group ids).
+    inner group ids). The ids are looked up a block at a time, and the new
+    dataset shares ``ds``'s ids in the form ``ds`` holds them.
     """
-    ids = ds.sample_ids
-    if not all(map(outer_group_map.__contains__, ids)):
-        i = next(i for i, sid in enumerate(ids) if sid not in outer_group_map)
-        raise UnknownSampleId(f"record {i}: sample id {ids[i]!r} missing from map")
+    keys, table = array("i"), {None: -1}
+    for ids in ds._id_blocks():
+        if not all(map(outer_group_map.__contains__, ids)):
+            k = next(k for k, sid in enumerate(ids) if sid not in outer_group_map)
+            raise UnknownSampleId(f"record {len(keys) + k}: sample id {ids[k]!r} missing from map")
+        _add_group_keys(keys, table, list(map(outer_group_map.__getitem__, ids)))
     return LossDataset(
         ds.losses,
         model_id=ds.model_id,
-        sample_ids=ids,
-        group_ids=list(map(outer_group_map.__getitem__, ids)),
+        sample_ids=ds._sample_ids,
+        group_ids=_group_column(keys, table),
         grad_norm_sq=ds.grad_norm_sq,
         grad_theta=ds.grad_theta,
     )
@@ -1024,7 +1097,7 @@ def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None
         # ended with \r\n. Default ids and the loss and norm fields hold none.
         plain = ds._sample_ids is None or not _quoted_by_csv(ds._sample_ids, len(ds), "sample id")
         header = ["sample_id", "loss"]
-        columns = [ds.sample_ids, map(repr, _floats(ds.losses))]
+        columns = [ds._each_id(), map(repr, _floats(ds.losses))]
         if ds._groups is not None or ds.grad_norm_sq is not None:
             header.append("group_id")
             labels = () if ds._groups is None else ds._groups.labels
@@ -1045,7 +1118,7 @@ def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None
     elif format == "jsonl":
         vectors = repeat(None) if ds.grad_theta is None else ds.grad_theta.tolist()
         groups = repeat(None) if ds._groups is None else ds._each_group()
-        rows = zip(ds.sample_ids, ds.losses.tolist(), groups, _absent_as_none(ds.grad_norm_sq), vectors)
+        rows = zip(ds._each_id(), _floats(ds.losses), groups, _absent_as_none(ds.grad_norm_sq), vectors)
         with open(path, "w", encoding="utf-8") as handle:
             for sample_id, loss, group, norm, vector in rows:
                 obj: dict = {"sample_id": sample_id, "loss": loss}

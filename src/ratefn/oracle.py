@@ -27,7 +27,7 @@ from .errors import (
     check_real,
     input_file,
 )
-from .loss_data import LossDataset
+from .loss_data import LossDataset, _numbered_ids
 
 PROB_TOL = 1e-12        # probabilities must sum to one within this
 _ORACLE_CAP = 1e12      # tilt cap for the oracle's own refinement search
@@ -356,7 +356,12 @@ def sample_dataset(dist: DiscreteLossDistribution, n: int, seed: int) -> LossDat
 
 
 def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossDataset:
-    """Expand rational probabilities into proportional exact sample counts."""
+    """Expand rational probabilities into proportional exact sample counts.
+
+    Copy ``j`` of atom ``i`` has the sample id ``v{i}c{j}``. The ids are packed
+    into one string, as a loaded dataset's are, and no Python string is built
+    per sample.
+    """
     if denominator < 1:
         raise ValidationError(f"denominator must be at least 1, got {denominator}")
     counts = []
@@ -371,7 +376,7 @@ def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossD
     return LossDataset(
         np.repeat(np.asarray(dist.values, dtype=np.float64), counts),
         model_id=f"expanded-{denominator}",
-        sample_ids=[f"v{i}c{j}" for i, c in enumerate(counts) for j in range(c)],
+        sample_ids=_numbered_ids([f"v{i}c" for i in range(len(counts))], counts),
     )
 
 

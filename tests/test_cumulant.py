@@ -35,6 +35,11 @@ class TestGrid:
         assert grid.values[-1] == pytest.approx(1e3)
         assert grid.spacing == "log"
 
+    def test_default_grid_is_built_once(self):
+        grid = LambdaGrid.default()
+        assert LambdaGrid.default() is grid
+        assert grid.values == tuple(np.geomspace(1e-3, 1e3, 64))
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValidationError):
             LambdaGrid(())

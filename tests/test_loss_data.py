@@ -1127,6 +1127,85 @@ class TestEquality:
         assert sets[0] == sets[1] and sets[7] == sets[8] == sets[9] and sets[0] == sets[11]
         assert sets[12] == sets[13] != sets[14]
 
+    def test_packed_and_non_string_ids_compare_unequal(self, tmp_path):
+        # Reducing over integer labels gives integer sample ids; comparing
+        # them with a loaded dataset's packed ids raised TypeError.
+        reduced = reduce_augmented(from_losses([0.5, 1.5, 2.5, 3.5], model_id="r", group_ids=[1, 1, 2, 2]))
+        path = tmp_path / "r.jsonl"
+        dump_dataset(reduced, path, format="jsonl")
+        loaded = load_dataset(path)
+        assert (reduced == loaded) is False and (loaded == reduced) is False
+        assert [r.loss for r in loaded] == [r.loss for r in reduced]
+
+
+class TestIdForms:
+    """Sample ids stay in the form a dataset holds them: default, packed or a
+    tuple. Library walks read them a block at a time; only ``sample_ids``
+    spells them out and keeps the tuple."""
+
+    PREFIX = {"default": "s", "packed": "p", "tuple": "t"}
+
+    def _dataset(self, form, tmp_path, count=20):
+        losses = np.arange(count) / 4
+        if form == "packed":
+            path = tmp_path / "packed.csv"
+            path.write_text("sample_id,loss\n" + "".join(f"p{i},{v!r}\n" for i, v in enumerate(losses.tolist())))
+            return load_dataset(path)
+        ids = None if form == "default" else [f"t{i}" for i in range(count)]
+        return LossDataset(losses, model_id="packed", sample_ids=ids)
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 13])
+    @pytest.mark.parametrize("form", ["default", "packed", "tuple"])
+    def test_walks_keep_the_form(self, tmp_path, monkeypatch, form, block):
+        monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", block)
+        ds = self._dataset(form, tmp_path)
+        kind = type(ds._sample_ids)
+        ids = [f"{self.PREFIX[form]}{i}" for i in range(len(ds))]
+        assert [r.sample_id for r in ds] == ids
+        for fmt in ("csv", "jsonl"):
+            path = tmp_path / "out" / f"dumped.{fmt}"
+            path.parent.mkdir(exist_ok=True)
+            dump_dataset(ds, path, format=fmt)
+            assert load_dataset(path).sample_ids == tuple(ids)
+        composed = compose_augmented(ds, {sid: f"o{k % 3}" for k, sid in enumerate(ids)})
+        assert composed._sample_ids is ds._sample_ids
+        assert composed.group_ids == tuple(f"o{k % 3}" for k in range(len(ds)))
+        spelled = LossDataset(ds.losses, model_id=ds.model_id, sample_ids=ids)
+        renamed = LossDataset(ds.losses, model_id=ds.model_id, sample_ids=ids[:-1] + ["other"])
+        assert ds == spelled and spelled == ds and ds != renamed and renamed != ds
+        for other in ("default", "packed", "tuple"):
+            assert (ds == self._dataset(other, tmp_path)) == (other == form)
+        copied = pickle.loads(pickle.dumps(ds))
+        assert copied == ds and type(copied._sample_ids) is kind
+        assert type(ds._sample_ids) is kind
+        assert ds.sample_ids == tuple(ids) and ds.sample_ids is ds.sample_ids
+
+    def test_one_id_messages_spell_out_one_id(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", 4)
+        path = tmp_path / "g.csv"
+        path.write_text("sample_id,loss,group_id\n" + "".join(
+            f"p{i},{i / 4!r},{'' if i == 7 else 'g'}\n" for i in range(10)))
+        ds = load_dataset(path)
+        with pytest.raises(MissingGroupId, match=r"^record 7 \('p7'\) has no group_id$"):
+            reduce_augmented(ds)
+        with pytest.raises(UnknownSampleId, match=r"^record 6: sample id 'p6' missing"):
+            compose_augmented(ds, {f"p{i}": "o" for i in range(10) if i != 6})
+        losses = np.arange(10) / 4
+        losses[9] = -1.0
+        with pytest.raises(ValidationError, match=r"^record 9 \('p9'\): loss must be non-negative"):
+            LossDataset(losses, sample_ids=ds._sample_ids)
+        assert type(ds._sample_ids) is loss_data._PackedIds
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.text(st.characters(blacklist_characters="\n"), max_size=6), min_size=1, max_size=40),
+           st.integers(1, 12))
+    def test_packed_blocks_hold_every_id_once(self, ids, block):
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(loss_data, "_FLOAT_BLOCK", block)
+            blocks = list(loss_data._packed_blocks(loss_data._PackedIds("\n".join(ids)), len(ids)))
+        assert [i for b in blocks for i in b] == ids
+        assert len(blocks) <= len(ids)
+
 
 # Group labels: empty, short, multibyte and long, with look-alikes of equal length.
 _LABEL_POOL = ["", "g", "g1", "g2", "abcdefg", "abcdefh", "abcdefgh", "abcdefgi", "abcdefghi", "abcdefghj",

@@ -6,8 +6,8 @@ each ``ratefn.<module>`` in ``sys.modules`` once the benchmark has imported
 those modules eagerly: ``ratefn`` the numerical ones, and the command line
 the serializers. The benchmark's operations also check what the library
 returns, for example the records that iterating a dataset yields, so one
-round of a workload must run without a failed operation. The checks run in a
-fresh interpreter, where no other test has imported anything.
+round of each in-process workload must run without a failed operation. The
+checks run in a fresh interpreter, where no other test has imported anything.
 """
 
 import json
@@ -40,11 +40,11 @@ print(json.dumps({"package": package, "loaded": loaded, "missing": missing, "unw
 """
 
 
-_SMALL_ROUND = """
+_ROUND = """
 import json, sys
 from pathlib import Path
 import workloads
-workload = workloads.WORKLOADS["small_many"](0, Path(sys.argv[1]))
+workload = workloads.WORKLOADS[sys.argv[1]](0, Path(sys.argv[2]))
 workload.prepare_checks()
 records = workloads.run_rounds(workload, 1)
 workload.close()
@@ -70,7 +70,21 @@ def test_import_loads_every_traced_module_and_function():
     assert report["restored"]
 
 
-def test_one_small_many_round_passes_its_checks(tmp_path):
-    report = _probe(_SMALL_ROUND, str(tmp_path))
+def _assert_one_round_passes(workload: str, workdir: Path) -> None:
+    report = _probe(_ROUND, workload, str(workdir))
     assert report["ops"] > 0
     assert report["errors"] == []
+
+
+def test_one_small_many_round_passes_its_checks(tmp_path):
+    _assert_one_round_passes("small_many", tmp_path)
+
+
+def test_one_solve_1e5_round_passes_its_checks(tmp_path):
+    # Its set-up solves on a 1e5-loss expand_to_dataset expansion.
+    _assert_one_round_passes("solve_1e5", tmp_path)
+
+
+def test_one_oracle_mc_round_passes_its_checks(tmp_path):
+    # It times expand_to_dataset and checks the expanded counts.
+    _assert_one_round_passes("oracle_mc", tmp_path)
