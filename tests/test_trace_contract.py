@@ -81,7 +81,7 @@ def test_one_small_many_round_passes_its_checks(tmp_path):
 
 
 def test_one_solve_1e5_round_passes_its_checks(tmp_path):
-    # Its set-up solves on a 1e5-loss expand_to_dataset expansion.
+    # Its set-up builds the 1e5-loss expand_to_dataset expansion that its operations solve on.
     _assert_one_round_passes("solve_1e5", tmp_path)
 
 
