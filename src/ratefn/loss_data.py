@@ -262,9 +262,13 @@ def _pack(ids: list[str]) -> str | list[str]:
 def _join_packs(packs: list) -> Sequence[str]:
     """A loader's sample ids from its non-empty chunks, each a newline-joined
     string or a list of ids (see :func:`_pack`): a :class:`_PackedIds` when
-    every chunk is a string, else a list of the ids."""
+    every chunk is a string, else a list of the ids. The :class:`_PackedIds`
+    is copied from the join once ``packs`` is emptied, so no more than two
+    copies of the ids coexist."""
     if all(isinstance(p, str) for p in packs):
-        return _PackedIds("\n".join(packs))
+        joined = "\n".join(packs)
+        packs.clear()
+        return _PackedIds(joined)
     return [i for p in packs for i in (p.split("\n") if isinstance(p, str) else p)]
 
 

@@ -3,8 +3,11 @@
 Everything here works on an exactly known discrete distribution, so cumulant
 and rate values are computed from first principles, independently of the
 plug-in estimators. Randomness comes from the Philox 4x64 counter-based bit
-generator keyed by the caller's seed; draws are consumed in fixed-size
-chunks, so a given seed always reproduces the same report bit for bit.
+generator keyed by the caller's seed. A Monte Carlo estimator cuts its
+samples into fixed units (blocks of rows, or weight windows) and splits the
+units over the CPUs the process may use: each part skips ahead on the
+counter to its first draw, and the units' results fold in unit order. So a
+given seed reproduces the same report bit for bit, whatever that count.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +42,7 @@ _TAIL_VECTORS = 10**7   # exact_tail refuses more count vectors than this
 _COUNT_BLOCK = 1 << 16  # count vectors enumerated at once by exact_tail
 _WEIGHT_WINDOW = 16384  # tilted trials per float sum of weights: fixes the summation grouping, not memory
 _COMPARE_ATOMS = 128    # laws up to this many atoms pick atoms by comparisons (uint8 indices allow 256)
+_MAX_PARTS = 8          # at most this many threads share one estimator's draws
 
 
 @dataclass(frozen=True)
@@ -298,6 +304,67 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _part_count(units: int) -> int:
+    """How many parts share ``units`` units of draws: one per CPU the process
+    may use, at most ``_MAX_PARTS``, and at least two units a part."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_PARTS, units // 2))
+
+
+def _split_stream(seed: int, n: int, samples: int, size: int, reduce) -> list:
+    """``reduce(gen, first, count)`` of each unit of ``size`` samples of ``n``
+    draws (the last unit may be shorter), in unit order. ``gen`` hands out
+    the unit's draws of the Philox stream keyed by ``seed``, which start at
+    draw ``first * n``.
+
+    The units go to ``_part_count`` contiguous parts. Each part keys its own
+    generator and moves it to its first draw: Philox is counter-based, so
+    ``advance(k)`` skips ``4 * k`` doubles, and the rest are drawn and
+    dropped. The calling thread runs part 0 and a new thread each other
+    part; all are joined before the return, and one part runs without a
+    thread. When a part raises, the others stop before their next unit and
+    the first exception propagates once all have stopped. ``reduce`` may run
+    outside the calling thread, so it calls no public function of ratefn.
+    """
+    units = -(-samples // size)
+    parts = _part_count(units)
+    cuts = [units * part // parts for part in range(parts + 1)]
+    results = [None] * units
+    errors = []
+
+    def run(part: int) -> None:
+        try:
+            gen = _generator(seed)
+            skip = cuts[part] * size * n
+            gen.bit_generator.advance(skip // 4)
+            gen.random(skip % 4)
+            for unit in range(cuts[part], cuts[part + 1]):
+                if errors:
+                    return
+                first = unit * size
+                results[unit] = reduce(gen, first, min(size, samples - first))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = []
+    try:
+        for part in range(1, parts):
+            threads.append(threading.Thread(target=run, args=(part,)))
+            threads[-1].start()
+        run(0)
+    except BaseException as exc:  # a thread that would not start, or an interrupt between parts
+        errors.append(exc)
+    for thread in threads:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt while waiting
+                errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Index of the atom that inverse-CDF sampling picks for each uniform ``u``.
 
@@ -322,36 +389,44 @@ def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _draw_losses(
-    dist: DiscreteLossDistribution, gen: np.random.Generator, shape, probs=None
-) -> np.ndarray:
-    """Inverse-CDF draws from ``dist``, or from its atoms weighted by ``probs``.
+def _law(dist: DiscreteLossDistribution, probs=None) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of ``dist`` and their cumulative masses, under ``probs`` when given."""
+    return np.asarray(dist.values), np.cumsum(dist.probs if probs is None else probs)
+
+
+def _draw_losses(law: tuple[np.ndarray, np.ndarray], gen: np.random.Generator, shape) -> np.ndarray:
+    """Inverse-CDF draws from ``law``, the atoms and cumulative masses of :func:`_law`.
 
     One uniform per draw picks an atom by ``_atom_index``: a uniform equal to a
     cumulative boundary picks the upper atom.
     """
-    cum = np.cumsum(dist.probs if probs is None else probs)
-    return np.take(np.asarray(dist.values), _atom_index(cum, gen.random(shape)))
+    values, cum = law
+    return np.take(values, _atom_index(cum, gen.random(shape)))
 
 
-def _loss_blocks(dist: DiscreteLossDistribution, gen: np.random.Generator, samples: int, n: int, probs=None):
+def _block_rows(n: int) -> int:
+    """Samples of ``n`` draws in one block of about ``_BLOCK_DRAWS`` draws."""
+    return max(1, _BLOCK_DRAWS // n)
+
+
+def _loss_blocks(law, gen: np.random.Generator, samples: int, n: int):
     """Yield ``samples`` samples of ``n`` draws each as ``(rows, n)`` blocks of
-    about ``_BLOCK_DRAWS`` draws.
+    ``_block_rows(n)`` rows (the last may be shorter).
 
     The generator hands out draws in the same sequence however the requests
     are split, and each sample is one row, reduced alone, so a caller sees
     the rows of one ``(samples, n)`` draw without holding it in memory.
     """
-    rows = max(1, _BLOCK_DRAWS // n)
+    rows = _block_rows(n)
     for start in range(0, samples, rows):
-        yield _draw_losses(dist, gen, (min(rows, samples - start), n), probs)
+        yield _draw_losses(law, gen, (min(rows, samples - start), n))
 
 
 def sample_dataset(dist: DiscreteLossDistribution, n: int, seed: int) -> LossDataset:
     """Draw ``n`` i.i.d. losses by inverse CDF on a Philox stream keyed by ``seed``."""
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
-    losses = _draw_losses(dist, _generator(seed), n)
+    losses = _draw_losses(_law(dist), _generator(seed), n)
     return LossDataset(losses, model_id=f"sampled-{seed}")
 
 
@@ -402,6 +477,9 @@ def cramer_tail(
     ``exp(-n*(lam*(mean - sample_mean) - J(lam)))``, which on the event is at
     most ``exp(-n*I(a))``, so the relative error stays bounded as the tail
     shrinks.
+
+    The trials' draws are split over the CPUs the process may use (see
+    ``_split_stream``); the report does not depend on how many there are.
     """
     a = check_real(a, InvalidA, "deviation a")
     gap = dist.mean - dist.min_value
@@ -415,9 +493,13 @@ def cramer_tail(
         raise ValidationError(f"method must be 'plain' or 'tilted', got {method!r}")
 
     mean = dist.mean
-    hits = 0
-    for losses in _loss_blocks(dist, _generator(seed), trials, n):
-        hits += int(np.count_nonzero(mean - losses.mean(axis=1) >= a))
+    law = _law(dist)
+
+    def hits_in(gen, first, count):
+        losses = _draw_losses(law, gen, (count, n))
+        return int(np.count_nonzero(mean - losses.mean(axis=1) >= a))
+
+    hits = sum(_split_stream(seed, n, trials, _block_rows(n), hits_in))
     p_hat = hits / trials
     neg_log_rate = math.inf if hits == 0 else -math.log(p_hat) / n
     return CramerReport(
@@ -441,18 +523,22 @@ def _tilted_tail(dist, n, a, trials, seed) -> TiltedCramerReport:
 
     # A hit at deviation d has weight exp(-n*rate) * r with r = exp(-n*lam*(d - a))
     # in (0, 1]; sums run over r so that nothing underflows before the logs.
-    # Each window of _WEIGHT_WINDOW trials is summed as one array: the grouping
-    # sets the rounding of r_sum and r_sq, so it stays fixed for every seed.
-    gen = _generator(seed)
+    # Each window of _WEIGHT_WINDOW trials is summed as one array and the window
+    # sums are added in window order: the grouping sets the rounding of r_sum
+    # and r_sq, so it stays fixed for every seed.
+    law = _law(dist, tilted)
     mean = dist.mean
-    hits, r_sum, r_sq = 0, 0.0, 0.0
-    for start in range(0, trials, _WEIGHT_WINDOW):
-        blocks = _loss_blocks(dist, gen, min(_WEIGHT_WINDOW, trials - start), n, tilted)
-        dev = mean - np.concatenate([losses.mean(axis=1) for losses in blocks])
+
+    def window(gen, first, count):
+        dev = mean - np.concatenate([losses.mean(axis=1) for losses in _loss_blocks(law, gen, count, n)])
         r = np.exp(-n * lam * (dev[dev >= a] - a))
-        hits += r.size
-        r_sum += float(r.sum())
-        r_sq += float(r @ r)
+        return r.size, float(r.sum()), float(r @ r)
+
+    hits, r_sum, r_sq = 0, 0.0, 0.0
+    for count, total, squares in _split_stream(seed, n, trials, _WEIGHT_WINDOW, window):
+        hits += count
+        r_sum += total
+        r_sq += squares
     scale = math.exp(-n * rate)
     r_mean = r_sum / trials
     if trials > 1:
@@ -482,7 +568,11 @@ def estimator_bias_probe(
     replicates: int,
     seed: int,
 ) -> BiasProbeReport:
-    """Replicate the plug-in cumulant on fresh samples and compare to the exact value."""
+    """Replicate the plug-in cumulant on fresh samples and compare to the exact value.
+
+    The replicates' draws are split over the CPUs the process may use (see
+    ``_split_stream``); the report does not depend on how many there are.
+    """
     lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
     if replicates < 30:
         raise ValidationError(f"replicates must be at least 30, got {replicates}")
@@ -490,15 +580,17 @@ def estimator_bias_probe(
         raise ValidationError(f"n must be at least 1, got {n}")
 
     estimates = np.empty(replicates)
-    done = 0
-    for losses in _loss_blocks(dist, _generator(seed), replicates, n):
-        take = len(losses)
+    law = _law(dist)
+
+    def estimate(gen, first, count):
+        losses = _draw_losses(law, gen, (count, n))
         lo = losses.min(axis=1)
         means = losses.mean(axis=1)
         z = np.exp(-lam * (losses - lo[:, None]))
         j = lam * (means - lo) + np.log(z.sum(axis=1)) - math.log(n)
-        estimates[done : done + take] = np.maximum(j, 0.0)
-        done += take
+        estimates[first : first + count] = np.maximum(j, 0.0)
+
+    _split_stream(seed, n, replicates, _block_rows(n), estimate)
     mean_estimate = float(estimates.mean())
     stderr = 0.0 if replicates < 2 else float(estimates.std(ddof=1) / math.sqrt(replicates))
     exact = exact_cumulant(dist, lam)

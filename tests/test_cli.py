@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,23 @@ class TestOracleCommands:
         )
         assert code == 2
         assert "InvalidA" in capsys.readouterr().err
+
+
+class TestThreads:
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--input", "{data}/a.csv", "--a", "0.1"],
+        ["cumulant", "--input", "{data}/a.csv"],
+        ["compare", "--input-a", "{data}/a.csv", "--input-b", "{data}/b.csv"],
+        ["augment", "--input", "{data}/grouped.csv", "--output", "{tmp}/reduced.csv"],
+    ])
+    def test_commands_that_do_not_simulate_start_no_thread(self, argv, tmp_path, monkeypatch, capsys):
+        # only the Monte Carlo estimators split their work over threads
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread))
+        before = threading.active_count()
+        assert run([arg.format(data=DATA, tmp=tmp_path) for arg in argv]) == 0
+        assert threading.active_count() == before
+        assert starts == []
 
 
 class TestConfigOverride:

@@ -2,7 +2,11 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -364,6 +368,109 @@ class TestPinnedReports:
     def test_sample_dataset(self, name):
         dist, _, _, _, _, digest = PINNED[name]
         assert hashlib.sha256(sample_dataset(dist, 5000, 14).losses.tobytes()).hexdigest() == digest
+
+
+SPLIT_A = PINNED["six"][1]
+SPLIT_ESTIMATORS = {
+    "plain": lambda n, samples, seed: cramer_tail(SIX_ATOMS, n, SPLIT_A, samples, seed),
+    "tilted": lambda n, samples, seed: cramer_tail(
+        SIX_ATOMS, n, 0.5 * (SIX_ATOMS.mean - SIX_ATOMS.min_value), samples, seed, method="tilted"),
+    "bias": lambda n, samples, seed: estimator_bias_probe(SIX_ATOMS, n, 1.0, samples, seed),
+}
+
+
+def _split_samples(estimator, n):
+    """Samples that make more than five units, the last one short: blocks of
+    rows, or more than two weight windows for the tilted estimator."""
+    size = oracle._WEIGHT_WINDOW if estimator == "tilted" else oracle._block_rows(n)
+    return 3 * size + size // 2 + 1 if estimator == "tilted" else 6 * size + size // 2 + 1
+
+
+class TestSplitStream:
+    """The units of draws go to parts that each skip ahead on the Philox
+    counter; no report depends on how many parts there are."""
+
+    @pytest.mark.parametrize("n", [1, 3, 25, 60, 80])
+    @pytest.mark.parametrize("estimator", sorted(SPLIT_ESTIMATORS))
+    def test_reports_do_not_depend_on_the_part_count(self, monkeypatch, estimator, n):
+        # odd n puts parts at offsets that are not multiples of Philox's four doubles
+        run, samples = SPLIT_ESTIMATORS[estimator], _split_samples(estimator, n)
+        reports = {}
+        for parts in (1, 2, 3, 5):
+            monkeypatch.setattr(oracle, "_part_count", lambda units, parts=parts: parts)
+            reports[parts] = dataclasses.asdict(run(n, samples, 17))
+        if estimator != "bias":  # at n = 1 every plug-in estimate is 0
+            assert reports[1]["hit_count"] > 0
+        for parts in (2, 3, 5):
+            assert reports[parts] == reports[1], parts
+
+    def test_more_parts_than_cpus_under_a_short_switch_interval(self, monkeypatch):
+        # eight parts hand the interpreter lock around every few microseconds;
+        # a lost or misplaced unit result would change the reports
+        serial = {name: dataclasses.asdict(run(3, _split_samples(name, 3), 19))
+                  for name, run in SPLIT_ESTIMATORS.items()}
+        monkeypatch.setattr(oracle, "_part_count", lambda units: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = {name: dataclasses.asdict(run(3, _split_samples(name, 3), 19))
+                     for name, run in SPLIT_ESTIMATORS.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == serial
+
+    def test_part_count(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert [oracle._part_count(units) for units in (1, 2, 3)] == [1, 1, 1]
+        assert oracle._part_count(10**6) == min(cpus, oracle._MAX_PARTS)
+        assert oracle._part_count(4) == min(cpus, 2)
+
+    def test_one_part_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(oracle, "_part_count", lambda units: 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for run in SPLIT_ESTIMATORS.values():
+            run(80, 2000, 5)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("estimator", sorted(SPLIT_ESTIMATORS))
+    def test_a_failing_part_stops_every_part(self, monkeypatch, estimator, parts, error):
+        n, fail_at = 80, 4
+        samples = _split_samples(estimator, n)
+        blocks_per_unit = -(-oracle._WEIGHT_WINDOW // oracle._block_rows(n)) if estimator == "tilted" else 1
+        draw, calls = oracle._draw_losses, itertools.count(1)
+
+        def failing_draw(*args):
+            if next(calls) == fail_at:
+                raise error("a failing block")
+            return draw(*args)
+
+        monkeypatch.setattr(oracle, "_draw_losses", failing_draw)
+        monkeypatch.setattr(oracle, "_part_count", lambda units: parts)
+        baseline = threading.active_count()
+        with pytest.raises(error, match="a failing block"):
+            SPLIT_ESTIMATORS[estimator](n, samples, 3)
+        assert threading.active_count() == baseline
+        # every other part finishes at most the unit it is in
+        assert next(calls) - 1 <= fail_at + (parts - 1) * blocks_per_unit
+
+    def test_a_thread_that_does_not_start_stops_the_split(self, monkeypatch):
+        start, started = threading.Thread.start, itertools.count()
+
+        def start_one(thread):
+            if next(started):
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(oracle, "_part_count", lambda units: 3)
+        monkeypatch.setattr(threading.Thread, "start", start_one)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            SPLIT_ESTIMATORS["plain"](80, _split_samples("plain", 80), 3)
+        assert threading.active_count() == baseline
 
 
 def _searchsorted_index(cum, u):
