@@ -324,7 +324,8 @@ def _split_stream(seed: int, n: int, samples: int, size: int, reduce) -> list:
     part; all are joined before the return, and one part runs without a
     thread. When a part raises, the others stop before their next unit and
     the first exception propagates once all have stopped. ``reduce`` may run
-    outside the calling thread, so it calls no public function of ratefn.
+    outside the calling thread, so it calls no public function of ratefn:
+    tracers that wrap those keep one span stack for the process.
     """
     units = -(-samples // size)
     parts = _part_count(units)

@@ -380,10 +380,12 @@ SPLIT_ESTIMATORS = {
 
 
 def _split_samples(estimator, n):
-    """Samples that make more than five units, the last one short: blocks of
-    rows, or more than two weight windows for the tilted estimator."""
-    size = oracle._WEIGHT_WINDOW if estimator == "tilted" else oracle._block_rows(n)
-    return 3 * size + size // 2 + 1 if estimator == "tilted" else 6 * size + size // 2 + 1
+    """Samples that end in a short unit: three and a half weight windows for
+    the tilted estimator, else six and a half blocks of rows."""
+    if estimator == "tilted":
+        return 3 * oracle._WEIGHT_WINDOW + oracle._WEIGHT_WINDOW // 2 + 1
+    rows = oracle._block_rows(n)
+    return 6 * rows + rows // 2 + 1
 
 
 class TestSplitStream:
@@ -404,7 +406,7 @@ class TestSplitStream:
         for parts in (2, 3, 5):
             assert reports[parts] == reports[1], parts
 
-    def test_more_parts_than_cpus_under_a_short_switch_interval(self, monkeypatch):
+    def test_eight_parts_under_a_short_switch_interval(self, monkeypatch):
         # eight parts hand the interpreter lock around every few microseconds;
         # a lost or misplaced unit result would change the reports
         serial = {name: dataclasses.asdict(run(3, _split_samples(name, 3), 19))
