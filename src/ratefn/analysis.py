@@ -338,14 +338,26 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
     )
 
 
+def _quadratic(lam: float, coefficient: float) -> float:
+    """``lam**2 * coefficient / 2``, infinite for an infinite coefficient even
+    where ``lam**2`` underflows to zero."""
+    return math.inf if math.isinf(coefficient) else 0.5 * lam * lam * coefficient
+
+
+def _abs_error(exact: float, approx: float) -> float:
+    """``|exact - approx|``, infinite whenever ``exact`` is (also when the
+    approximation is infinite too, where the difference would be NaN)."""
+    return math.inf if math.isinf(exact) else abs(exact - approx)
+
+
 def variance_taylor(ds: LossDataset, lam: float) -> ApproxReport:
     """Compare the cumulant at ``lam`` against its small-tilt quadratic
     ``lam**2 * variance / 2``."""
     lam = check_real(lam, InvalidLambda, "tilt")
     summary = summarize(ds)
     exact = estimate_cumulant(ds, lam)
-    approx = 0.5 * lam * lam * summary.variance
-    return ApproxReport("lambda", lam, exact, approx, abs(exact - approx))
+    approx = _quadratic(lam, summary.variance)
+    return ApproxReport("lambda", lam, exact, approx, _abs_error(exact, approx))
 
 
 def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
@@ -362,12 +374,12 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
             raise ZeroVariance("rate approximation needs positive loss variance")
         approx = x * x / (2.0 * summary.variance)
         exact = rate(ds, x).value
-        return ApproxReport("a", x, exact, approx, abs(exact - approx))
+        return ApproxReport("a", x, exact, approx, _abs_error(exact, approx))
     if mode == "inverse_rate":
         x = check_real(x, InvalidS, "budget")
         approx = math.sqrt(2.0 * x * summary.variance)
         exact = inverse_rate(ds, x).value
-        return ApproxReport("s", x, exact, approx, abs(exact - approx))
+        return ApproxReport("s", x, exact, approx, _abs_error(exact, approx))
     raise InvalidA(f"mode must be 'rate' or 'inverse_rate', got {mode!r}")
 
 
@@ -397,9 +409,9 @@ def covariance_taylor(
     centered = grads - grads.mean(axis=0)
     projected = centered @ delta
     quad = max(float(projected @ projected) / len(ds), 0.0)
-    approx = 0.5 * lam * lam * quad
+    approx = _quadratic(lam, quad)
     exact = estimate_cumulant(ds, lam)
-    report = ApproxReport("lambda", lam, exact, approx, abs(exact - approx))
+    report = ApproxReport("lambda", lam, exact, approx, _abs_error(exact, approx))
     inv_approx = None
     if s is not None:
         s = check_real(s, InvalidS, "budget")

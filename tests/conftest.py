@@ -1,5 +1,6 @@
 """Shared fixtures and dataset factories."""
 
+import json
 import math
 
 import numpy as np
@@ -44,6 +45,15 @@ def variance_calls(monkeypatch):
 
     monkeypatch.setattr(loss_data, "_variance", counted)
     return calls
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON value (RFC 8259)")
+
+
+def strict_json(text):
+    """Parse JSON text, refusing the NaN, Infinity and -Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def random_dataset(rng, size=None, scale=1.0, model_id="random"):

@@ -17,6 +17,7 @@ from ratefn.cli import parse_grid_spec, run
 from ratefn.errors import ComputeError, InputError, RatefnError, ValidationError, check_real
 from ratefn.rate import DEFAULT_TOL
 from ratefn.serialize import load_cumulant_curve_csv
+from conftest import strict_json
 
 LN2 = math.log(2.0)
 DATA = Path(__file__).parent / "data"
@@ -271,6 +272,24 @@ class TestTaylorCommands:
         assert run(["taylor", "--input", str(two_point_csv), "--mode", "j", "--x", "0.01"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["approx"] - 6.0055e-6) < 1e-9
+
+    def test_saturated_rate_has_infinite_error(self, tmp_path, capsys):
+        # a = 1e-5 lies beyond the gap of 5e-161, so the exact rate is infinite
+        # and so is the approximation a**2 / (2 * 2.5e-321).
+        path = tmp_path / "tiny_gap.csv"
+        path.write_text("sample_id,loss\ns0,0.0\ns1,1e-160\n")
+        assert run(["taylor", "--input", str(path), "--mode", "rate", "--x", "1e-5"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["exact"] == payload["approx"] == payload["abs_error"] == "inf"
+
+    def test_underflowing_tilt_keeps_an_infinite_approximation(self, tmp_path, capsys):
+        # The variance overflows, and lam**2 = 1e-600 underflows to zero.
+        path = tmp_path / "huge.csv"
+        path.write_text("sample_id,loss\ns0,0.0\ns1,3e299\ns2,1e300\ns3,2.5e300\n")
+        assert run(["taylor", "--input", str(path), "--mode", "j", "--x", "1e-300"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["approx"] == payload["abs_error"] == "inf"
+        assert math.isfinite(payload["exact"])
 
     def test_taylor_covariance(self, tmp_path, capsys):
         path = tmp_path / "grads.jsonl"

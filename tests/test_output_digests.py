@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import strict_json
 from ratefn.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -246,6 +247,17 @@ def test_every_subcommand_is_covered():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_unchanged(name, tmp_path):
     assert case_digests(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, out) in CASES.items() if out.endswith((".json", ".jsonl"))))
+def test_json_outputs_are_strict(name, tmp_path):
+    argv, filename = CASES[name]
+    out = tmp_path / filename
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([*argv, "--output", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    for document in text.splitlines() if filename.endswith(".jsonl") else [text]:
+        strict_json(document)
 
 
 if __name__ == "__main__":
