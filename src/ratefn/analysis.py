@@ -345,8 +345,8 @@ def _quadratic(lam: float, coefficient: float) -> float:
 
 
 def _abs_error(exact: float, approx: float) -> float:
-    """``|exact - approx|``, infinite whenever ``exact`` is (also when the
-    approximation is infinite too, where the difference would be NaN)."""
+    """``|exact - approx|``, or infinity whenever ``exact`` is infinite, even
+    where ``approx`` is infinite too and the difference would be NaN."""
     return math.inf if math.isinf(exact) else abs(exact - approx)
 
 
