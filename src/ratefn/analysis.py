@@ -395,7 +395,8 @@ def covariance_taylor(
     With ``q`` the quadratic form of the displacement under the gradient
     covariance, the cumulant approximation is ``lam**2 * q / 2`` and, when a
     budget ``s`` is supplied, the matching inverse-rate approximation is
-    ``sqrt(2*s*q)``.
+    ``sqrt(2*s*q)``. A gradient column whose sum lies beyond the float64
+    range raises ``ValidationError``.
     """
     lam = check_real(lam, InvalidLambda, "tilt")
     grads = ds.grad_theta
@@ -406,7 +407,11 @@ def covariance_taylor(
         raise DimensionMismatch(
             f"gradient vectors have length {grads.shape[1]}, displacement has {delta.shape[0]}"
         )
-    centered = grads - grads.mean(axis=0)
+    with np.errstate(over="ignore"):
+        mean = grads.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise ValidationError("the sum of the grad_theta vectors overflows float64")
+    centered = grads - mean
     projected = centered @ delta
     quad = max(float(projected @ projected) / len(ds), 0.0)
     approx = _quadratic(lam, quad)

@@ -148,11 +148,14 @@ def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
         else:
             z = z[:len(block)]
             factor = np.negative(block)[:, None]
-        if lo:
-            np.subtract(x, lo, out=z)
-            z *= factor
-        else:
-            np.multiply(x, factor, out=z)
+        # A product past the float64 range is -inf, and exp takes it to 0:
+        # the saturated result intended, so numpy's overflow warning is not.
+        with np.errstate(over="ignore"):
+            if lo:
+                np.subtract(x, lo, out=z)
+                z *= factor
+            else:
+                np.multiply(x, factor, out=z)
         _exp_in_place(z, max(block) * top)
         rows_and_totals = zip(z, z.sum(axis=1).tolist()) if z.ndim == 2 else [(z, float(z.sum()))]
         for row, total in rows_and_totals:

@@ -15,9 +15,9 @@ group, and a tuple of the distinct labels in order of first appearance, so
 one object stands for each label. ``group_ids`` spells them out as a tuple
 per sample only when read; the augmentation reductions, comparison, pickling,
 ``dump_dataset`` and iteration, the one per-sample view, work on the codes.
-Sample ids stay in the form a dataset was built with: none (the default
-``s0, s1, ...``), one newline-joined string, or a tuple. The same paths read
-them a block at a time; only ``sample_ids`` spells them out.
+Sample ids are strings, held in one form: a newline-joined string, with
+each id's end offset only when an id holds a newline. The same paths read
+them through one block reader; only ``sample_ids`` spells them out.
 
 A loaded dataset keeps no Python object per sample. One loop reads a CSV
 or JSONL file in chunks of about ``_CHUNK_CHARS`` characters of whole
@@ -38,7 +38,7 @@ import math
 import warnings
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, fields
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -193,83 +193,86 @@ def _vector_column(vectors) -> tuple[np.ndarray | None, tuple | None, bool]:
     return _read_only(np.array(vectors, dtype=np.float64).reshape(len(vectors), dim)), None, False
 
 
-class _PackedIds(str):
-    """Sample ids joined by ``"\n"``, none of which holds a newline."""
+class _SampleIds(NamedTuple):
+    """A dataset's sample ids: ``text`` holds them joined by ``"\n"``.
+    ``ends`` is ``None`` when no id holds a newline, so ``text`` holds one
+    newline fewer than it holds ids; otherwise it holds the offset in ``text``
+    where each id ends. Either form is fixed by the ids, so two hold the same
+    ids exactly when their ``text`` and ``ends`` are equal."""
 
-    __slots__ = ()
+    text: str
+    ends: array | None
 
 
-def _numbered_ids(prefixes: Sequence[str], counts: Sequence[int]) -> _PackedIds:
+def _pack_ids(ids: Sequence[str]) -> _SampleIds:
+    """``ids`` in their packed form; an id that is not a string raises ``ValidationError``."""
+    try:
+        text = "\n".join(ids)
+    except TypeError:
+        k = next(k for k, sid in enumerate(ids) if not isinstance(sid, str))
+        raise ValidationError(f"record {k}: sample id must be a string, got {ids[k]!r}") from None
+    if text.count("\n") == len(ids) - 1:
+        return _SampleIds(text, None)
+    return _SampleIds(text, array("q", accumulate(map(len, ids), lambda end, n: end + 1 + n, initial=-1))[1:])
+
+
+def _numbered_ids(prefixes: Sequence[str], counts: Sequence[int]) -> _SampleIds:
     """The ids ``f"{prefix}{j}"`` for ``j < count``, prefix by prefix, packed
     without a Python string per id. Each count is at least 1, and no prefix
     holds a newline.
 
-    The decimal lines of ``0 .. max(counts) - 1`` are written once with
-    numpy digit arithmetic; each prefix takes the first ``count`` of them
-    and puts itself before each with one ``str.replace``.
+    The decimal lines of ``0 .. max(counts) - 1`` are written once, a run of
+    one width at a time: the numbers of ``k + 1`` digits put each leading
+    digit before every line of the zero-padded ``k``-digit numbers with one
+    ``str.replace``. Each prefix takes the first ``count`` lines and puts
+    itself before each the same way.
     """
     largest = max(counts)
-    runs = []  # (first, end, digits) of each run of numbers with one number of digits
-    first, digits = 0, 1
-    while first < largest:
-        end = min(10 ** digits, largest)
-        runs.append((first, end, digits))
-        first, digits = end, digits + 1
+    padded, runs = "", []  # padded: the numbers below 10 ** k, zero-padded to k digits
+    for k in range(len(str(largest - 1))):
+        if k:
+            padded = "\n".join(d + padded.replace("\n", "\n" + d) for d in "0123456789")
+        leading = "0123456789"[bool(k):-(-largest // 10 ** k)]  # 0 leads only the number 0
+        runs.append("\n".join(d + padded.replace("\n", "\n" + d) for d in leading))
+    lines = "\n".join(runs)
+    del padded, runs
 
     def chars(count: int) -> int:
-        """The characters of the first ``count`` lines, newlines included."""
-        return sum((min(end, count) - first) * (digits + 1) for first, end, digits in runs if first < count)
+        """The characters of the first ``count`` lines, without the last newline:
+        two per number, and one more for each power of ten it reaches."""
+        return 2 * count - 1 + sum(count - 10 ** k for k in range(1, len(str(count - 1))))
 
-    buffer = np.empty(chars(largest), dtype=np.uint8)
+    return _SampleIds("\n".join([prefix + lines[:chars(count)].replace("\n", "\n" + prefix)
+                                 for prefix, count in zip(prefixes, counts)]), None)
+
+
+def _id_blocks(ids: _SampleIds, count: int):
+    """Lists of the ``count`` ids that ``ids`` holds, in order, about
+    ``_FLOAT_BLOCK`` to a list; none is kept. Without newlines in the ids,
+    each list ends at the first line end past its share of the characters,
+    so no slice is copied twice."""
+    text, ends = ids
+    if ends is not None:
+        for first in range(0, count, _FLOAT_BLOCK):
+            bounds = [ends[first - 1] if first else -1, *ends[first:first + _FLOAT_BLOCK]]
+            yield [text[start + 1:end] for start, end in zip(bounds, bounds[1:])]
+        return
+    step = max(1, len(text) * _FLOAT_BLOCK // count)
     start = 0
-    for first, end, digits in runs:
-        rows = buffer[start:start + (end - first) * (digits + 1)].reshape(end - first, digits + 1)
-        numbers = np.arange(first, end, dtype=np.min_scalar_type(largest))
-        for column in range(digits - 1, -1, -1):
-            np.remainder(numbers, 10, out=rows[:, column], casting="unsafe")
-            numbers //= 10
-        rows[:, :digits] += ord("0")
-        rows[:, digits] = ord("\n")
-        start += rows.size
-    lines = str(buffer, "ascii")
-    del buffer
-    joined = "\n".join([prefix + lines[:chars(count) - 1].replace("\n", "\n" + prefix)
-                        for prefix, count in zip(prefixes, counts)])
-    del lines
-    return _PackedIds(joined)  # a copy, made once the pieces are gone
-
-
-def _packed_blocks(ids: _PackedIds, count: int):
-    """Lists of the ``count`` ids packed in ``ids``, in order, about
-    ``_FLOAT_BLOCK`` to a list: each list ends at the first line end past
-    its share of the characters, so no slice is copied twice."""
-    step = max(1, len(ids) * _FLOAT_BLOCK // count)
-    start = 0
-    while start <= len(ids):
-        end = ids.find("\n", start + step)
+    while start <= len(text):
+        end = text.find("\n", start + step)
         if end < 0:
-            end = len(ids)
-        yield ids[start:end].split("\n")
+            end = len(text)
+        yield text[start:end].split("\n")
         start = end + 1
 
 
-def _pack(ids: list[str]) -> str | list[str]:
-    """``ids`` joined by newlines, or ``ids`` itself when one of them holds a newline."""
-    joined = "\n".join(ids)
-    return joined if joined.count("\n") == len(ids) - 1 else ids
-
-
-def _join_packs(packs: list) -> Sequence[str]:
-    """A loader's sample ids from its non-empty chunks, each a newline-joined
-    string or a list of ids (see :func:`_pack`): a :class:`_PackedIds` when
-    every chunk is a string, else a list of the ids. The :class:`_PackedIds`
-    is copied from the join once ``packs`` is emptied, so no more than two
-    copies of the ids coexist."""
-    if all(isinstance(p, str) for p in packs):
-        joined = "\n".join(packs)
-        packs.clear()
-        return _PackedIds(joined)
-    return [i for p in packs for i in (p.split("\n") if isinstance(p, str) else p)]
+def _join_ids(packs: list[tuple[_SampleIds, int]]) -> _SampleIds:
+    """A loader's sample ids from the packed ids and count of each of its
+    non-empty chunks: their texts joined, unless an id holds a newline."""
+    if all(ids.ends is None for ids, _ in packs):
+        return _SampleIds("\n".join([ids.text for ids, _ in packs]), None)
+    return _pack_ids([sid for ids, count in packs for block in _id_blocks(ids, count) for sid in block])
 
 
 class _GroupCodes(NamedTuple):
@@ -322,21 +325,22 @@ class LossDataset:
     sample on first read, or is ``None`` when no sample has a group.
     ``grad_norm_sq`` is a read-only float64 array with NaN where a sample has
     no value, or ``None`` when none has one; ``grad_theta`` is a read-only
-    ``(count, dim)`` array, or ``None``. Sample ids default to ``s0, s1, ...``.
-    Default ids, and the ids of a loaded or expanded dataset, packed into one
-    newline-joined string, stay so however the dataset is walked, copied or
-    compared; only ``sample_ids`` spells them out, as a tuple.
+    ``(count, dim)`` array, or ``None``. Sample ids are strings, ``s0, s1,
+    ...`` unless given, held packed (default ids are built only when read)
+    however the dataset is walked, copied or compared; only ``sample_ids``
+    spells them out, as a tuple.
 
     The constructor validates the columns. It takes ``losses`` as a float64
     array without a copy and makes it read-only, so the caller must not keep
-    a writeable reference to it. Optional columns may hold ``None`` for absent
+    a writeable reference to it. A sample id that is not a string raises
+    ``ValidationError``. Optional columns may hold ``None`` for absent
     values; a float array for ``grad_norm_sq`` marks them with NaN. Group
     labels must be hashable: equal labels form one group, held as one object.
     Iteration builds a frozen :class:`LossRecord` per sample and keeps none.
     """
 
     __slots__ = ("losses", "model_id", "grad_norm_sq", "grad_theta",
-                 "_sample_ids", "_groups", "_group_ids", "_summary")
+                 "_sample_ids", "_id_tuple", "_groups", "_group_ids", "_summary")
 
     def __init__(
         self,
@@ -354,14 +358,16 @@ class LossDataset:
         count = losses.shape[0]
         if count == 0:
             raise EmptyDataset("a dataset must contain at least one record")
-        if sample_ids is not None and type(sample_ids) is not _PackedIds:
-            sample_ids = tuple(sample_ids)
+        if sample_ids is not None and type(sample_ids) is not _SampleIds:
+            sample_ids = _pack_ids(sample_ids)
         for name, column in (("sample_ids", sample_ids), ("group_ids", group_ids),
                              ("grad_norm_sq", grad_norm_sq), ("grad_theta", grad_theta)):
             if column is None:
                 continue
-            size = (column.count("\n") + 1 if type(column) is _PackedIds
-                    else len(column.codes) if type(column) is _GroupCodes else len(column))
+            if type(column) is _SampleIds:
+                size = column.text.count("\n") + 1 if column.ends is None else len(column.ends)
+            else:
+                size = len(column.codes) if type(column) is _GroupCodes else len(column)
             if size != count:
                 raise ValidationError(f"{name} has {size} entries for {count} losses")
         if group_ids is not None and type(group_ids) is not _GroupCodes:
@@ -376,6 +382,7 @@ class LossDataset:
         set_(self, "losses", _read_only(losses))
         set_(self, "model_id", model_id)
         set_(self, "_sample_ids", sample_ids)
+        set_(self, "_id_tuple", None)
         set_(self, "_groups", group_ids)
         set_(self, "_group_ids", None)
         set_(self, "grad_norm_sq", norms)
@@ -426,7 +433,8 @@ class LossDataset:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.model_id == other.model_id and np.array_equal(self.losses, other.losses)
-                and self._same_ids(other) and _same_groups(self._groups, other._groups)
+                and (self._sample_ids is other._sample_ids or self._ids() == other._ids())
+                and _same_groups(self._groups, other._groups)
                 and _same_optional(self.grad_norm_sq, other.grad_norm_sq)
                 and _same_optional(self.grad_theta, other.grad_theta))
 
@@ -445,11 +453,9 @@ class LossDataset:
     def sample_ids(self) -> tuple[str, ...]:
         """One id per sample; ``s0, s1, ...`` unless given. Spelled out on first
         access and kept; no library path reads it."""
-        ids = self._sample_ids
-        if type(ids) is not tuple:
-            ids = tuple(self._each_id())
-            object.__setattr__(self, "_sample_ids", ids)
-        return ids
+        if self._id_tuple is None:
+            object.__setattr__(self, "_id_tuple", tuple(self._each_id()))
+        return self._id_tuple
 
     @property
     def group_ids(self) -> tuple[str | None, ...] | None:
@@ -466,35 +472,18 @@ class LossDataset:
         blocks = range(0, len(codes), _FLOAT_BLOCK)
         return chain.from_iterable(names[codes[i:i + _FLOAT_BLOCK]].tolist() for i in blocks)
 
-    def _id_blocks(self):
-        """The sample ids in order, in lists or tuples of about ``_FLOAT_BLOCK``,
-        from whichever form the dataset holds; none is kept."""
-        ids, count = self._sample_ids, len(self)
-        if type(ids) is _PackedIds:
-            yield from _packed_blocks(ids, count)
-        else:
-            for first in range(0, count, _FLOAT_BLOCK):
-                last = min(first + _FLOAT_BLOCK, count)
-                yield [f"s{i}" for i in range(first, last)] if ids is None else ids[first:last]
+    def _ids(self) -> _SampleIds:
+        """The packed sample ids; default ones are built on each call."""
+        ids = self._sample_ids
+        return _numbered_ids(("s",), (len(self),)) if ids is None else ids
 
     def _each_id(self):
         """Each sample's id, spelled out a block at a time."""
-        return chain.from_iterable(self._id_blocks())
+        return chain.from_iterable(_id_blocks(self._ids(), len(self)))
 
-    def _id_at(self, i: int):
+    def _id_at(self, i: int) -> str:
         """Sample ``i``'s id, for a message."""
         return next(islice(self._each_id(), i, None))
-
-    def _same_ids(self, other: "LossDataset") -> bool:
-        """Whether two datasets of one length hold the same sample ids, without
-        spelling out either side's."""
-        ids, other_ids = self._sample_ids, other._sample_ids
-        if ids is other_ids or (type(ids) is type(other_ids) and ids is not None):
-            # Two tuples compare id by id. Two packed strings each hold one
-            # newline fewer than they hold ids, so they are equal exactly
-            # when their ids are.
-            return ids == other_ids
-        return all(a is b or a == b for a, b in zip(self._each_id(), other._each_id()))
 
 
 def _same_groups(mine: _GroupCodes | None, theirs: _GroupCodes | None) -> bool:
@@ -595,8 +584,9 @@ def group_sizes(ds: LossDataset) -> np.ndarray:
 def reduce_augmented(ds: LossDataset) -> LossDataset:
     """Collapse each augmentation group to a single record with the group mean loss.
 
-    Every record must carry a group id. Group order follows first appearance;
-    gradient annotations do not survive the reduction. Unequal group sizes are
+    Every record must carry a group id. Each group becomes a sample named
+    ``str(label)``, in order of first appearance; gradient annotations do
+    not survive the reduction. Unequal group sizes are
     allowed (each group still contributes its own mean) but warned about,
     because only equal sizes preserve the grand mean exactly. A group whose
     sum of losses lies beyond the float64 range raises ``ValidationError``.
@@ -637,7 +627,12 @@ def reduce_augmented(ds: LossDataset) -> LossDataset:
                     math.fsum(block[start:end])
                 except OverflowError:
                     raise ValidationError(f"the sum of the losses of group {labels[k]!r} overflows float64") from None
-    return LossDataset(means, model_id=ds.model_id, sample_ids=labels)
+    # str() on each of 2048 string labels takes 0.1 ms, so it runs only when some label is not a string.
+    try:
+        ids = _pack_ids(labels)
+    except ValidationError:
+        ids = _pack_ids(list(map(str, labels)))
+    return LossDataset(means, model_id=ds.model_id, sample_ids=ids)
 
 
 def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> LossDataset:
@@ -646,10 +641,10 @@ def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> Lo
     ``outer_group_map`` must cover every sample id in ``ds`` (typically the
     output of a previous :func:`reduce_augmented`, whose sample ids are the
     inner group ids). The ids are looked up a block at a time, and the new
-    dataset shares ``ds``'s ids in the form ``ds`` holds them.
+    dataset shares ``ds``'s packed ids.
     """
     keys, table = array("i"), {None: -1}
-    for ids in ds._id_blocks():
+    for ids in _id_blocks(ds._ids(), len(ds)):
         if not all(map(outer_group_map.__contains__, ids)):
             k = next(k for k, sid in enumerate(ids) if sid not in outer_group_map)
             raise UnknownSampleId(f"record {len(keys) + k}: sample id {ids[k]!r} missing from map")
@@ -755,7 +750,7 @@ def _load_columns(path: Path, fmt: str) -> dict:
                 lineno += len(lines) - 1
             count = len(losses) - before
             if count:
-                packs.append(ids if isinstance(ids, str) else _pack(ids))
+                packs.append((_SampleIds(ids, None) if isinstance(ids, str) else _pack_ids(ids), count))
             if chunk_groups is not None:
                 if keys is None:
                     keys = array("i", [-1]) * before
@@ -765,7 +760,7 @@ def _load_columns(path: Path, fmt: str) -> dict:
             norms = _extend_present(norms, chunk_norms, before, count)
             vectors = _extend_present(vectors, chunk_vectors, before, count)
     groups = None if keys is None else _group_column(keys, table)
-    return {"losses": np.frombuffer(losses, dtype=np.float64), "sample_ids": _join_packs(packs),
+    return {"losses": np.frombuffer(losses, dtype=np.float64), "sample_ids": _join_ids(packs),
             "group_ids": groups, "grad_norm_sq": norms, "grad_theta": vectors}
 
 
@@ -1078,15 +1073,16 @@ def _absent_as_none(column: np.ndarray | None):
     return [None if math.isnan(v) else v for v in column.tolist()]
 
 
-def _quoted_by_csv(fields: Sequence[str], count: int, what: str) -> bool:
+def _quoted_by_csv(fields: str | Sequence[str], count: int) -> bool:
     """Whether csv.writer quotes one of the ``count`` fields, a sequence or
-    packed ids, because one holds a comma, a quote or a line break. A field
-    that is not a string, which CSV would read back as one, raises ``ValidationError``."""
+    joined by newlines, because one holds a comma, a quote or a line break. A
+    group label that is not a string, which CSV would read back as one,
+    raises ``ValidationError``."""
     try:
-        joined = fields if type(fields) is _PackedIds else "\n".join(fields)
+        joined = fields if isinstance(fields, str) else "\n".join(fields)
     except TypeError:
         bad = next(f for f in fields if not isinstance(f, str))
-        raise ValidationError(f"{what} {bad!r} is not a string and does not fit CSV; use jsonl") from None
+        raise ValidationError(f"group label {bad!r} is not a string and does not fit CSV; use jsonl") from None
     return joined.count("\n") != max(count - 1, 0) or any(c in joined for c in ',"\r')
 
 
@@ -1099,16 +1095,17 @@ def dump_dataset(ds: LossDataset, path: str | Path, format: str = "csv") -> None
         # csv.writer quotes only a field that holds a comma, a quote or a line
         # break; without one, it writes the fields joined by commas, each row
         # ended with \r\n. Default ids and the loss and norm fields hold none.
-        plain = ds._sample_ids is None or not _quoted_by_csv(ds._sample_ids, len(ds), "sample id")
+        ids = ds._ids()
+        plain = not _quoted_by_csv(ids.text, len(ds))
         header = ["sample_id", "loss"]
-        columns = [ds._each_id(), map(repr, _floats(ds.losses))]
+        columns = [chain.from_iterable(_id_blocks(ids, len(ds))), map(repr, _floats(ds.losses))]
         if ds._groups is not None or ds.grad_norm_sq is not None:
             header.append("group_id")
             labels = () if ds._groups is None else ds._groups.labels
             if "" in labels:
                 raise ValidationError("group label '' does not fit CSV, where an empty field is no group; use jsonl")
             columns.append(repeat("") if ds._groups is None else ds._each_group(""))
-            plain = not _quoted_by_csv(labels, len(labels), "group label") and plain
+            plain = not _quoted_by_csv(labels, len(labels)) and plain
         if ds.grad_norm_sq is not None:
             header.append("grad_norm_sq")
             columns.append("" if v is None else repr(v) for v in _absent_as_none(ds.grad_norm_sq))

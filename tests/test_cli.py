@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,33 @@ class TestTaylorCommands:
         payload = strict_json(capsys.readouterr().out)
         assert payload["approx"] == payload["abs_error"] == "inf"
         assert math.isfinite(payload["exact"])
+
+    def test_overflowing_tilt_prints_no_warning(self, tmp_path, capsys):
+        # 1e300 * 1e10 overflows in the tilt; J saturates at inf, as intended.
+        path = tmp_path / "wide.csv"
+        path.write_text("sample_id,loss\ns0,0.0\ns1,1e10\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["taylor", "--input", str(path), "--mode", "j", "--x", "1e300"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == ('{\n  "abs_error": "inf",\n  "approx": "inf",\n  "exact": "inf",\n  "kind": "taylor",\n'
+                       '  "quantity": "lambda",\n  "schema_version": "1",\n  "x": 1e+300\n}\n')
+
+    def test_overflowing_gradient_sum_is_refused(self, tmp_path, capsys):
+        # A gradient column summing past the float64 range made the quadratic
+        # form NaN, written as bare NaN tokens with exit 0.
+        path = tmp_path / "grads.jsonl"
+        path.write_text("".join('{"sample_id": "%s", "loss": 0.5, "grad_theta": %s}\n' % row for row in (
+            ("a", "[1.7e308, 1.7e308]"), ("b", "[1.7e308, 1.7e308]"), ("c", "[-1.0, -1.0]"))))
+        out = tmp_path / "out.json"
+        argv = ["taylor", "--input", str(path), "--mode", "covariance", "--x", "1", "--theta-delta", "1,-1",
+                "--s-budget", "0.1", "--output", str(out)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "taylor: ValidationError: the sum of the grad_theta vectors overflows float64\n"
+        assert not out.exists()
 
     def test_taylor_covariance(self, tmp_path, capsys):
         path = tmp_path / "grads.jsonl"

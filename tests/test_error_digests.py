@@ -41,6 +41,9 @@ INPUTS = {
     "long-id.csv": "sample_id,loss\ns0,0.5\n" + "x" * 131073 + ",0.5\n",
     # Two finite losses whose sum lies beyond the float64 range, in one group.
     "overflow-group.csv": "sample_id,loss,group_id\ns0,1.7e308,g0\ns1,1.7e308,g0\ns2,0.5,g1\ns3,0.5,g1\n",
+    # Two gradient vectors whose sum lies beyond the float64 range in both components.
+    "overflow-grads.jsonl": "".join('{"sample_id": "%s", "loss": 0.5, "grad_theta": %s}\n' % row for row in (
+        ("a", "[1.7e308, 1.7e308]"), ("b", "[1.7e308, 1.7e308]"), ("c", "[-1.0, -1.0]"))),
 }
 
 # name -> argv
@@ -53,6 +56,9 @@ CASES = {
     "validation-error-group-overflow": ["augment", "--input", "{tmp}/overflow-group.csv",
                                         "--output", "{tmp}/out.csv"],
     "validation-error-group-overflow-da": ["da-check", "--input", "{tmp}/overflow-group.csv"],
+    "validation-error-grad-overflow": ["taylor", "--input", "{tmp}/overflow-grads.jsonl", "--mode", "covariance",
+                                       "--x", "1", "--theta-delta", "1,-1", "--s-budget", "0.1",
+                                       "--output", "{tmp}/out.json"],
     "validation-error-m-const": ["grad-bound", "--input", GROUPED, "--m-const", "-1", "--s", "0.1"],
     "empty-dataset": ["cumulant", "--input", "{tmp}/header.csv"],
     "missing-group-id": ["augment", "--input", A, "--output", "{tmp}/out.csv"],
@@ -99,6 +105,7 @@ ERRORS = {
     'validation-error-group-overflow': (2, "augment: ValidationError: the sum of the losses of group 'g0' overflows float64\n"),
     'validation-error-group-overflow-da': (2, "da-check: ValidationError: the sum of the losses of group 'g0' overflows float64\n"),
     'validation-error': (2, "rate: ValidationError: line 3: loss must be finite and non-negative, got '-1'\n"),
+    'validation-error-grad-overflow': (2, 'taylor: ValidationError: the sum of the grad_theta vectors overflows float64\n'),
     'validation-error-m-const': (2, 'grad-bound: ValidationError: m_const must be finite and positive, got -1.0\n'),
     'empty-dataset': (2, 'cumulant: EmptyDataset: <tmp>/header.csv: no data rows\n'),
     'missing-group-id': (2, "augment: MissingGroupId: record 0 ('a0') has no group_id\n"),

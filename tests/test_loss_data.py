@@ -47,6 +47,13 @@ def _no_row_reader(*args):
     raise AssertionError("read row by row")
 
 
+def _packed(ds):
+    """Whether ``ds`` holds its sample ids as one plain newline-joined string
+    without offsets, as a loader or an expansion builds them."""
+    ids = ds._sample_ids
+    return type(ids) is loss_data._SampleIds and type(ids.text) is str and ids.ends is None
+
+
 class TestLoading:
     def test_csv_three_rows(self, tmp_path):
         path = tmp_path / "losses.csv"
@@ -244,7 +251,7 @@ class TestCsvWriter:
         if ds.group_ids is None and norms is None and plain:
             # Ids packed by the loader are written as they are.
             loaded = load_dataset(path)
-            assert type(loaded._sample_ids) is loss_data._PackedIds
+            assert _packed(loaded)
             dump_dataset(loaded, path)
             assert path.read_bytes() == expected
 
@@ -279,9 +286,12 @@ class TestCsvWriter:
         for ds in (numbered, quoted):
             with pytest.raises(ValidationError, match="^group label 1 is not a string and does not fit CSV"):
                 dump_dataset(ds, path)
-        with pytest.raises(ValidationError, match="^sample id 1 is not a string and does not fit CSV; use jsonl$"):
-            dump_dataset(reduce_augmented(numbered), path)
         assert not path.exists()
+        # Sample ids are strings: a reduction names each sample str(label),
+        # and the constructor refuses an id that is not a string.
+        assert reduce_augmented(numbered).sample_ids == ("1", "2")
+        with pytest.raises(ValidationError, match=r"^record 1: sample id must be a string, got 1$"):
+            LossDataset([0.5, 1.5], sample_ids=["a", 1])
 
     def test_jsonl_reads_back_what_csv_refuses(self, tmp_path):
         path = tmp_path / "out.jsonl"
@@ -710,7 +720,7 @@ class TestChunkedLoading:
         for chunk_chars in range(1, 90, 7):
             monkeypatch.setattr(loss_data, "_CHUNK_CHARS", chunk_chars)
             ds = load_dataset(path)
-            assert type(ds._sample_ids) is loss_data._PackedIds
+            assert _packed(ds)
             _same_columns(ds, expected)
         # Group labels are shared across chunks: one object per distinct label.
         assert len({id(g) for g in ds.group_ids if g is not None}) == len(set(ds.group_ids) - {None})
@@ -817,7 +827,7 @@ class TestChunkedLoading:
         ids = tuple(row.split(",")[0] for row in _CSV_ROWS)
         for copied in (pickle.loads(pickle.dumps(load_dataset(path))), copy.copy(load_dataset(path)),
                        copy.deepcopy(load_dataset(path))):
-            assert type(copied._sample_ids) is loss_data._PackedIds  # still packed
+            assert _packed(copied)  # still packed
             assert copied == load_dataset(path)
             assert copied.sample_ids == ids
             _same_columns(copied, _csv_rows_dataset(path))
@@ -1085,7 +1095,8 @@ class TestEquality:
         def datasets():
             packed, spelled = load_dataset(path), load_dataset(path)
             spelled.sample_ids
-            assert type(packed._sample_ids) is loss_data._PackedIds and type(spelled._sample_ids) is tuple
+            assert _packed(packed) and packed._id_tuple is None
+            assert _packed(spelled) and spelled._id_tuple == ("a", "b")  # the tuple has its own slot
             defaults = LossDataset(np.array([0.5, 1.5]), model_id="m")
             return [packed, spelled, built, other, newline, load_dataset(numbered), defaults]
 
@@ -1094,7 +1105,8 @@ class TestEquality:
         assert [[x == y for y in sets] for x in sets] == expected
         assert expected[0] == [True, True, True, False, False, False, False]
         assert expected[5] == [False] * 5 + [True, True]
-        assert type(sets[0]._sample_ids) is type(sets[5]._sample_ids) is loss_data._PackedIds  # not spelled out
+        assert _packed(sets[0]) and _packed(sets[5]) and sets[6]._sample_ids is None
+        assert sets[0]._id_tuple is sets[5]._id_tuple is sets[6]._id_tuple is None  # not spelled out
 
     def test_columns_compare_as_record_tuples_do(self):
         base = dict(losses=[0.0, 0.5, 2.0], sample_ids=["a", "b", "c"])
@@ -1127,40 +1139,50 @@ class TestEquality:
         assert sets[0] == sets[1] and sets[7] == sets[8] == sets[9] and sets[0] == sets[11]
         assert sets[12] == sets[13] != sets[14]
 
-    def test_packed_and_non_string_ids_compare_unequal(self, tmp_path):
-        # Reducing over integer labels gives integer sample ids; comparing
-        # them with a loaded dataset's packed ids raised TypeError.
+    def test_reduced_integer_labels_compare_equal_to_loaded(self, tmp_path):
+        # Reducing over integer labels names the samples "1" and "2", the ids
+        # a JSONL round trip loads, so the two datasets are equal.
         reduced = reduce_augmented(from_losses([0.5, 1.5, 2.5, 3.5], model_id="r", group_ids=[1, 1, 2, 2]))
         path = tmp_path / "r.jsonl"
         dump_dataset(reduced, path, format="jsonl")
         loaded = load_dataset(path)
-        assert (reduced == loaded) is False and (loaded == reduced) is False
+        assert reduced.sample_ids == loaded.sample_ids == ("1", "2")
+        assert (reduced == loaded) is True and (loaded == reduced) is True
         assert [r.loss for r in loaded] == [r.loss for r in reduced]
 
 
-class TestIdForms:
-    """Sample ids stay in the form a dataset holds them: default, packed or a
-    tuple. Library walks read them a block at a time; only ``sample_ids``
-    spells them out and keeps the tuple."""
+# Sample ids with the characters CSV quotes, and any others.
+_ID_TEXT = st.text(st.sampled_from(["a", "\n", "\r", ",", '"', "\xe9", "\U0001f600"]) | st.characters(), max_size=6)
 
-    PREFIX = {"default": "s", "packed": "p", "tuple": "t"}
+
+class TestIdForms:
+    """Sample ids are held packed, in one form: none for the default
+    ``s0, s1, ...``, else one newline-joined string, with each id's end
+    offset when an id holds a newline. Library walks read them a block at a
+    time; only ``sample_ids`` spells them out, and keeps the tuple."""
+
+    IDS = {"default": "s{}", "loaded": "p{}", "built": "t{}", "newline": "n\n{}"}
 
     def _dataset(self, form, tmp_path, count=20):
         losses = np.arange(count) / 4
-        if form == "packed":
+        ids = [self.IDS[form].format(i) for i in range(count)]
+        if form == "loaded":
             path = tmp_path / "packed.csv"
-            path.write_text("sample_id,loss\n" + "".join(f"p{i},{v!r}\n" for i, v in enumerate(losses.tolist())))
+            path.write_text("sample_id,loss\n" + "".join(f"{sid},{v!r}\n" for sid, v in zip(ids, losses.tolist())))
             return load_dataset(path)
-        ids = None if form == "default" else [f"t{i}" for i in range(count)]
-        return LossDataset(losses, model_id="packed", sample_ids=ids)
+        return LossDataset(losses, model_id="packed", sample_ids=None if form == "default" else ids)
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 13])
-    @pytest.mark.parametrize("form", ["default", "packed", "tuple"])
+    @pytest.mark.parametrize("form", ["default", "loaded", "built", "newline"])
     def test_walks_keep_the_form(self, tmp_path, monkeypatch, form, block):
         monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", block)
         ds = self._dataset(form, tmp_path)
-        kind = type(ds._sample_ids)
-        ids = [f"{self.PREFIX[form]}{i}" for i in range(len(ds))]
+        held = ds._sample_ids
+        if form == "default":
+            assert held is None
+        else:
+            assert type(held) is loss_data._SampleIds and (held.ends is None) == (form != "newline")
+        ids = [self.IDS[form].format(i) for i in range(len(ds))]
         assert [r.sample_id for r in ds] == ids
         for fmt in ("csv", "jsonl"):
             path = tmp_path / "out" / f"dumped.{fmt}"
@@ -1173,12 +1195,12 @@ class TestIdForms:
         spelled = LossDataset(ds.losses, model_id=ds.model_id, sample_ids=ids)
         renamed = LossDataset(ds.losses, model_id=ds.model_id, sample_ids=ids[:-1] + ["other"])
         assert ds == spelled and spelled == ds and ds != renamed and renamed != ds
-        for other in ("default", "packed", "tuple"):
+        for other in self.IDS:
             assert (ds == self._dataset(other, tmp_path)) == (other == form)
         copied = pickle.loads(pickle.dumps(ds))
-        assert copied == ds and type(copied._sample_ids) is kind
-        assert type(ds._sample_ids) is kind
-        assert ds.sample_ids == tuple(ids) and ds.sample_ids is ds.sample_ids
+        assert copied == ds and copied._sample_ids == held
+        assert ds._sample_ids is held and ds._id_tuple is None
+        assert ds.sample_ids == tuple(ids) and ds.sample_ids is ds.sample_ids and ds._sample_ids is held
 
     def test_one_id_messages_spell_out_one_id(self, tmp_path, monkeypatch):
         monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", 4)
@@ -1194,17 +1216,58 @@ class TestIdForms:
         losses[9] = -1.0
         with pytest.raises(ValidationError, match=r"^record 9 \('p9'\): loss must be non-negative"):
             LossDataset(losses, sample_ids=ds._sample_ids)
-        assert type(ds._sample_ids) is loss_data._PackedIds
+        assert _packed(ds) and ds._id_tuple is None
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
-    @given(st.lists(st.text(st.characters(blacklist_characters="\n"), max_size=6), min_size=1, max_size=40),
-           st.integers(1, 12))
+    @given(st.lists(_ID_TEXT, min_size=1, max_size=40), st.integers(1, 12))
     def test_packed_blocks_hold_every_id_once(self, ids, block):
+        packed = loss_data._pack_ids(ids)
+        assert (packed.ends is None) == ("\n" not in "".join(ids))
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(loss_data, "_FLOAT_BLOCK", block)
-            blocks = list(loss_data._packed_blocks(loss_data._PackedIds("\n".join(ids)), len(ids)))
+            blocks = list(loss_data._id_blocks(packed, len(ids)))
         assert [i for b in blocks for i in b] == ids
         assert len(blocks) <= len(ids)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.lists(_ID_TEXT, min_size=1, max_size=10), st.data())
+    def test_ids_of_any_content(self, ids, data):
+        count = len(ids)
+        losses = np.arange(count) / 4
+        ds = LossDataset(losses.copy(), model_id="m", sample_ids=ids)
+        with pytest.raises(ValidationError, match=f"^sample_ids has {count + 1} entries for {count} losses$"):
+            LossDataset(losses.copy(), sample_ids=[*ids, "x"])
+        same = LossDataset(losses.copy(), model_id="m", sample_ids=tuple(ids))
+        renamed = LossDataset(losses.copy(), model_id="m", sample_ids=[*ids[:-1], ids[-1] + "x"])
+        assert ds == same and same == ds and ds != renamed and renamed != ds
+        copied = pickle.loads(pickle.dumps(ds))
+        assert copied == ds and copied._sample_ids == ds._sample_ids and copied.sample_ids == tuple(ids)
+        composed = compose_augmented(ds, {sid: "o" for sid in ids})
+        assert composed._sample_ids is ds._sample_ids and composed.group_ids == ("o",) * count
+
+        # One id, picked at random, in each message that names one.
+        k = data.draw(st.integers(0, count - 1))
+        first = ids.index(ids[k])
+        with pytest.raises(UnknownSampleId) as raised:
+            compose_augmented(ds, {sid: "o" for sid in ids if sid != ids[k]})
+        assert str(raised.value) == f"record {first}: sample id {ids[k]!r} missing from map"
+        grouped = LossDataset(losses.copy(), sample_ids=ids, group_ids=["g"] * k + [None] * (count - k))
+        with pytest.raises(MissingGroupId) as raised:
+            reduce_augmented(grouped)
+        assert str(raised.value) == f"record {k} ({ids[k]!r}) has no group_id"
+        bad = losses.copy()
+        bad[k] = -1.0
+        with pytest.raises(ValidationError) as raised:
+            LossDataset(bad, sample_ids=ids)
+        assert str(raised.value) == f"record {k} ({ids[k]!r}): loss must be non-negative, got -1.0"
+
+        with tempfile.TemporaryDirectory() as directory:
+            for fmt in ("jsonl", "csv"):
+                path = Path(directory, f"m.{fmt}")
+                dump_dataset(ds, path, format=fmt)
+                loaded = load_dataset(path)
+                assert loaded.sample_ids == tuple(ids)
+                assert loaded == ds and ds == loaded
 
 
 # Group labels: empty, short, multibyte and long, with look-alikes of equal length.
@@ -1385,13 +1448,13 @@ class TestLoaderMemory:
         assert peak < 1.1 * os.path.getsize(path), peak / os.path.getsize(path)
 
     def test_joining_the_ids_stays_under_the_chunk_loop_peak(self, monkeypatch, tmp_path):
-        # 1.19 MB of ids. The chunks' id strings are freed before the joined ids
-        # are copied into their packed form; kept alive, they made the join's
-        # peak about 1.2 times the chunk loop's.
+        # 1.19 MB of ids. The join may add one copy of the ids to the chunks'
+        # id strings, and no more: a second copy made its peak about 1.2
+        # times the chunk loop's.
         path = tmp_path / "ids.csv"
         losses = np.random.default_rng(13).exponential(1.0, 100_000).tolist()
         path.write_text("sample_id,loss\n" + "".join(f"sample{i},{v!r}\n" for i, v in enumerate(losses)))
-        join, peaks = loss_data._join_packs, {}
+        join, peaks = loss_data._join_ids, {}
 
         def traced_join(packs):
             peaks["loop"] = tracemalloc.get_traced_memory()[1]
@@ -1400,14 +1463,14 @@ class TestLoaderMemory:
             peaks["join"] = tracemalloc.get_traced_memory()[1]
             return ids
 
-        monkeypatch.setattr(loss_data, "_join_packs", traced_join)
+        monkeypatch.setattr(loss_data, "_join_ids", traced_join)
         load_dataset(path)
         tracemalloc.start()
         try:
             ds = load_dataset(path)
         finally:
             tracemalloc.stop()
-        assert type(ds._sample_ids) is loss_data._PackedIds and len(ds) == 100_000
+        assert _packed(ds) and len(ds) == 100_000
         assert peaks["join"] <= peaks["loop"], peaks
 
     def test_a_quote_in_the_last_row_keeps_the_csv_bound(self, files, tmp_path):
@@ -1423,6 +1486,6 @@ class TestLoaderMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert type(ds._sample_ids) is loss_data._PackedIds
+        assert _packed(ds)
         _same_columns(ds, expected)
         assert peak < 2.0 * os.path.getsize(path), peak / os.path.getsize(path)

@@ -168,7 +168,7 @@ class TestExpansion:
         dist = DiscreteLossDistribution(tuple(float(i) for i in range(len(counts))),
                                         tuple(c / denominator for c in counts))
         ds = expand_to_dataset(dist, denominator)
-        assert type(ds._sample_ids) is loss_data._PackedIds
+        assert type(ds._sample_ids) is loss_data._SampleIds and ds._sample_ids.ends is None
         assert ds.sample_ids == tuple(f"v{i}c{j}" for i, c in enumerate(counts) for j in range(c))
         assert ds.losses.tolist() == [float(i) for i, c in enumerate(counts) for _ in range(c)]
 
@@ -183,7 +183,7 @@ class TestExpansion:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ds) == 100_000 and type(ds._sample_ids) is loss_data._PackedIds
+        assert len(ds) == 100_000 and type(ds._sample_ids) is loss_data._SampleIds and ds._sample_ids.ends is None
         assert retained <= 2_000_000, retained
         assert peak <= 3_500_000, peak
 
