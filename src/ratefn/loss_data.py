@@ -359,7 +359,7 @@ class LossDataset:
         if count == 0:
             raise EmptyDataset("a dataset must contain at least one record")
         if sample_ids is not None and type(sample_ids) is not _SampleIds:
-            sample_ids = _pack_ids(sample_ids)
+            sample_ids = _pack_ids(list(sample_ids))
         for name, column in (("sample_ids", sample_ids), ("group_ids", group_ids),
                              ("grad_norm_sq", grad_norm_sq), ("grad_theta", grad_theta)):
             if column is None:
