@@ -383,6 +383,29 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
     raise InvalidA(f"mode must be 'rate' or 'inverse_rate', got {mode!r}")
 
 
+def _scaled_quadratic_form(grads: np.ndarray, delta: np.ndarray) -> float:
+    """``mean(((grads - mean) @ delta)**2)`` where a plain product overflows.
+
+    The gradients, the displacement and then the projections are each scaled
+    by a power of two that brings their largest magnitude below one. Such
+    scaling changes no digit of a value it keeps in the normal range, so no
+    product overflows and the form is infinite only when its value lies
+    beyond the float64 range.
+    """
+    def exponent(values: np.ndarray) -> int:
+        return math.frexp(float(np.abs(values).max()))[1]
+
+    g_exp, d_exp = exponent(grads) + 1, exponent(delta)  # + 1: centring at most doubles a magnitude
+    scaled = np.ldexp(grads, -g_exp)
+    projected = (scaled - scaled.mean(axis=0)) @ np.ldexp(delta, -d_exp)
+    p_exp = exponent(projected)
+    projected = np.ldexp(projected, -p_exp)
+    try:
+        return math.ldexp(float(projected @ projected) / len(grads), 2 * (g_exp + d_exp + p_exp))
+    except OverflowError:
+        return math.inf
+
+
 def covariance_taylor(
     ds: LossDataset,
     theta_minus_theta0: Sequence[float],
@@ -396,7 +419,9 @@ def covariance_taylor(
     covariance, the cumulant approximation is ``lam**2 * q / 2`` and, when a
     budget ``s`` is supplied, the matching inverse-rate approximation is
     ``sqrt(2*s*q)``. A gradient column whose sum lies beyond the float64
-    range raises ``ValidationError``.
+    range raises ``ValidationError``. Where a product in ``q`` overflows,
+    ``q`` is recomputed on operands scaled by powers of two, so it is
+    infinite only when its value lies beyond the float64 range.
     """
     lam = check_real(lam, InvalidLambda, "tilt")
     grads = ds.grad_theta
@@ -407,13 +432,14 @@ def covariance_taylor(
         raise DimensionMismatch(
             f"gradient vectors have length {grads.shape[1]}, displacement has {delta.shape[0]}"
         )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = grads.mean(axis=0)
-    if not np.isfinite(mean).all():
-        raise ValidationError("the sum of the grad_theta vectors overflows float64")
-    centered = grads - mean
-    projected = centered @ delta
-    quad = max(float(projected @ projected) / len(ds), 0.0)
+        if not np.isfinite(mean).all():
+            raise ValidationError("the sum of the grad_theta vectors overflows float64")
+        projected = (grads - mean) @ delta
+        quad = float(projected @ projected) / len(ds)
+    if not math.isfinite(quad):
+        quad = _scaled_quadratic_form(grads, delta)
     approx = _quadratic(lam, quad)
     exact = estimate_cumulant(ds, lam)
     report = ApproxReport("lambda", lam, exact, approx, _abs_error(exact, approx))

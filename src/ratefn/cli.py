@@ -17,7 +17,6 @@ command-line values are, and an unknown key is a validation problem.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -27,8 +26,6 @@ from .errors import InputError, InvalidA, InvalidS, ParseError, RatefnError, Val
 from .loss_data import ModelMeta, dump_dataset, load_dataset, reduce_augmented
 from .rate import DEFAULT_TOL, grid_inverse_rate, inverse_rate, rate_curve
 
-_RATE_COLUMNS = ("a", "value", "lambda_star", "saturated")
-_INVERSE_RATE_COLUMNS = ("s", "value", "lambda_star", "saturated", "b_max")
 _DEFAULT_GRID = f"{DEFAULT_GRID_LO!r}:{DEFAULT_GRID_HI!r}:{DEFAULT_GRID_SIZE}:log"  # LambdaGrid.default()
 
 
@@ -55,17 +52,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fields_csv(columns: tuple[str, ...], reports) -> str:
-    """CSV of the named fields of each report, one row per report."""
-    return serialize.to_csv_text(columns, ([getattr(r, c) for c in columns] for r in reports))
+def _add_io_args(sub, inputs=("--input",), formats=("csv", "json"), default="json"):
+    """Add the dataset input, output, format and config flags.
 
-
-def _add_io_args(sub, dataset_input=True):
-    if dataset_input:
-        sub.add_argument("--input", required=True, help="loss dataset file")
+    ``inputs`` are the command's dataset flags, which share one
+    ``--input-format``; ``formats`` are the formats the command writes.
+    """
+    for flag in inputs:
+        sub.add_argument(flag, required=True, help="loss dataset file")
+    if inputs:
         sub.add_argument("--input-format", choices=("csv", "jsonl"), default=None)
     sub.add_argument("--output", default=None, help="write the result here (atomic)")
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
+    sub.add_argument("--format", choices=formats, default=default)
     sub.add_argument("--config", default=None, help="JSON file whose keys override flags")
 
 
@@ -100,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid", default=_DEFAULT_GRID)
 
     sub = commands.add_parser("bound", help="high-probability population-loss bound")
-    _add_io_args(sub)
+    _add_io_args(sub, formats=("json",))
     sub.add_argument("--p", type=_positive_int, required=True, help="parameter count")
     sub.add_argument("--n", type=_positive_int, required=True, help="training-set size")
     sub.add_argument("--delta", type=float, required=True)
@@ -108,19 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--train-loss", type=float, default=None)
 
     sub = commands.add_parser("compare", help="smoothness comparison of two models")
-    _add_io_args(sub, dataset_input=False)
-    sub.add_argument("--input-a", required=True)
-    sub.add_argument("--input-b", required=True)
-    sub.add_argument("--input-format", choices=("csv", "jsonl"), default=None)
+    _add_io_args(sub, inputs=("--input-a", "--input-b"), formats=("json",))
     sub.add_argument("--grid", default=_DEFAULT_GRID)
     sub.add_argument("--a-grid", default=None)
     sub.add_argument("--beta", type=float, default=None)
 
     sub = commands.add_parser("interpolator-check", help="interpolator ordering premises and evidence")
-    _add_io_args(sub, dataset_input=False)
-    sub.add_argument("--input-a", required=True)
-    sub.add_argument("--input-b", required=True)
-    sub.add_argument("--input-format", choices=("csv", "jsonl"), default=None)
+    _add_io_args(sub, inputs=("--input-a", "--input-b"), formats=("json",))
     sub.add_argument("--train-loss-a", type=float, required=True)
     sub.add_argument("--p", type=_positive_int, required=True)
     sub.add_argument("--n", type=_positive_int, required=True)
@@ -128,37 +120,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--epsilon", type=float, default=0.0)
 
     sub = commands.add_parser("augment", help="reduce a grouped dataset to per-group mean losses")
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--input-format", choices=("csv", "jsonl"), default=None)
-    sub.add_argument("--output", default=None)
-    sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sub.add_argument("--config", default=None)
+    _add_io_args(sub, formats=("csv", "jsonl"), default="csv")
 
     sub = commands.add_parser("da-check", help="per-tilt augmentation inequality gaps")
     _add_io_args(sub)
     sub.add_argument("--grid", default=_DEFAULT_GRID)
 
     sub = commands.add_parser("taylor", help="quadratic approximations of cumulant or rate")
-    _add_io_args(sub)
+    _add_io_args(sub, formats=("json",))
     sub.add_argument("--mode", choices=("j", "rate", "inverse-rate", "covariance"), required=True)
     sub.add_argument("--x", type=float, required=True, help="tilt, deviation, or budget")
     sub.add_argument("--theta-delta", default=None, help="comma-separated displacement (covariance mode)")
     sub.add_argument("--s-budget", type=float, default=None, help="budget for the covariance inverse-rate form")
 
     sub = commands.add_parser("grad-bound", help="bounds from squared input-gradient norms")
-    _add_io_args(sub)
+    _add_io_args(sub, formats=("json",))
     sub.add_argument("--m-const", type=float, required=True)
     sub.add_argument("--s", type=float, required=True)
     sub.add_argument("--lambda", dest="lam", type=float, default=None)
 
     sub = commands.add_parser("oracle-exact", help="exact cumulant/rate of a discrete distribution")
-    _add_io_args(sub, dataset_input=False)
+    _add_io_args(sub, inputs=())
     sub.add_argument("--dist", required=True, help="JSON file with values/probs")
     sub.add_argument("--lambda", dest="lam", type=float, default=None)
     sub.add_argument("--a", type=float, default=None)
 
     sub = commands.add_parser("simulate-cramer", help="Monte Carlo tail probability vs exact rate")
-    _add_io_args(sub, dataset_input=False)
+    _add_io_args(sub, inputs=())
     sub.add_argument("--dist", required=True)
     sub.add_argument("--n", type=_positive_int, required=True)
     sub.add_argument("--a", type=float, required=True)
@@ -168,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sample the law itself, or the law tilted to the tail with likelihood-ratio weights")
 
     sub = commands.add_parser("bias-probe", help="replicate the cumulant estimator against the oracle")
-    _add_io_args(sub, dataset_input=False)
+    _add_io_args(sub, inputs=())
     sub.add_argument("--dist", required=True)
     sub.add_argument("--n", type=_positive_int, required=True)
     sub.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -178,17 +166,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(args):
-    return load_dataset(args.input, args.input_format)
+def _render(args, kind: str, *reports, table=None) -> str:
+    """The text of a command's reports in ``--format``.
 
-
-def _require_json(args):
-    if args.format != "json":
-        raise ValidationError("--format: this report only serializes to json")
+    JSON holds one report as ``kind``, or several as ``{"evaluations": [...]}``
+    of kind ``<kind>_curve``. CSV holds ``table``, an explicit ``(columns,
+    rows)``, when one is given, and otherwise one row per report with the
+    report's fields as columns.
+    """
+    if args.format == "csv":
+        return serialize.to_csv_text(*table) if table else serialize.reports_to_csv(reports)
+    if len(reports) == 1:
+        return serialize.to_json_text(reports[0], kind=kind)
+    return serialize.to_json_text({"evaluations": reports}, kind=f"{kind}_curve")
 
 
 def _cmd_cumulant(args):
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     curve = cumulant_curve(ds, parse_grid_spec(args.grid))
     text = serialize.cumulant_curve_to_csv(curve) if args.format == "csv" else serialize.cumulant_curve_to_json(curve)
     summary = (
@@ -199,7 +193,7 @@ def _cmd_cumulant(args):
 
 
 def _cmd_rate(args):
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     a_values = list(args.a or [])
     if args.a_grid:
         a_values.extend(parse_grid_spec(args.a_grid).values)
@@ -207,12 +201,7 @@ def _cmd_rate(args):
         raise InvalidA("--a or --a-grid is required")
     a_values = sorted(set(a_values))
     evals = rate_curve(ds, a_values, tol=args.tol)
-    if args.format == "csv":
-        text = _fields_csv(_RATE_COLUMNS, evals)
-    elif len(evals) == 1:
-        text = serialize.to_json_text(evals[0], kind="rate")
-    else:
-        text = serialize.to_json_text({"evaluations": evals}, kind="rate_curve")
+    text = _render(args, "rate", *evals)
     if len(evals) == 1:
         ev = evals[0]
         return f"rate: a={ev.a:g} value={serialize.fmt17(ev.value)} saturated={str(ev.saturated).lower()}", text
@@ -220,17 +209,12 @@ def _cmd_rate(args):
 
 
 def _cmd_inverse_rate(args):
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     s_values = list(args.s or [])
     if not s_values:
         raise InvalidS("--s is required")
     evals = [inverse_rate(ds, s, tol=args.tol) for s in sorted(set(s_values))]
-    if args.format == "csv":
-        text = _fields_csv(_INVERSE_RATE_COLUMNS, evals)
-    elif len(evals) == 1:
-        text = serialize.to_json_text(evals[0], kind="inverse_rate")
-    else:
-        text = serialize.to_json_text({"evaluations": evals}, kind="inverse_rate_curve")
+    text = _render(args, "inverse_rate", *evals)
     if len(evals) == 1:
         ev = evals[0]
         summary = f"inverse-rate: s={ev.s:g} value={serialize.fmt17(ev.value)} saturated={str(ev.saturated).lower()}"
@@ -239,22 +223,17 @@ def _cmd_inverse_rate(args):
 
 
 def _cmd_grid_inverse_rate(args):
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     ev = grid_inverse_rate(ds, args.s, parse_grid_spec(args.grid))
-    text = (
-        _fields_csv(_INVERSE_RATE_COLUMNS, [ev])
-        if args.format == "csv"
-        else serialize.to_json_text(ev, kind="grid_inverse_rate")
-    )
+    text = _render(args, "grid_inverse_rate", ev)
     return f"grid-inverse-rate: s={ev.s:g} value={serialize.fmt17(ev.value)} at lambda={ev.lambda_star:g}", text
 
 
 def _cmd_bound(args):
-    _require_json(args)
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     meta = ModelMeta(args.p, args.n, args.delta, args.epsilon)
     report = analysis.generalization_bound(ds, meta, train_loss=args.train_loss)
-    text = serialize.to_json_text(report, kind="bound")
+    text = _render(args, "bound", report)
     return (
         f"bound: s={serialize.fmt17(report.s)} inverse_rate={serialize.fmt17(report.inverse_rate.value)} "
         f"upper_bound={serialize.fmt17(report.upper_bound)}"
@@ -262,24 +241,22 @@ def _cmd_bound(args):
 
 
 def _cmd_compare(args):
-    _require_json(args)
     ds_a = load_dataset(args.input_a, args.input_format)
     ds_b = load_dataset(args.input_b, args.input_format)
     a_values = parse_grid_spec(args.a_grid).values if args.a_grid else None
     verdict = analysis.compare_smoothness(
         ds_a, ds_b, grid=parse_grid_spec(args.grid), a_values=a_values, beta=args.beta
     )
-    text = serialize.to_json_text(verdict, kind="smoothness")
+    text = _render(args, "smoothness", verdict)
     return f"compare: verdict={verdict.verdict} cumulant_dominance={str(verdict.cumulant_dominance).lower()}", text
 
 
 def _cmd_interpolator_check(args):
-    _require_json(args)
     ds_a = load_dataset(args.input_a, args.input_format)
     ds_b = load_dataset(args.input_b, args.input_format)
     meta = ModelMeta(args.p, args.n, args.delta, args.epsilon)
     claim = analysis.interpolator_ordering(args.train_loss_a, ds_a, ds_b, meta, epsilon=args.epsilon)
-    text = serialize.to_json_text(claim, kind="interpolator_ordering")
+    text = _render(args, "interpolator_ordering", claim)
     return (
         f"interpolator-check: premise_ok={str(claim.premise_ok).lower()} "
         f"beta={serialize.fmt17(claim.beta)} beta_smooth_ok={str(claim.beta_smooth_ok).lower()}"
@@ -289,22 +266,17 @@ def _cmd_interpolator_check(args):
 def _cmd_augment(args):
     if args.output is None:
         raise ValidationError("--output: augment writes a dataset file; an output path is required")
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     reduced = reduce_augmented(ds)
     dump_dataset(reduced, args.output, format=args.format)
     return f"augment: {len(ds)} records reduced to {len(reduced)} groups -> {args.output}", None
 
 
 def _cmd_da_check(args):
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     report = analysis.da_inequality_check(ds, parse_grid_spec(args.grid))
-    if args.format == "csv":
-        text = serialize.to_csv_text(
-            ("lambda", "j_flat", "j_reduced", "gap"),
-            zip(report.lambdas, report.j_flat, report.j_reduced, report.gaps),
-        )
-    else:
-        text = serialize.to_json_text(report, kind="da_check")
+    table = ("lambda", "j_flat", "j_reduced", "gap"), zip(report.lambdas, report.j_flat, report.j_reduced, report.gaps)
+    text = _render(args, "da_check", report, table=table)
     return (
         f"da-check: min_gap={serialize.fmt17(min(report.gaps))} "
         f"equal_groups={str(report.equal_group_sizes).lower()}"
@@ -312,21 +284,19 @@ def _cmd_da_check(args):
 
 
 def _cmd_taylor(args):
-    _require_json(args)
-    ds = _load_input(args)
-    if args.mode == "j":
-        report = analysis.variance_taylor(ds, args.x)
-        text = serialize.to_json_text(report, kind="taylor")
-    elif args.mode in ("rate", "inverse-rate"):
-        report = analysis.variance_rate_approx(ds, args.mode.replace("-", "_"), args.x)
-        text = serialize.to_json_text(report, kind="taylor")
-    else:
+    ds = load_dataset(args.input, args.input_format)
+    if args.mode == "covariance":
         if not args.theta_delta:
             raise ValidationError("--theta-delta: required for covariance mode")
         delta = [check_real(part, ValidationError, "--theta-delta", "any") for part in args.theta_delta.split(",")]
         cov = analysis.covariance_taylor(ds, delta, args.x, s=args.s_budget)
-        report = cov.report
-        text = serialize.to_json_text(cov, kind="taylor_covariance")
+        report, text = cov.report, _render(args, "taylor_covariance", cov)
+    else:
+        if args.mode == "j":
+            report = analysis.variance_taylor(ds, args.x)
+        else:
+            report = analysis.variance_rate_approx(ds, args.mode.replace("-", "_"), args.x)
+        text = _render(args, "taylor", report)
     return (
         f"taylor: mode={args.mode} exact={serialize.fmt17(report.exact)} "
         f"approx={serialize.fmt17(report.approx)} abs_error={serialize.fmt17(report.abs_error)}"
@@ -334,10 +304,9 @@ def _cmd_taylor(args):
 
 
 def _cmd_grad_bound(args):
-    _require_json(args)
-    ds = _load_input(args)
+    ds = load_dataset(args.input, args.input_format)
     report = analysis.gradient_norm_bound(ds, args.m_const, args.s, lam=args.lam)
-    text = serialize.to_json_text(report, kind="grad_bound")
+    text = _render(args, "grad_bound", report)
     return f"grad-bound: bound_iinv={serialize.fmt17(report.bound_iinv)}", text
 
 
@@ -355,12 +324,7 @@ def _cmd_oracle_exact(args):
         parts.append(f"I({args.a:g})={serialize.fmt17(fields['exact_rate'])}")
     if args.lam is None and args.a is None:
         raise ValidationError("--lambda or --a: at least one is required")
-    if args.format == "csv":
-        columns = sorted(fields)
-        text = serialize.to_csv_text(columns, [[fields[c] for c in columns]])
-    else:
-        text = serialize.to_json_text(fields, kind="oracle_exact")
-    return "oracle-exact: " + " ".join(parts), text
+    return "oracle-exact: " + " ".join(parts), _render(args, "oracle_exact", fields)
 
 
 def _cmd_simulate_cramer(args):
@@ -370,10 +334,7 @@ def _cmd_simulate_cramer(args):
         file=sys.stderr,
     )
     report = oracle.cramer_tail(dist, args.n, args.a, args.trials, args.seed, args.method)
-    if args.format == "csv":
-        text = _fields_csv(tuple(f.name for f in dataclasses.fields(report)), [report])
-    else:
-        text = serialize.to_json_text(report, kind="cramer_tail")
+    text = _render(args, "cramer_tail", report)
     return (
         f"simulate-cramer: p_hat={serialize.fmt17(report.p_hat)} "
         f"neg_log_rate={serialize.fmt17(report.neg_log_rate)} exact_rate={serialize.fmt17(report.exact_rate)}"
@@ -383,12 +344,7 @@ def _cmd_simulate_cramer(args):
 def _cmd_bias_probe(args):
     dist = oracle.load_distribution(args.dist)
     report = oracle.estimator_bias_probe(dist, args.n, args.lam, args.replicates, args.seed)
-    if args.format == "csv":
-        text = _fields_csv(
-            ("n", "lam", "replicates", "mean_estimate", "stderr", "exact_value", "underestimates", "seed"), [report]
-        )
-    else:
-        text = serialize.to_json_text(report, kind="bias_probe")
+    text = _render(args, "bias_probe", report)
     return (
         f"bias-probe: mean={serialize.fmt17(report.mean_estimate)} "
         f"exact={serialize.fmt17(report.exact_value)} underestimates={str(report.underestimates).lower()}"

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidLambda, ValidationError, check_real
+from .errors import InternalConsistencyError, InvalidLambda, ValidationError, check_count, check_real
 from .loss_data import DatasetSummary, LossDataset, summarize
 
 # J >= 0 is a theorem; round-off below zero is clamped, anything beyond this
@@ -50,8 +50,7 @@ _NO_CONTEXT = contextlib.nullcontext()
 
 def _grid_args(lo, hi, count) -> tuple[float, float, int]:
     """A grid factory's ends, which must be finite and positive, and its count."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValidationError(f"grid count must be a positive integer, got {count!r}")
+    count = check_count(count, ValidationError, "grid count")
     if count > MAX_GRID_SIZE:
         raise ValidationError(f"grid count must be at most {MAX_GRID_SIZE}, got {count!r}")
     return check_real(lo, ValidationError, "grid start"), check_real(hi, ValidationError, "grid stop"), count

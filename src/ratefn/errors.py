@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the scalar argument check and
-the checks every input file passes.
+"""Exception types shared across the package, the real and integer argument
+checks and the checks every input file passes.
 
 Every error is an ``InputError`` (bad input data or parameters) or a
 ``ComputeError`` (a computation that could not complete); the command line
@@ -9,6 +9,8 @@ exits with code 2 for the first and 1 for the second.
 import math
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 
 class RatefnError(Exception):
@@ -100,6 +102,17 @@ def check_real(value, exc: type[InputError], name: str, sign: str = "positive") 
     if not math.isfinite(x) or (sign == "positive" and x <= 0.0) or (sign == "non-negative" and x < 0.0):
         raise exc(f"{name} must be finite{'' if sign == 'any' else ' and ' + sign}, got {x!r}")
     return x
+
+
+def check_count(value, exc: type[InputError], name: str, minimum: int = 1) -> int:
+    """``value`` as an ``int`` of at least ``minimum``, or ``exc`` naming ``name``.
+
+    Python and numpy integers pass; ``bool`` and every other type do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        kind = "a positive integer" if minimum == 1 else f"an integer of at least {minimum}"
+        raise exc(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 @contextmanager

@@ -51,6 +51,7 @@ from .errors import (
     ParseError,
     UnknownSampleId,
     ValidationError,
+    check_count,
     check_real,
     input_file,
 )
@@ -131,10 +132,8 @@ class ModelMeta:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.param_count, (int, np.integer)) or self.param_count < 1:
-            raise InvalidMeta(f"param_count must be a positive integer, got {self.param_count!r}")
-        if not isinstance(self.train_size, (int, np.integer)) or self.train_size < 1:
-            raise InvalidMeta(f"train_size must be a positive integer, got {self.train_size!r}")
+        check_count(self.param_count, InvalidMeta, "param_count")
+        check_count(self.train_size, InvalidMeta, "train_size")
         if not (isinstance(self.delta, (int, float)) and 0.0 < self.delta < 1.0):
             raise InvalidMeta(f"delta must lie in (0, 1), got {self.delta!r}")
         object.__setattr__(self, "epsilon", check_real(self.epsilon, InvalidMeta, "epsilon", "non-negative"))

@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     SolverFailure,
     ValidationError,
+    check_count,
     check_real,
     input_file,
 )
@@ -225,8 +226,7 @@ def exact_tail(dist: DiscreteLossDistribution, n: int, a: float) -> float:
     from fractions import Fraction  # here, so that importing ratefn does not load decimal
 
     a = check_real(a, InvalidA, "deviation a")
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
+    n = check_count(n, ValidationError, "n")
     k = len(dist.values)
     vectors = math.comb(n + k - 1, k - 1)
     if vectors > _TAIL_VECTORS:
@@ -425,8 +425,8 @@ def _loss_blocks(law, gen: np.random.Generator, samples: int, n: int):
 
 def sample_dataset(dist: DiscreteLossDistribution, n: int, seed: int) -> LossDataset:
     """Draw ``n`` i.i.d. losses by inverse CDF on a Philox stream keyed by ``seed``."""
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
+    n = check_count(n, ValidationError, "n")
+    seed = check_count(seed, ValidationError, "seed", minimum=0)
     losses = _draw_losses(_law(dist), _generator(seed), n)
     return LossDataset(losses, model_id=f"sampled-{seed}")
 
@@ -438,8 +438,7 @@ def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossD
     into one string, as a loaded dataset's are, and no Python string is built
     per sample.
     """
-    if denominator < 1:
-        raise ValidationError(f"denominator must be at least 1, got {denominator}")
+    denominator = check_count(denominator, ValidationError, "denominator")
     counts = []
     for p in dist.probs:
         scaled = p * denominator
@@ -486,8 +485,9 @@ def cramer_tail(
     gap = dist.mean - dist.min_value
     if a >= gap:
         raise InvalidA(f"deviation a must lie in (0, {gap!r}), got {a!r}")
-    if n < 1 or trials < 1:
-        raise ValidationError("n and trials must be at least 1")
+    n = check_count(n, ValidationError, "n")
+    trials = check_count(trials, ValidationError, "trials")
+    seed = check_count(seed, ValidationError, "seed", minimum=0)
     if method == "tilted":
         return _tilted_tail(dist, n, a, trials, seed)
     if method != "plain":
@@ -575,10 +575,9 @@ def estimator_bias_probe(
     ``_split_stream``); the report does not depend on how many there are.
     """
     lam = check_real(lam, InvalidLambda, "tilt", "non-negative")
-    if replicates < 30:
-        raise ValidationError(f"replicates must be at least 30, got {replicates}")
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
+    replicates = check_count(replicates, ValidationError, "replicates", minimum=30)
+    n = check_count(n, ValidationError, "n")
+    seed = check_count(seed, ValidationError, "seed", minimum=0)
 
     estimates = np.empty(replicates)
     law = _law(dist)

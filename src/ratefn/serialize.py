@@ -172,6 +172,14 @@ def to_csv_text(columns: Sequence[str], rows: Iterable[Iterable[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reports_to_csv(reports: Sequence[Any]) -> str:
+    """Render reports as CSV, one row per report; the columns are the first
+    report's dataclass fields in order, or its dict keys sorted."""
+    members = [_members(r) for r in reports]
+    columns = sorted(members[0]) if isinstance(reports[0], dict) else list(members[0])
+    return to_csv_text(columns, ([m[c] for c in columns] for m in members))
+
+
 def cumulant_curve_to_csv(curve: CumulantCurve) -> str:
     return to_csv_text(("lambda", "j", "j_deriv"), zip(curve.grid.values, curve.j_values, curve.j_derivs))
 

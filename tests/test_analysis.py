@@ -1,6 +1,8 @@
 """Bounds, smoothness verdicts, augmentation checks, and quadratic approximations."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,6 +343,40 @@ class TestCovarianceTaylor:
         ds = _grad_dataset([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DimensionMismatch):
             covariance_taylor(ds, [1.0], 1.0)
+
+    @staticmethod
+    def _exact_form(grads, delta) -> float:
+        """The quadratic form in exact rationals, rounded to float64 (inf past its range)."""
+        m = len(grads)
+        mean = [sum(Fraction(row[j]) for row in grads) / m for j in range(len(delta))]
+        projected = [sum((Fraction(x) - mu) * Fraction(d) for x, mu, d in zip(row, mean, delta)) for row in grads]
+        try:
+            return float(sum(p * p for p in projected) / m)
+        except OverflowError:
+            return math.inf
+
+    @pytest.mark.parametrize("grads, delta", [
+        # Each product overflows, but the two cancel in every row: the form is 0.
+        ([[1e308, 1e308], [-1e308, -1e308]], [10.0, -10.0]),
+        # The overflowing products cancel and leave a small third term: the form is 25.
+        ([[1e308, 1e308, 1.0], [-1e308, -1e308, -1.0]], [10.0, -10.0, 5.0]),
+        # Centring overflows (1.7e308 + 5.7e307), the form is about 1.9e-584 * 1e600.
+        ([[1.7e308], [-1.7e308], [-1.7e308]], [1e-300]),
+        # The products add up: the form itself lies beyond the float64 range.
+        ([[1e308, -1e308], [-1e308, 1e308]], [10.0, -10.0]),
+        ([[1.7e308], [-1.7e308], [-1.7e308]], [1.0]),
+        # Plain products, for contrast.
+        ([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]], [2.0, -1.5]),
+    ])
+    def test_overflowing_products_match_the_exact_form(self, grads, delta):
+        expected = self._exact_form(grads, delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = covariance_taylor(_grad_dataset(grads), delta, 1.0, s=0.1)
+        if math.isinf(expected):
+            assert result.quadratic_form == math.inf
+        else:
+            assert result.quadratic_form == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestGradientNormBound:

@@ -15,7 +15,7 @@ import pytest
 import ratefn
 from ratefn import cli
 from ratefn.cli import parse_grid_spec, run
-from ratefn.errors import ComputeError, InputError, RatefnError, ValidationError, check_real
+from ratefn.errors import ComputeError, InputError, RatefnError, ValidationError, check_count, check_real
 from ratefn.rate import DEFAULT_TOL
 from ratefn.serialize import load_cumulant_curve_csv
 from conftest import strict_json
@@ -319,6 +319,25 @@ class TestTaylorCommands:
         assert captured.err == "taylor: ValidationError: the sum of the grad_theta vectors overflows float64\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, form", [
+        # Each product overflows and the two cancel: the exact form is 0.
+        (("[1e308, 1e308]", "[-1e308, -1e308]"), 0.0),
+        # The products add up, and the exact form lies beyond the float64 range.
+        (("[1e308, -1e308]", "[-1e308, 1e308]"), "inf"),
+    ])
+    def test_overflowing_products_print_no_warning(self, rows, form, tmp_path, capsys):
+        path = tmp_path / "grads.jsonl"
+        path.write_text("".join('{"sample_id": "s%d", "loss": 0.5, "grad_theta": %s}\n' % pair
+                                for pair in enumerate(rows)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["taylor", "--input", str(path), "--mode", "covariance", "--x", "1",
+                        "--theta-delta", "10,-10", "--s-budget", "0.1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = strict_json(out)
+        assert payload["quadratic_form"] == payload["inverse_rate_approx"] == form
+
     def test_taylor_covariance(self, tmp_path, capsys):
         path = tmp_path / "grads.jsonl"
         path.write_text(
@@ -454,6 +473,44 @@ class TestThreads:
         assert run([arg.format(data=DATA, tmp=tmp_path) for arg in argv]) == 0
         assert threading.active_count() == before
         assert starts == []
+
+
+class TestReportFormats:
+    # Each JSON-only command, with every dataset flag naming a missing file.
+    JSON_ONLY = {
+        "bound": ["--input", "{tmp}/nope.csv", "--p", "1", "--n", "10", "--delta", "0.1"],
+        "compare": ["--input-a", "{tmp}/nope.csv", "--input-b", "{tmp}/nope.csv"],
+        "interpolator-check": ["--input-a", "{tmp}/nope.csv", "--input-b", "{tmp}/nope.csv",
+                               "--train-loss-a", "0.1", "--p", "1", "--n", "10", "--delta", "0.1"],
+        "taylor": ["--input", "{tmp}/nope.csv", "--mode", "j", "--x", "0.1"],
+        "grad-bound": ["--input", "{tmp}/nope.csv", "--m-const", "1", "--s", "0.1"],
+    }
+
+    def test_the_parser_states_each_commands_formats(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        formats = {name: next(a for a in sub._actions if a.dest == "format").choices
+                   for name, sub in commands.items()}
+        assert {name for name, choices in formats.items() if choices == ("json",)} == set(self.JSON_ONLY)
+        assert formats["augment"] == ("csv", "jsonl")
+        assert all(choices == ("csv", "json") for name, choices in formats.items()
+                   if name not in self.JSON_ONLY and name != "augment")
+
+    @pytest.mark.parametrize("command", sorted(JSON_ONLY))
+    def test_csv_is_refused_before_any_input_is_read(self, command, tmp_path, capsys):
+        argv = [command, *(arg.format(tmp=tmp_path) for arg in self.JSON_ONLY[command])]
+        assert run([*argv, "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert f"ratefn {command}: error: argument --format: invalid choice: 'csv'" in err
+        assert "nope.csv" not in err
+        config = tmp_path / "config.json"
+        config.write_text('{"format": "csv"}')
+        assert run([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: ValidationError: --config: key 'format' must be one of json, got 'csv'\n"
+        )
+        assert run(argv) == 2  # without the refusal, the missing input is what fails
+        assert "ParseError: " in capsys.readouterr().err
 
 
 class TestConfigOverride:
@@ -624,6 +681,48 @@ class TestErrorClasses:
             with pytest.raises(ValidationError) as info:
                 check_real(value, ValidationError, "x", sign)
             assert str(info.value) == message
+
+    LAW = ratefn.DiscreteLossDistribution((0.0, 1.0), (0.5, 0.5))
+
+    COUNT_CASES = [
+        (lambda d: ratefn.cramer_tail(d, 2.5, 0.1, 100, 1), ValidationError, "n must be a positive integer, got 2.5"),
+        (lambda d: ratefn.cramer_tail(d, 10, 0.1, 100.5, 1), ValidationError,
+         "trials must be a positive integer, got 100.5"),
+        (lambda d: ratefn.cramer_tail(d, 10, 0.1, 100, -1), ValidationError,
+         "seed must be an integer of at least 0, got -1"),
+        (lambda d: ratefn.cramer_tail(d, 10, 0.1, 100, 1.5), ValidationError,
+         "seed must be an integer of at least 0, got 1.5"),
+        (lambda d: ratefn.exact_tail(d, 2.5, 0.1), ValidationError, "n must be a positive integer, got 2.5"),
+        (lambda d: ratefn.sample_dataset(d, 2.5, 1), ValidationError, "n must be a positive integer, got 2.5"),
+        (lambda d: ratefn.sample_dataset(d, 10, -1), ValidationError, "seed must be an integer of at least 0, got -1"),
+        (lambda d: ratefn.expand_to_dataset(d, 2.0), ValidationError,
+         "denominator must be a positive integer, got 2.0"),
+        (lambda d: ratefn.estimator_bias_probe(d, 2.5, 1.0, 30, 1), ValidationError,
+         "n must be a positive integer, got 2.5"),
+        (lambda d: ratefn.estimator_bias_probe(d, 10, 1.0, 30.5, 1), ValidationError,
+         "replicates must be an integer of at least 30, got 30.5"),
+        (lambda d: ratefn.estimator_bias_probe(d, 10, 1.0, 29, 1), ValidationError,
+         "replicates must be an integer of at least 30, got 29"),
+        (lambda d: ratefn.estimator_bias_probe(d, 10, 1.0, 30, -1), ValidationError,
+         "seed must be an integer of at least 0, got -1"),
+        (lambda d: ratefn.ModelMeta(True, 10, 0.1), ratefn.InvalidMeta,
+         "param_count must be a positive integer, got True"),
+        (lambda d: ratefn.ModelMeta(10, np.int64(0), 0.1), ratefn.InvalidMeta,
+         f"train_size must be a positive integer, got {np.int64(0)!r}"),
+        (lambda d: ratefn.LambdaGrid.linear(1.0, 2.0, True), ValidationError,
+         "grid count must be a positive integer, got True"),
+    ]
+
+    @pytest.mark.parametrize("call, exc, message", COUNT_CASES, ids=[case[2] for case in COUNT_CASES])
+    def test_integer_arguments_are_checked_in_one_place(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call(self.LAW)
+        assert str(info.value) == message
+
+    def test_check_count_returns_a_python_int(self):
+        value = check_count(np.int64(7), ValidationError, "k")
+        assert value == 7 and type(value) is int
+        assert check_count(0, ValidationError, "k", minimum=0) == 0
 
     def test_os_error_exits_1(self, two_point_csv, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "out.json"

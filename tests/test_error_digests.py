@@ -15,8 +15,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,6 +39,7 @@ INPUTS = {
     # Two minima 1e-9 apart: a deviation 1e-12 short of the gap needs a tilt past the cap.
     "near-tie.csv": "sample_id,loss\ns0,0.0\ns1,1e-9\ns2,2.0\n",
     "naive-method.json": '{"method": "naive"}',
+    "csv-format.json": '{"format": "csv"}',
     # An id one character past the csv module's field size limit (131072).
     "long-id.csv": "sample_id,loss\ns0,0.5\n" + "x" * 131073 + ",0.5\n",
     # Two finite losses whose sum lies beyond the float64 range, in one group.
@@ -93,6 +96,11 @@ CASES = {
     "dimension-mismatch": ["taylor", "--input", GRADS, "--mode", "covariance", "--x", "0.5",
                            "--theta-delta", "1,2"],
     "zero-variance": ["taylor", "--input", "{tmp}/constant.csv", "--mode", "rate", "--x", "0.1"],
+    # bound and taylor write only json; the missing input is never read.
+    "json-only-format-csv": ["bound", "--input", "{tmp}/nope.csv", "--p", "10", "--n", "1000", "--delta", "0.1",
+                             "--format", "csv"],
+    "json-only-config-csv": ["taylor", "--input", "{tmp}/nope.csv", "--mode", "j", "--x", "0.1",
+                             "--config", "{tmp}/csv-format.json"],
     "solver-failure": ["rate", "--input", "{tmp}/near-tie.csv", "--a", "0.666666666999", "--tol", "1e-16"],
 }
 
@@ -132,6 +140,8 @@ ERRORS = {
     'missing-grad-norms': (2, 'grad-bound: MissingGradNorms: every record needs a grad_norm_sq value\n'),
     'dimension-mismatch': (2, 'taylor: DimensionMismatch: gradient vectors have length 3, displacement has 2\n'),
     'zero-variance': (2, 'taylor: ZeroVariance: rate approximation needs positive loss variance\n'),
+    'json-only-format-csv': (2, "usage: ratefn bound [-h] --input INPUT [--input-format {csv,jsonl}]\n                    [--output OUTPUT] [--format {json}] [--config CONFIG] --p\n                    P --n N --delta DELTA [--epsilon EPSILON]\n                    [--train-loss TRAIN_LOSS]\nratefn bound: error: argument --format: invalid choice: 'csv' (choose from 'json')\n"),
+    'json-only-config-csv': (2, "taylor: ValidationError: --config: key 'format' must be one of json, got 'csv'\n"),
     'solver-failure': (1, 'rate: SolverFailure: no tilt below 1.5e+09 reaches derivative 0.666666666999 (gap 0.666666667)\n'),
 }
 
@@ -142,7 +152,9 @@ def case_result(name: str, workdir: Path) -> tuple[int, str]:
         (workdir / filename).write_text(text, encoding="utf-8")
     argv = [arg.replace("{tmp}", str(workdir)) for arg in CASES[name]]
     stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+    # argparse wraps its usage text to the terminal width, which COLUMNS fixes.
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = run(argv)
     return code, stderr.getvalue().replace(str(workdir), "<tmp>").replace(str(DATA), "<data>")
 

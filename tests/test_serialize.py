@@ -1,4 +1,4 @@
-"""JSON report rendering: the direct renderer against the json module.
+"""Report rendering: the direct JSON renderer against the json module, and CSV rows of report fields.
 
 ``reference_json_text`` is the renderer the package used before it wrote the
 indented text itself: convert the payload to plain containers, then
@@ -38,7 +38,7 @@ from ratefn import (
     summarize,
 )
 from ratefn.cli import run
-from ratefn.serialize import SCHEMA_VERSION, to_json_text
+from ratefn.serialize import SCHEMA_VERSION, reports_to_csv, to_json_text
 from test_output_digests import CASES
 
 _PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -203,3 +203,12 @@ def test_every_command_report_matches(name, tmp_path, monkeypatch):
     assert rendered
     for payload, kind, text in rendered:
         assert text == reference_json_text(payload, kind)
+
+
+def test_reports_to_csv_writes_one_row_per_report():
+    evals = [RateEvaluation(0.1, 0.5, 2.0, False), RateEvaluation(0.3, math.inf, math.inf, True)]
+    assert reports_to_csv(evals) == (
+        "# columns: a,value,lambda_star,saturated\na,value,lambda_star,saturated\n"
+        "0.10000000000000001,0.5,2,false\n0.29999999999999999,inf,inf,true\n"
+    )
+    assert reports_to_csv([{"b": 1, "a": 2.5}]) == "# columns: a,b\na,b\n2.5,1\n"
