@@ -11,6 +11,7 @@ stands in for the training loss.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -340,8 +341,37 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
 
 def _quadratic(lam: float, coefficient: float) -> float:
     """``lam**2 * coefficient / 2``, infinite for an infinite coefficient even
-    where ``lam**2`` underflows to zero."""
-    return math.inf if math.isinf(coefficient) else 0.5 * lam * lam * coefficient
+    where ``lam**2`` underflows to zero.
+
+    Where ``lam**2 / 2`` falls below the normal range it would lose digits,
+    so ``lam * coefficient`` is taken first: it stays normal whenever the
+    result is.
+    """
+    if math.isinf(coefficient):
+        return math.inf
+    half_square = 0.5 * lam * lam
+    if half_square < sys.float_info.min:
+        return 0.5 * (lam * coefficient) * lam
+    return half_square * coefficient
+
+
+def _sqrt_2sq(s: float, q: float) -> float:
+    """``sqrt(2*s*q)`` for positive ``s`` and non-negative ``q``.
+
+    Where the product overflows, it is formed from the factors' significands
+    and its power of two is halved outside the root. That rounds as the
+    plain form would with an unbounded exponent, so the result is infinite
+    only when its value lies beyond the float64 range.
+    """
+    product = 2.0 * s * q
+    if product < math.inf or math.isinf(q):
+        return math.sqrt(product)
+    (s_frac, s_exp), (q_frac, q_exp) = math.frexp(s), math.frexp(q)
+    power = s_exp + q_exp + 1  # 2*s*q = s_frac * q_frac * 2**power
+    try:
+        return math.ldexp(math.sqrt(math.ldexp(s_frac * q_frac, power % 2)), power // 2)
+    except OverflowError:
+        return math.inf
 
 
 def _abs_error(exact: float, approx: float) -> float:
@@ -377,7 +407,7 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
         return ApproxReport("a", x, exact, approx, _abs_error(exact, approx))
     if mode == "inverse_rate":
         x = check_real(x, InvalidS, "budget")
-        approx = math.sqrt(2.0 * x * summary.variance)
+        approx = _sqrt_2sq(x, summary.variance)
         exact = inverse_rate(ds, x).value
         return ApproxReport("s", x, exact, approx, _abs_error(exact, approx))
     raise InvalidA(f"mode must be 'rate' or 'inverse_rate', got {mode!r}")
@@ -446,7 +476,7 @@ def covariance_taylor(
     inv_approx = None
     if s is not None:
         s = check_real(s, InvalidS, "budget")
-        inv_approx = math.sqrt(2.0 * s * quad)
+        inv_approx = _sqrt_2sq(s, quad)
     return CovarianceTaylor(report=report, quadratic_form=quad, inverse_rate_approx=inv_approx)
 
 

@@ -136,7 +136,7 @@ def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
     ``-t*(x - lo)`` built in place, at most ``max(M, _BLOCK_FLOATS)``
     exponents, the only temporary array as large as ``x``. Each row sums
     pairwise as a 1-D pass does, and its tilted mean is one dot product of
-    its own (a matrix-vector product would round differently).
+    its own, all rows of a block in one stacked call (see :func:`_row_dots`).
     """
     rows = max(_BLOCK_FLOATS // x.size, 1)
     # A lone tilt takes a 1-D row and a scalar factor, on which numpy's per-call cost is lower.
@@ -161,15 +161,29 @@ def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
             else:
                 np.multiply(x, factor, out=z)
         _exp_in_place(z, reach)
-        rows_and_totals = zip(z, z.sum(axis=1).tolist()) if z.ndim == 2 else [(z, float(z.sum()))]
-        for row, total in rows_and_totals:
-            tilted = float(row @ x) / total
-            if curvature:
-                row *= x
-                moments.append((math.log(total), tilted, max(float(row @ x) / total - tilted * tilted, 0.0)))
-            else:
-                moments.append((math.log(total), tilted))
+        totals = z.sum(axis=1).tolist() if z.ndim == 2 else [float(z.sum())]
+        tilted = [dot / total for dot, total in zip(_row_dots(z, x), totals)]
+        logs = map(math.log, totals)
+        if curvature:
+            z *= x
+            second = _row_dots(z, x)
+            spreads = [max(dot / total - mean * mean, 0.0) for dot, total, mean in zip(second, totals, tilted)]
+            moments += zip(logs, tilted, spreads)
+        else:
+            moments += zip(logs, tilted)
     return moments
+
+
+def _row_dots(z: np.ndarray, x: np.ndarray) -> list[float]:
+    """``row @ x`` for each row of ``z``, or for ``z`` itself when it is 1-D.
+
+    The stacked product runs one dot product per row, so each value equals
+    ``row @ x`` bit for bit; ``z @ x``, a matrix-vector product, rounds
+    differently.
+    """
+    if z.ndim == 1:
+        return [float(z @ x)]
+    return np.matmul(z[:, None, :], x[:, None])[:, 0, 0].tolist()
 
 
 def cumulant_pairs(ds: LossDataset, lams: Sequence[float]) -> list[tuple[float, float]]:

@@ -15,8 +15,10 @@ group, and a tuple of the distinct labels in order of first appearance, so
 one object stands for each label. ``group_ids`` spells them out as a tuple
 per sample only when read; the augmentation reductions, comparison, pickling,
 ``dump_dataset`` and iteration, the one per-sample view, work on the codes.
-Sample ids are strings, held in one form: a newline-joined string, with
-each id's end offset only when an id holds a newline. The same paths read
+Sample ids are strings, held packed: a newline-joined string, with each
+id's end offset only when an id holds a newline. Numbered ids, the default
+``s0, s1, ...`` and an expanded law's ``v{i}c{j}``, are held as a numbering,
+their prefixes and counts, and packed only when read. The same paths read
 them through one block reader; only ``sample_ids`` spells them out.
 
 A loaded dataset keeps no Python object per sample. One loop reads a CSV
@@ -215,10 +217,21 @@ def _pack_ids(ids: Sequence[str]) -> _SampleIds:
     return _SampleIds(text, array("q", accumulate(map(len, ids), lambda end, n: end + 1 + n, initial=-1))[1:])
 
 
+class _Numbering(NamedTuple):
+    """Sample ids held as a numbering: ``f"{prefix}{j}"`` for ``j < count``,
+    prefix by prefix. Each count is at least 1, and no prefix holds a
+    newline. The default ids are ``_Numbering(("s",), (count,))``. Equal
+    numberings hold equal ids, but different ones can spell the same ids:
+    ``(("s",), (11,))`` and ``(("s", "s1"), (10, 1))`` both give ``s0`` to
+    ``s10``."""
+
+    prefixes: tuple[str, ...]
+    counts: tuple[int, ...]
+
+
 def _numbered_ids(prefixes: Sequence[str], counts: Sequence[int]) -> _SampleIds:
-    """The ids ``f"{prefix}{j}"`` for ``j < count``, prefix by prefix, packed
-    without a Python string per id. Each count is at least 1, and no prefix
-    holds a newline.
+    """The ids of the numbering ``(prefixes, counts)``, packed without a
+    Python string per id.
 
     The decimal lines of ``0 .. max(counts) - 1`` are written once, a run of
     one width at a time: the numbers of ``k + 1`` digits put each leading
@@ -325,9 +338,10 @@ class LossDataset:
     ``grad_norm_sq`` is a read-only float64 array with NaN where a sample has
     no value, or ``None`` when none has one; ``grad_theta`` is a read-only
     ``(count, dim)`` array, or ``None``. Sample ids are strings, ``s0, s1,
-    ...`` unless given, held packed (default ids are built only when read)
-    however the dataset is walked, copied or compared; only ``sample_ids``
-    spells them out, as a tuple.
+    ...`` unless given. Given ids are held packed; the default ones, and an
+    expanded law's, as a numbering that copies, pickles and
+    ``compose_augmented`` keep and that is packed only while the ids are
+    read. Only ``sample_ids`` spells them out, as a tuple.
 
     The constructor validates the columns. It takes ``losses`` as a float64
     array without a copy and makes it read-only, so the caller must not keep
@@ -357,13 +371,17 @@ class LossDataset:
         count = losses.shape[0]
         if count == 0:
             raise EmptyDataset("a dataset must contain at least one record")
-        if sample_ids is not None and type(sample_ids) is not _SampleIds:
+        if sample_ids is None:
+            sample_ids = _Numbering(("s",), (count,))
+        elif type(sample_ids) is not _SampleIds and type(sample_ids) is not _Numbering:
             sample_ids = _pack_ids(list(sample_ids))
         for name, column in (("sample_ids", sample_ids), ("group_ids", group_ids),
                              ("grad_norm_sq", grad_norm_sq), ("grad_theta", grad_theta)):
             if column is None:
                 continue
-            if type(column) is _SampleIds:
+            if type(column) is _Numbering:
+                size = sum(column.counts)
+            elif type(column) is _SampleIds:
                 size = column.text.count("\n") + 1 if column.ends is None else len(column.ends)
             else:
                 size = len(column.codes) if type(column) is _GroupCodes else len(column)
@@ -432,7 +450,7 @@ class LossDataset:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.model_id == other.model_id and np.array_equal(self.losses, other.losses)
-                and (self._sample_ids is other._sample_ids or self._ids() == other._ids())
+                and _same_ids(self._sample_ids, other._sample_ids)
                 and _same_groups(self._groups, other._groups)
                 and _same_optional(self.grad_norm_sq, other.grad_norm_sq)
                 and _same_optional(self.grad_theta, other.grad_theta))
@@ -472,9 +490,8 @@ class LossDataset:
         return chain.from_iterable(names[codes[i:i + _FLOAT_BLOCK]].tolist() for i in blocks)
 
     def _ids(self) -> _SampleIds:
-        """The packed sample ids; default ones are built on each call."""
-        ids = self._sample_ids
-        return _numbered_ids(("s",), (len(self),)) if ids is None else ids
+        """The packed sample ids; a numbering is spelled out on each call."""
+        return _spelled(self._sample_ids)
 
     def _each_id(self):
         """Each sample's id, spelled out a block at a time."""
@@ -482,7 +499,30 @@ class LossDataset:
 
     def _id_at(self, i: int) -> str:
         """Sample ``i``'s id, for a message."""
+        ids = self._sample_ids
+        if type(ids) is _Numbering:
+            for prefix, count in zip(*ids):
+                if i < count:
+                    return f"{prefix}{i}"
+                i -= count
         return next(islice(self._each_id(), i, None))
+
+
+def _spelled(ids: _SampleIds | _Numbering) -> _SampleIds:
+    """``ids`` in the packed form; a numbering is spelled out."""
+    return _numbered_ids(*ids) if type(ids) is _Numbering else ids
+
+
+def _same_ids(mine: _SampleIds | _Numbering, theirs: _SampleIds | _Numbering) -> bool:
+    # A packed form is fixed by its ids, and equal numberings hold equal ids.
+    # Different numberings, or a numbering and a packed form, can still hold
+    # the same ids, so those compare packed.
+    if type(mine) is type(theirs):
+        if mine == theirs:
+            return True
+        if type(mine) is _SampleIds:
+            return False
+    return _spelled(mine) == _spelled(theirs)
 
 
 def _same_groups(mine: _GroupCodes | None, theirs: _GroupCodes | None) -> bool:

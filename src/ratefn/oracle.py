@@ -33,7 +33,7 @@ from .errors import (
     check_real,
     input_file,
 )
-from .loss_data import LossDataset, _numbered_ids
+from .loss_data import LossDataset, _Numbering
 
 PROB_TOL = 1e-12        # probabilities must sum to one within this
 _ORACLE_CAP = 1e12      # tilt cap for the oracle's own refinement search
@@ -434,9 +434,10 @@ def sample_dataset(dist: DiscreteLossDistribution, n: int, seed: int) -> LossDat
 def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossDataset:
     """Expand rational probabilities into proportional exact sample counts.
 
-    Copy ``j`` of atom ``i`` has the sample id ``v{i}c{j}``. The ids are packed
-    into one string, as a loaded dataset's are, and no Python string is built
-    per sample.
+    Copy ``j`` of atom ``i`` has the sample id ``v{i}c{j}``. The ids are held
+    as a numbering, the prefixes ``v{i}c`` and the counts, as the default ids
+    are, so the expansion costs O(atoms) beyond its losses; they are packed
+    only when read, without a Python string per sample.
     """
     denominator = check_count(denominator, ValidationError, "denominator")
     counts = []
@@ -451,7 +452,7 @@ def expand_to_dataset(dist: DiscreteLossDistribution, denominator: int) -> LossD
     return LossDataset(
         np.repeat(np.asarray(dist.values, dtype=np.float64), counts),
         model_id=f"expanded-{denominator}",
-        sample_ids=_numbered_ids([f"v{i}c" for i in range(len(counts))], counts),
+        sample_ids=_Numbering(tuple(f"v{i}c" for i in range(len(counts))), tuple(counts)),
     )
 
 

@@ -35,7 +35,7 @@ from ratefn import (
     variance_rate_approx,
     variance_taylor,
 )
-from ratefn import loss_data
+from ratefn import analysis, loss_data
 from conftest import binary_kl, random_dataset
 
 LN2 = math.log(2.0)
@@ -377,6 +377,59 @@ class TestCovarianceTaylor:
             assert result.quadratic_form == math.inf
         else:
             assert result.quadratic_form == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def _exact_root(value: Fraction) -> Fraction:
+    """The square root of ``value``, to 1200 bits below the binary point."""
+    return Fraction(math.isqrt(math.floor(value * 4**1200)), 2**1200)
+
+
+def _within_one_ulp(result: float, exact: Fraction) -> bool:
+    return abs(Fraction(result) - exact) <= Fraction(math.ulp(result))
+
+
+class TestApproximationRange:
+    """The quadratic approximations keep their digits where a plain product
+    would leave the float64 range: a tilt squared below the normal range, or
+    ``2*s*q`` past its top. Elsewhere they keep the plain form's bits."""
+
+    @pytest.mark.parametrize("lam, coefficient", [
+        (1e-160, 1e308), (1e-155, 1e300), (1e-200, 1e308), (3e-170, 7.7e307),
+        (2**-511, 3.0), (2**-510.5, 1.7e308), (1.1e-154, 1.3e-10), (1e-160, 1e-10),
+    ])
+    def test_a_tiny_tilt_squares_within_one_ulp(self, lam, coefficient):
+        result = analysis._quadratic(lam, coefficient)
+        assert _within_one_ulp(result, Fraction(lam) ** 2 * Fraction(coefficient) / 2), result
+
+    @pytest.mark.parametrize("s, q", [
+        (10.0, 1e308), (100.0, 9e306), (1e308, 1e-300), (1e308, 1e308), (8.9e307, 1.5),
+    ])
+    def test_an_overflowing_product_roots_within_one_ulp(self, s, q):
+        assert 2.0 * s * q == math.inf
+        result = analysis._sqrt_2sq(s, q)
+        assert _within_one_ulp(result, _exact_root(2 * Fraction(s) * Fraction(q))), result
+
+    def test_a_root_beyond_the_range_is_infinite(self):
+        assert analysis._sqrt_2sq(1.3e308, 1.3e308) == analysis._sqrt_2sq(1.0, math.inf) == math.inf
+
+    @pytest.mark.parametrize("x, coefficient", [(0.01, 0.25), (1e-100, 3.0), (2.0, 1e300), (1e-150, 1e-10)])
+    def test_the_plain_range_keeps_the_plain_bits(self, x, coefficient):
+        assert analysis._quadratic(x, coefficient) == 0.5 * x * x * coefficient
+        assert analysis._sqrt_2sq(x, coefficient) == math.sqrt(2.0 * x * coefficient)
+
+    def test_reports_use_both_forms(self):
+        lam = 1e-160
+        # The losses {0, 6e153} have variance 9e306.
+        ds = LossDataset([0.0, 6e153])
+        variance = summarize(ds).variance
+        assert _within_one_ulp(variance_taylor(ds, lam).approx, Fraction(lam) ** 2 * Fraction(variance) / 2)
+        inverse = variance_rate_approx(ds, "inverse_rate", 100.0)
+        assert _within_one_ulp(inverse.approx, _exact_root(200 * Fraction(variance)))
+        # The gradients +-1e154 have quadratic form 1e308 along a unit displacement.
+        covariance = covariance_taylor(_grad_dataset([[1e154], [-1e154]]), [1.0], lam, s=10.0)
+        assert covariance.quadratic_form == 1e308
+        assert _within_one_ulp(covariance.report.approx, Fraction(lam) ** 2 * Fraction(1e308) / 2)
+        assert _within_one_ulp(covariance.inverse_rate_approx, _exact_root(20 * Fraction(1e308)))
 
 
 class TestGradientNormBound:

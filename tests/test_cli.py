@@ -338,6 +338,26 @@ class TestTaylorCommands:
         payload = strict_json(out)
         assert payload["quadratic_form"] == payload["inverse_rate_approx"] == form
 
+    def test_covariance_root_of_an_overflowing_product(self, tmp_path, capsys):
+        # 2 * 10 * 1e308 overflows; sqrt(20) * sqrt(1e308) does not.
+        path = tmp_path / "grads.jsonl"
+        path.write_text('{"sample_id": "a", "loss": 0.5, "grad_theta": [1e154]}\n'
+                        '{"sample_id": "b", "loss": 0.5, "grad_theta": [-1e154]}\n')
+        assert run(["taylor", "--input", str(path), "--mode", "covariance", "--x", "1e-160",
+                    "--theta-delta", "1", "--s-budget", "10"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["quadratic_form"] == 1e308
+        assert payload["inverse_rate_approx"] == pytest.approx(math.sqrt(20.0) * 1e154, rel=1e-15)
+        assert payload["report"]["approx"] == pytest.approx(5e-13, rel=1e-15)
+
+    def test_inverse_rate_root_of_an_overflowing_product(self, tmp_path, capsys):
+        # The variance is 9e306, and 2 * 100 * 9e306 overflows.
+        path = tmp_path / "wide.csv"
+        path.write_text("sample_id,loss\ns0,0\ns1,6e153\n")
+        assert run(["taylor", "--input", str(path), "--mode", "inverse-rate", "--x", "100"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["approx"] == pytest.approx(math.sqrt(200.0) * math.sqrt(9e306), rel=1e-15)
+
     def test_taylor_covariance(self, tmp_path, capsys):
         path = tmp_path / "grads.jsonl"
         path.write_text(

@@ -21,7 +21,7 @@ from ratefn import (
     summarize,
 )
 from conftest import random_dataset, random_distribution
-from ratefn.cumulant import EXP_CUTOFF, MAX_GRID_SIZE, NEG_TOL, _exp_in_place
+from ratefn.cumulant import EXP_CUTOFF, MAX_GRID_SIZE, NEG_TOL, _exp_in_place, _row_dots
 from ratefn.loss_data import DatasetSummary
 
 LN2 = math.log(2.0)
@@ -256,6 +256,14 @@ class TestGridKernel:
         lams = [0.5, 0.9, 1.0, 1.0000001, 2.0, 1e3]
         assert _curve_reprs(losses, lams) == _per_tilt(losses, lams)
         assert _curve_reprs(losses[:9], lams) == _per_tilt(losses[:9], lams)
+
+    @pytest.mark.parametrize("shape", [(1, 100_000), (3, 20_000), (64, 64), (8, 8192), (7, 33)])
+    def test_stacked_row_dots_equal_each_rows_dot(self, shape):
+        rng = np.random.default_rng(shape[1])
+        z = np.exp(-rng.exponential(size=shape) * rng.uniform(0.0, 50.0, size=(shape[0], 1)))
+        x = rng.exponential(size=shape[1])
+        assert _row_dots(z, x) == [float(row @ x) for row in z]
+        assert _row_dots(z[0], x) == [float(z[0] @ x)]
 
     def test_overflowing_exponents_do_not_turn_into_nan(self):
         # lam*(x - min) overflows to inf for the two large losses.

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from ratefn import (
     DatasetSummary,
+    DiscreteLossDistribution,
     EmptyDataset,
     LossDataset,
     LossRecord,
@@ -32,6 +33,7 @@ from ratefn import (
     compose_augmented,
     da_inequality_check,
     dump_dataset,
+    expand_to_dataset,
     from_losses,
     load_dataset,
     reduce_augmented,
@@ -45,6 +47,10 @@ LN2 = math.log(2.0)
 
 def _no_row_reader(*args):
     raise AssertionError("read row by row")
+
+
+def _no_numbered_ids(*args):
+    raise AssertionError("numbered ids spelled out")
 
 
 def _packed(ds):
@@ -1105,7 +1111,7 @@ class TestEquality:
         assert [[x == y for y in sets] for x in sets] == expected
         assert expected[0] == [True, True, True, False, False, False, False]
         assert expected[5] == [False] * 5 + [True, True]
-        assert _packed(sets[0]) and _packed(sets[5]) and sets[6]._sample_ids is None
+        assert _packed(sets[0]) and _packed(sets[5]) and sets[6]._sample_ids == loss_data._Numbering(("s",), (2,))
         assert sets[0]._id_tuple is sets[5]._id_tuple is sets[6]._id_tuple is None  # not spelled out
 
     def test_columns_compare_as_record_tuples_do(self):
@@ -1156,16 +1162,28 @@ _ID_TEXT = st.text(st.sampled_from(["a", "\n", "\r", ",", '"', "\xe9", "\U0001f6
 
 
 class TestIdForms:
-    """Sample ids are held packed, in one form: none for the default
-    ``s0, s1, ...``, else one newline-joined string, with each id's end
-    offset when an id holds a newline. Library walks read them a block at a
-    time; only ``sample_ids`` spells them out, and keeps the tuple."""
+    """Sample ids are held as a numbering, prefixes and counts, for the
+    default ``s0, s1, ...`` and an expanded law's ``v{i}c{j}``; given ids
+    are held packed, as one newline-joined string, with each id's end offset
+    when an id holds a newline. Library walks read them a block at a time;
+    only ``sample_ids`` spells them out, and keeps the tuple."""
 
     IDS = {"default": "s{}", "loaded": "p{}", "built": "t{}", "newline": "n\n{}"}
+    FORMS = (*IDS, "expanded")
+    # The expanded form's law puts 3, 7 and 10 of its 20 samples on its atoms.
+    EXPANDED = (3, 7, 10)
+
+    def _ids(self, form, count=20):
+        if form == "expanded":
+            return [f"v{i}c{j}" for i, c in enumerate(self.EXPANDED) for j in range(c)]
+        return [self.IDS[form].format(i) for i in range(count)]
 
     def _dataset(self, form, tmp_path, count=20):
         losses = np.arange(count) / 4
-        ids = [self.IDS[form].format(i) for i in range(count)]
+        ids = self._ids(form, count)
+        if form == "expanded":
+            law = DiscreteLossDistribution((0.0, 0.25, 0.5), tuple(c / count for c in self.EXPANDED))
+            return expand_to_dataset(law, count)
         if form == "loaded":
             path = tmp_path / "packed.csv"
             path.write_text("sample_id,loss\n" + "".join(f"{sid},{v!r}\n" for sid, v in zip(ids, losses.tolist())))
@@ -1173,16 +1191,18 @@ class TestIdForms:
         return LossDataset(losses, model_id="packed", sample_ids=None if form == "default" else ids)
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 13])
-    @pytest.mark.parametrize("form", ["default", "loaded", "built", "newline"])
+    @pytest.mark.parametrize("form", FORMS)
     def test_walks_keep_the_form(self, tmp_path, monkeypatch, form, block):
         monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", block)
         ds = self._dataset(form, tmp_path)
         held = ds._sample_ids
         if form == "default":
-            assert held is None
+            assert type(held) is loss_data._Numbering and held == (("s",), (len(ds),))
+        elif form == "expanded":
+            assert type(held) is loss_data._Numbering and held == (("v0c", "v1c", "v2c"), self.EXPANDED)
         else:
             assert type(held) is loss_data._SampleIds and (held.ends is None) == (form != "newline")
-        ids = [self.IDS[form].format(i) for i in range(len(ds))]
+        ids = self._ids(form)
         assert [r.sample_id for r in ds] == ids
         for fmt in ("csv", "jsonl"):
             path = tmp_path / "out" / f"dumped.{fmt}"
@@ -1195,7 +1215,7 @@ class TestIdForms:
         spelled = LossDataset(ds.losses, model_id=ds.model_id, sample_ids=ids)
         renamed = LossDataset(ds.losses, model_id=ds.model_id, sample_ids=ids[:-1] + ["other"])
         assert ds == spelled and spelled == ds and ds != renamed and renamed != ds
-        for other in self.IDS:
+        for other in self.FORMS:
             assert (ds == self._dataset(other, tmp_path)) == (other == form)
         copied = pickle.loads(pickle.dumps(ds))
         assert copied == ds and copied._sample_ids == held
@@ -1217,6 +1237,51 @@ class TestIdForms:
         with pytest.raises(ValidationError, match=r"^record 9 \('p9'\): loss must be non-negative"):
             LossDataset(losses, sample_ids=ds._sample_ids)
         assert _packed(ds) and ds._id_tuple is None
+
+    def test_one_id_messages_of_a_numbering_spell_out_one_id(self, tmp_path, monkeypatch):
+        ds = self._dataset("expanded", tmp_path)
+        ids = self._ids("expanded")
+        monkeypatch.setattr(loss_data, "_numbered_ids", _no_numbered_ids)
+        assert [ds._id_at(i) for i in range(len(ds))] == ids
+        default = LossDataset(np.zeros(12))
+        assert [default._id_at(i) for i in range(12)] == [f"s{i}" for i in range(12)]
+        grouped = LossDataset(ds.losses, sample_ids=ds._sample_ids, group_ids=["g"] * 6 + [None] * 14)
+        with pytest.raises(MissingGroupId, match=r"^record 6 \('v1c3'\) has no group_id$"):
+            reduce_augmented(grouped)
+        bad = ds.losses.copy()
+        bad[6] = -1.0
+        with pytest.raises(ValidationError, match=r"^record 6 \('v1c3'\): loss must be non-negative"):
+            LossDataset(bad, sample_ids=ds._sample_ids)
+
+    def test_numberings_compare_by_their_ids(self, monkeypatch):
+        losses = np.arange(11) / 4
+        spelled = [f"s{i}" for i in range(11)]
+        numbered = LossDataset(losses.copy())
+        for ids, same in ((spelled, True), (spelled[:-1] + ["t0"], False)):
+            packed = LossDataset(losses.copy(), sample_ids=ids)
+            assert (numbered == packed) is (packed == numbered) is same
+        # Different numberings can spell the same ids: both give s0 to s10.
+        split = LossDataset(losses.copy(), sample_ids=loss_data._Numbering(("s", "s1"), (10, 1)))
+        other = LossDataset(losses.copy(), sample_ids=loss_data._Numbering(("s", "t"), (10, 1)))
+        assert numbered == split and split == numbered and numbered != other and other != numbered
+        # Equal numberings compare equal without spelling out either.
+        monkeypatch.setattr(loss_data, "_numbered_ids", _no_numbered_ids)
+        copied = pickle.loads(pickle.dumps(numbered))
+        assert copied._sample_ids == numbered._sample_ids and type(copied._sample_ids) is loss_data._Numbering
+        assert numbered == LossDataset(losses.copy()) and numbered == copied and copy.deepcopy(split) == split
+
+    def test_a_pickle_of_default_ids_as_none_loads(self):
+        ds = LossDataset(np.arange(3) / 4, model_id="m")
+
+        class Old:
+            """Pickles as earlier versions pickled ``ds``: default ids as ``None``."""
+
+            def __reduce__(self):
+                return LossDataset, (ds.losses, ds.model_id, None, None, None, None)
+
+        loaded = pickle.loads(pickle.dumps(Old()))
+        assert type(loaded._sample_ids) is loss_data._Numbering and loaded == ds
+        assert loaded.sample_ids == ("s0", "s1", "s2")
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(st.lists(_ID_TEXT, min_size=1, max_size=40), st.integers(1, 12))

@@ -29,6 +29,7 @@ from ratefn import (
     exact_rate,
     exact_tail,
     expand_to_dataset,
+    load_dataset,
     load_distribution,
     sample_dataset,
 )
@@ -168,24 +169,45 @@ class TestExpansion:
         dist = DiscreteLossDistribution(tuple(float(i) for i in range(len(counts))),
                                         tuple(c / denominator for c in counts))
         ds = expand_to_dataset(dist, denominator)
-        assert type(ds._sample_ids) is loss_data._SampleIds and ds._sample_ids.ends is None
+        assert type(ds._sample_ids) is loss_data._Numbering
+        assert ds._sample_ids == (tuple(f"v{i}c" for i in range(len(counts))), tuple(counts))
         assert ds.sample_ids == tuple(f"v{i}c{j}" for i, c in enumerate(counts) for j in range(c))
         assert ds.losses.tolist() == [float(i) for i, c in enumerate(counts) for _ in range(c)]
 
     def test_ids_take_no_string_per_sample(self):
         # One f-string per sample kept 6.9 MB of a 1e5-loss expansion and
-        # peaked at 7.95 MB; packed, the ids take about 9 bytes a sample.
+        # peaked at 7.95 MB; packed up front, the ids kept about 9 bytes a
+        # sample (1.63 MB retained, 2.58 MB peak). Held as a numbering, they
+        # take nothing beside the 0.8 MB of losses until read, and packing
+        # them then builds no string per sample either.
         dist = DiscreteLossDistribution((0.4, 1.1, 1.15, 1.2, 1.6, 1.8), (0.15, 0.2, 0.1, 0.15, 0.2, 0.2))
-        expand_to_dataset(dist, 1000)  # imports and caches settle first
+        expand_to_dataset(dist, 1000)._ids()  # imports and caches settle first
         tracemalloc.start()
         try:
             ds = expand_to_dataset(dist, 100_000)
             retained, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            packed = ds._ids()
+            packed_retained, packed_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ds) == 100_000 and type(ds._sample_ids) is loss_data._SampleIds and ds._sample_ids.ends is None
-        assert retained <= 2_000_000, retained
-        assert peak <= 3_500_000, peak
+        assert len(ds) == 100_000 and type(ds._sample_ids) is loss_data._Numbering
+        assert retained <= 850_000, retained
+        assert peak <= 1_200_000, peak
+        assert type(packed) is loss_data._SampleIds and packed.ends is None
+        assert packed_retained - retained <= 1_200_000, packed_retained - retained
+        assert packed_peak - retained <= 2_700_000, packed_peak - retained
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_dumped_ids_load_back(self, tmp_path, fmt):
+        dist = DiscreteLossDistribution((0.4, 1.1, 1.6), (0.25, 0.35, 0.4))
+        ds = expand_to_dataset(dist, 20)
+        path = tmp_path / f"{ds.model_id}.{fmt}"
+        loss_data.dump_dataset(ds, path, format=fmt)
+        loaded = load_dataset(path, fmt)
+        assert loaded.sample_ids == ds.sample_ids == tuple(f"v{i}c{j}" for i, c in enumerate((5, 7, 8)) for j in range(c))
+        assert type(loaded._sample_ids) is loss_data._SampleIds and type(ds._sample_ids) is loss_data._Numbering
+        assert loaded == ds and ds == loaded
 
 
 class TestCramerTail:
