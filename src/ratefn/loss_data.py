@@ -517,12 +517,9 @@ def _same_ids(mine: _SampleIds | _Numbering, theirs: _SampleIds | _Numbering) ->
     # A packed form is fixed by its ids, and equal numberings hold equal ids.
     # Different numberings, or a numbering and a packed form, can still hold
     # the same ids, so those compare packed.
-    if type(mine) is type(theirs):
-        if mine == theirs:
-            return True
-        if type(mine) is _SampleIds:
-            return False
-    return _spelled(mine) == _spelled(theirs)
+    if mine == theirs:
+        return True
+    return (type(mine) is _Numbering or type(theirs) is _Numbering) and _spelled(mine) == _spelled(theirs)
 
 
 def _same_groups(mine: _GroupCodes | None, theirs: _GroupCodes | None) -> bool:
@@ -680,7 +677,7 @@ def compose_augmented(ds: LossDataset, outer_group_map: Mapping[str, str]) -> Lo
     ``outer_group_map`` must cover every sample id in ``ds`` (typically the
     output of a previous :func:`reduce_augmented`, whose sample ids are the
     inner group ids). The ids are looked up a block at a time, and the new
-    dataset shares ``ds``'s packed ids.
+    dataset shares ``ds``'s ids in the form ``ds`` holds them.
     """
     keys, table = array("i"), {None: -1}
     for ids in _id_blocks(ds._ids(), len(ds)):
