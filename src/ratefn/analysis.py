@@ -358,13 +358,14 @@ def _quadratic(lam: float, coefficient: float) -> float:
 def _sqrt_2sq(s: float, q: float) -> float:
     """``sqrt(2*s*q)`` for positive ``s`` and non-negative ``q``.
 
-    Where the product overflows, it is formed from the factors' significands
-    and its power of two is halved outside the root. That rounds as the
-    plain form would with an unbounded exponent, so the result is infinite
-    only when its value lies beyond the float64 range.
+    Where the product overflows or falls below the normal range, it is
+    formed from the factors' significands and its power of two is halved
+    outside the root. That rounds as the plain form would with an unbounded
+    exponent, so the result is infinite only when its value lies beyond the
+    float64 range, and keeps its digits when the product would not.
     """
     product = 2.0 * s * q
-    if product < math.inf or math.isinf(q):
+    if sys.float_info.min <= product < math.inf or math.isinf(q):
         return math.sqrt(product)
     (s_frac, s_exp), (q_frac, q_exp) = math.frexp(s), math.frexp(q)
     power = s_exp + q_exp + 1  # 2*s*q = s_frac * q_frac * 2**power

@@ -1,6 +1,7 @@
 """Bounds, smoothness verdicts, augmentation checks, and quadratic approximations."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -403,14 +404,16 @@ class TestApproximationRange:
 
     @pytest.mark.parametrize("s, q", [
         (10.0, 1e308), (100.0, 9e306), (1e308, 1e-300), (1e308, 1e308), (8.9e307, 1.5),
+        (1e-300, 1e-30), (1e-200, 1e-200), (5e-324, 0.5), (1e-160, 1e-150),
     ])
-    def test_an_overflowing_product_roots_within_one_ulp(self, s, q):
-        assert 2.0 * s * q == math.inf
+    def test_a_product_out_of_the_normal_range_roots_within_one_ulp(self, s, q):
+        assert not sys.float_info.min <= 2.0 * s * q < math.inf
         result = analysis._sqrt_2sq(s, q)
         assert _within_one_ulp(result, _exact_root(2 * Fraction(s) * Fraction(q))), result
 
     def test_a_root_beyond_the_range_is_infinite(self):
         assert analysis._sqrt_2sq(1.3e308, 1.3e308) == analysis._sqrt_2sq(1.0, math.inf) == math.inf
+        assert analysis._sqrt_2sq(1e-300, 0.0) == 0.0
 
     @pytest.mark.parametrize("x, coefficient", [(0.01, 0.25), (1e-100, 3.0), (2.0, 1e300), (1e-150, 1e-10)])
     def test_the_plain_range_keeps_the_plain_bits(self, x, coefficient):
@@ -425,6 +428,10 @@ class TestApproximationRange:
         assert _within_one_ulp(variance_taylor(ds, lam).approx, Fraction(lam) ** 2 * Fraction(variance) / 2)
         inverse = variance_rate_approx(ds, "inverse_rate", 100.0)
         assert _within_one_ulp(inverse.approx, _exact_root(200 * Fraction(variance)))
+        # The losses {0, 2e-15} have variance 1e-30, and 2 * 1e-300 * 1e-30 underflows.
+        narrow = LossDataset([0.0, 2e-15])
+        inverse = variance_rate_approx(narrow, "inverse_rate", 1e-300)
+        assert _within_one_ulp(inverse.approx, _exact_root(2 * Fraction(1e-300) * Fraction(summarize(narrow).variance)))
         # The gradients +-1e154 have quadratic form 1e308 along a unit displacement.
         covariance = covariance_taylor(_grad_dataset([[1e154], [-1e154]]), [1.0], lam, s=10.0)
         assert covariance.quadratic_form == 1e308
