@@ -373,7 +373,7 @@ class LossDataset:
             raise EmptyDataset("a dataset must contain at least one record")
         if sample_ids is None:
             sample_ids = _Numbering(("s",), (count,))
-        elif type(sample_ids) is not _SampleIds and type(sample_ids) is not _Numbering:
+        elif type(sample_ids) not in (_SampleIds, _Numbering):
             sample_ids = _pack_ids(list(sample_ids))
         for name, column in (("sample_ids", sample_ids), ("group_ids", group_ids),
                              ("grad_norm_sq", grad_norm_sq), ("grad_theta", grad_theta)):
