@@ -375,6 +375,23 @@ def _sqrt_2sq(s: float, q: float) -> float:
         return math.inf
 
 
+def _half_square_over(a: float, q: float) -> float:
+    """``a*a / (2*q)`` for positive ``a`` and ``q``.
+
+    Where ``a*a`` leaves the normal range or ``2*q`` overflows, the quotient
+    is formed from the significands and its power of two applied after, which
+    rounds as the plain form would with an unbounded exponent.
+    """
+    square, twice = a * a, 2.0 * q
+    if sys.float_info.min <= square < math.inf and twice < math.inf:
+        return square / twice
+    (a_frac, a_exp), (q_frac, q_exp) = math.frexp(a), math.frexp(q)
+    try:
+        return math.ldexp(a_frac * a_frac / q_frac, 2 * a_exp - q_exp - 1)
+    except OverflowError:
+        return math.inf
+
+
 def _abs_error(exact: float, approx: float) -> float:
     """``|exact - approx|``, or infinity whenever ``exact`` is infinite, even
     where ``approx`` is infinite too and the difference would be NaN."""
@@ -403,7 +420,7 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
         x = check_real(x, InvalidA, "deviation")
         if summary.variance == 0.0:
             raise ZeroVariance("rate approximation needs positive loss variance")
-        approx = x * x / (2.0 * summary.variance)
+        approx = _half_square_over(x, summary.variance)
         exact = rate(ds, x).value
         return ApproxReport("a", x, exact, approx, _abs_error(exact, approx))
     if mode == "inverse_rate":

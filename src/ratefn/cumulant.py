@@ -11,8 +11,9 @@ between the plain mean and the mean under weights proportional to
 ``exp(-lam * loss)``; it lives in ``[0, L - m]``.
 
 One kernel, ``tilted_moments``, makes every exp pass over losses: the
-cumulant entry points here, the grid inverse rate and the rate solvers
-(which also take the tilted variance, so J, J' and J'' come from one pass).
+cumulant entry points here and the rate solvers (which also take the tilted
+variance, so J, J' and J'' come from one pass). Every grid pass goes through
+``cumulant_curve``, and a dataset holds the last curve computed on it.
 It evaluates tilts in blocks, one row of exponents per tilt, built in place.
 ``exp`` is slow on arguments whose result underflows, so lanes at or below
 ``EXP_CUTOFF`` are set to zero without calling it; their ``exp`` is exactly
@@ -224,8 +225,19 @@ def cumulant_derivative(ds: LossDataset, lam: float) -> float:
 
 
 def cumulant_curve(ds: LossDataset, grid: LambdaGrid | None = None) -> CumulantCurve:
-    """Evaluate the cumulant and its derivative over a tilt grid."""
+    """Evaluate the cumulant and its derivative over a tilt grid.
+
+    The dataset holds the last curve computed on it. A call with that curve's
+    grid, or an equal one (same values and spacing), returns the held curve
+    itself without a pass; any other grid computes a new curve, which then
+    replaces it.
+    """
     if grid is None:
         grid = LambdaGrid.default()
+    held = ds._curve
+    if held is not None and held.grid == grid:
+        return held
     j_values, j_derivs = zip(*cumulant_pairs(ds, grid.values))
-    return CumulantCurve(grid=grid, j_values=j_values, j_derivs=j_derivs, summary=summarize(ds))
+    curve = CumulantCurve(grid=grid, j_values=j_values, j_derivs=j_derivs, summary=summarize(ds))
+    object.__setattr__(ds, "_curve", curve)
+    return curve

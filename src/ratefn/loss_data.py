@@ -350,10 +350,16 @@ class LossDataset:
     values; a float array for ``grad_norm_sq`` marks them with NaN. Group
     labels must be hashable: equal labels form one group, held as one object.
     Iteration builds a frozen :class:`LossRecord` per sample and keeps none.
+
+    A dataset also holds what was computed from its losses: the summary from
+    :func:`summarize`, and the last tilt-grid curve from
+    ``cumulant.cumulant_curve``, one grid at a time. Copies and pickles
+    rebuild from the columns and start without either; equality and hashing
+    ignore them.
     """
 
     __slots__ = ("losses", "model_id", "grad_norm_sq", "grad_theta",
-                 "_sample_ids", "_id_tuple", "_groups", "_group_ids", "_summary")
+                 "_sample_ids", "_id_tuple", "_groups", "_group_ids", "_summary", "_curve")
 
     def __init__(
         self,
@@ -405,6 +411,7 @@ class LossDataset:
         set_(self, "grad_norm_sq", norms)
         set_(self, "grad_theta", vectors)
         set_(self, "_summary", None)
+        set_(self, "_curve", None)
 
         # Report the first faulty sample, checking each one's loss, then its
         # gradient norm, then its gradient length, as a record-by-record scan would.
@@ -598,10 +605,20 @@ def _variance(losses: np.ndarray, mean: float) -> float:
     """Population variance about ``mean``, with ``math.inf`` past the float64 range.
 
     A loop over Python floats: numpy's ``(x - mean)**2`` differs from
-    Python's ``**`` in the last bit for some elements.
+    Python's ``**`` in the last bit for some elements. Where a square or the
+    sum overflows, each deviation is scaled by ``2**-k``, with ``k`` the
+    exponent of the largest one, and the result scaled back. A power of two
+    commutes with the rounding, so that gives the plain form's value with an
+    unbounded exponent, infinite only when it lies past the range.
     """
     try:
         return math.fsum((v - mean) ** 2 for v in _floats(losses)) / len(losses)
+    except OverflowError:
+        pass
+    _, k = math.frexp(max(float(losses.max()) - mean, mean - float(losses.min())))
+    scaled = math.fsum(math.ldexp(v - mean, -k) ** 2 for v in _floats(losses)) / len(losses)
+    try:
+        return math.ldexp(scaled, 2 * k)
     except OverflowError:
         return math.inf
 

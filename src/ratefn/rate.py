@@ -7,7 +7,8 @@ losses ``d = (loss - min)/gap`` have minimum 0 and mean 1, and the tilt
 ``mu = lam*gap`` gives ``K(mu) = J(lam)``, ``K'(mu) = J'(lam)/gap`` and
 ``K''(mu) = J''(lam)/gap**2``. One pass of the cumulant module's one exp
 kernel, ``tilted_moments``, returns all three, so every figure below is free
-of the loss scale; ``grid_inverse_rate`` reads J from the same kernel.
+of the loss scale; ``grid_inverse_rate`` reads J from the dataset's
+cumulant curve.
 
 The optima solve an increasing equation: ``K'(mu) = a/gap`` for the rate
 and the Bregman gap ``B(mu) = mu*K'(mu) - K(mu) = s`` (slope ``mu*K''``) for
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cumulant import LambdaGrid, cumulant_pairs, tilted_moments
+from .cumulant import LambdaGrid, cumulant_curve, tilted_moments
 from .errors import InvalidA, InvalidS, SolverFailure, ValidationError, check_real
 from .loss_data import DatasetSummary, LossDataset, summarize
 
@@ -219,10 +220,12 @@ def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRat
 
     Ties resolve to the smallest tilt. The restricted value dominates the
     unrestricted one and may exceed the mean loss when the grid misses the
-    optimum; the result is never flagged saturated.
+    optimum; the result is never flagged saturated. J comes from
+    :func:`cumulant_curve`, so a dataset that holds the grid's curve makes
+    no pass.
     """
     s = check_real(s, InvalidS, "budget s")
-    candidates = [(j + s) / lam for lam, (j, _) in zip(grid.values, cumulant_pairs(ds, grid.values))]
+    candidates = [(j + s) / lam for lam, j in zip(grid.values, cumulant_curve(ds, grid).j_values)]
     best = int(np.argmin(candidates))
     return InverseRateEvaluation(
         s=s,

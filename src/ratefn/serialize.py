@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .cumulant import CumulantCurve
-from .errors import ParseError, input_file
 
 SCHEMA_VERSION = "1"
 
@@ -195,28 +194,3 @@ def cumulant_curve_to_json(curve: CumulantCurve) -> str:
         },
         kind="cumulant_curve",
     )
-
-
-def load_cumulant_curve_csv(path: str | Path) -> tuple[list[float], list[float], list[float]]:
-    """Reload an emitted cumulant curve; returns (lambdas, j, j_deriv).
-
-    A row without three numbers, or a missing, irregular or non-UTF-8 file,
-    raises ``ParseError``.
-    """
-    with input_file(path) as path:
-        text = path.read_text(encoding="utf-8")
-    lams, js, djs = [], [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line or line.startswith("#") or line.startswith("lambda"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            lam, j, dj = map(float, parts)
-        except ValueError:
-            raise ParseError(f"line {lineno}: expected 3 numbers, got {line!r}") from None
-        lams.append(lam)
-        js.append(j)
-        djs.append(dj)
-    return lams, js, djs

@@ -419,6 +419,7 @@ class TestApproximationRange:
     def test_the_plain_range_keeps_the_plain_bits(self, x, coefficient):
         assert analysis._quadratic(x, coefficient) == 0.5 * x * x * coefficient
         assert analysis._sqrt_2sq(x, coefficient) == math.sqrt(2.0 * x * coefficient)
+        assert analysis._half_square_over(x, coefficient) == x * x / (2.0 * coefficient)
 
     def test_reports_use_both_forms(self):
         lam = 1e-160
@@ -432,11 +433,38 @@ class TestApproximationRange:
         narrow = LossDataset([0.0, 2e-15])
         inverse = variance_rate_approx(narrow, "inverse_rate", 1e-300)
         assert _within_one_ulp(inverse.approx, _exact_root(2 * Fraction(1e-300) * Fraction(summarize(narrow).variance)))
+        # 1.4e154 squared overflows; the rate approximation, about 44, does not.
+        wide = LossDataset([0.0] + [1.5e154] * 99)
+        forward = variance_rate_approx(wide, "rate", 1.4e154)
+        assert _within_one_ulp(forward.approx, Fraction(1.4e154) ** 2 / (2 * Fraction(summarize(wide).variance)))
         # The gradients +-1e154 have quadratic form 1e308 along a unit displacement.
         covariance = covariance_taylor(_grad_dataset([[1e154], [-1e154]]), [1.0], lam, s=10.0)
         assert covariance.quadratic_form == 1e308
         assert _within_one_ulp(covariance.report.approx, Fraction(lam) ** 2 * Fraction(1e308) / 2)
         assert _within_one_ulp(covariance.inverse_rate_approx, _exact_root(20 * Fraction(1e308)))
+
+    def test_reports_on_a_variance_whose_squares_overflow(self):
+        # The losses {0, 2e154} have variance 1e308, though each square passes the range.
+        ds = LossDataset([0.0, 2e154])
+        variance = Fraction(summarize(ds).variance)
+        assert variance == Fraction(1e308)
+        lam = 1e-160
+        assert _within_one_ulp(variance_taylor(ds, lam).approx, Fraction(lam) ** 2 * variance / 2)
+        inverse = variance_rate_approx(ds, "inverse_rate", 0.1)
+        assert _within_one_ulp(inverse.approx, _exact_root(2 * Fraction(0.1) * variance))
+        # 2 * variance passes the range, a**2 / (2 * variance) does not.
+        forward = variance_rate_approx(ds, "rate", 1e153)
+        assert _within_one_ulp(forward.approx, Fraction(1e153) ** 2 / (2 * variance))
+
+    @pytest.mark.parametrize("a, q", [
+        (1e153, 1e308), (1.4e154, 2.2275e306), (1e200, 1e300), (1e-170, 1e-300), (1e-170, 1.7e308),
+    ])
+    def test_a_square_or_twice_the_variance_out_of_range_within_one_ulp(self, a, q):
+        assert not (sys.float_info.min <= a * a < math.inf and 2.0 * q < math.inf)
+        result = analysis._half_square_over(a, q)
+        assert _within_one_ulp(result, Fraction(a) ** 2 / (2 * Fraction(q))), result
+        assert analysis._half_square_over(0.5, 0.125) == 1.0
+        assert analysis._half_square_over(1e300, 1e-300) == math.inf
 
 
 class TestGradientNormBound:

@@ -15,13 +15,39 @@ import pytest
 import ratefn
 from ratefn import cli
 from ratefn.cli import parse_grid_spec, run
-from ratefn.errors import ComputeError, InputError, RatefnError, ValidationError, check_count, check_real
-from ratefn.rate import DEFAULT_TOL
-from ratefn.serialize import load_cumulant_curve_csv
+from ratefn.errors import (
+    ComputeError, InputError, ParseError, RatefnError, ValidationError, check_count, check_real, input_file,
+)
+from ratefn.rate import DEFAULT_TOL, RateSolver
 from conftest import strict_json
 
 LN2 = math.log(2.0)
 DATA = Path(__file__).parent / "data"
+
+
+def load_cumulant_curve_csv(path):
+    """Reload an emitted cumulant curve; returns (lambdas, j, j_deriv).
+
+    A row without three numbers, or a missing, irregular or non-UTF-8 file,
+    raises ``ParseError``.
+    """
+    with input_file(path) as path:
+        text = path.read_text(encoding="utf-8")
+    lams, js, djs = [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line or line.startswith("#") or line.startswith("lambda"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            lam, j, dj = map(float, parts)
+        except ValueError:
+            raise ParseError(f"line {lineno}: expected 3 numbers, got {line!r}") from None
+        lams.append(lam)
+        js.append(j)
+        djs.append(dj)
+    return lams, js, djs
 
 
 @pytest.fixture
@@ -216,6 +242,25 @@ class TestInverseRateCommands:
         assert run(["inverse-rate", "--input", str(two_point_csv), "--s", "0.05"]) == 0
         unrestricted = json.loads(capsys.readouterr().out)
         assert restricted["value"] >= unrestricted["value"] - 1e-12
+
+    def test_one_solver_for_every_budget(self, monkeypatch, capsys):
+        built = []
+        init = RateSolver.__init__
+
+        def counted(self, ds):
+            built.append(ds.model_id)
+            init(self, ds)
+
+        monkeypatch.setattr(RateSolver, "__init__", counted)
+        path = DATA / "a.csv"
+        budgets = ["0.1", "0.001", "0.01", "0.05", "0.01"]
+        assert run(["inverse-rate", "--input", str(path), *(f"--s={s}" for s in budgets)]) == 0
+        assert len(built) == 1
+        payload = json.loads(capsys.readouterr().out)
+        ds = ratefn.load_dataset(path)
+        expected = [ratefn.inverse_rate(ds, s) for s in (0.001, 0.01, 0.05, 0.1)]
+        assert [ev["value"] for ev in payload["evaluations"]] == [ev.value for ev in expected]
+        assert [ev["lambda_star"] for ev in payload["evaluations"]] == [ev.lambda_star for ev in expected]
 
 
 class TestAugmentAndDaCheck:

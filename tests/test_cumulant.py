@@ -1,6 +1,9 @@
 """Cumulant estimator: exact values, structural properties, and the oracle match."""
 
+import copy
+import importlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,12 +14,14 @@ from ratefn import (
     InvalidLambda,
     LambdaGrid,
     ValidationError,
+    compare_smoothness,
     cumulant_curve,
     cumulant_derivative,
     estimate_cumulant,
     exact_cumulant,
     expand_to_dataset,
     from_losses,
+    grid_inverse_rate,
     reduce_augmented,
     summarize,
 )
@@ -25,6 +30,7 @@ from ratefn.cumulant import EXP_CUTOFF, MAX_GRID_SIZE, NEG_TOL, _exp_in_place, _
 from ratefn.loss_data import DatasetSummary
 
 LN2 = math.log(2.0)
+cumulant_module = importlib.import_module("ratefn.cumulant")
 
 
 class TestGrid:
@@ -273,6 +279,87 @@ class TestGridKernel:
             assert _curve_reprs(losses, [1e3]) == _per_tilt(losses, [1e3])
         assert curve.j_values == (math.inf,)
         assert curve.j_derivs == (5e307,)
+
+
+@pytest.fixture
+def grid_passes(monkeypatch):
+    """The tilt counts of every kernel call that ``cumulant`` makes; the rate
+    solvers call the kernel from ``rate`` and are not counted."""
+    passes = []
+    kernel = cumulant_module.tilted_moments
+
+    def counted(x, lams, *args, **kwargs):
+        passes.append(len(lams))
+        return kernel(x, lams, *args, **kwargs)
+
+    monkeypatch.setattr(cumulant_module, "tilted_moments", counted)
+    return passes
+
+
+class TestHeldCurve:
+    """A dataset holds its last grid curve, so a repeated grid pass on the
+    same dataset and grid is a read."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = np.random.default_rng(31)
+        return random_dataset(rng, size=60, model_id="A"), random_dataset(rng, size=60, model_id="B")
+
+    def test_a_repeated_call_makes_no_pass(self, pair, grid_passes):
+        ds_a, ds_b = pair
+        grid = LambdaGrid.log_spaced(1e-2, 1e2, 16)
+        first = [cumulant_curve(ds_a, grid), grid_inverse_rate(ds_a, 0.1, grid),
+                 compare_smoothness(ds_a, ds_b, grid)]
+        assert grid_passes == [16, 16]  # ds_a's curve, then ds_b's in compare_smoothness
+        grid_passes.clear()
+        again = [cumulant_curve(ds_a, grid), grid_inverse_rate(ds_a, 0.1, grid),
+                 compare_smoothness(ds_a, ds_b, grid)]
+        assert grid_passes == []
+        assert again[0] is first[0]
+        assert again[1:] == first[1:]
+
+    def test_the_default_grid_is_held_too(self, pair, grid_passes):
+        ds = pair[0]
+        curve = cumulant_curve(ds)
+        assert cumulant_curve(ds, LambdaGrid.default()) is curve
+        assert grid_inverse_rate(ds, 0.1, LambdaGrid.default()).lambda_star in curve.grid.values
+        assert grid_passes == [64]
+
+    def test_another_grid_recomputes_and_replaces(self, pair, grid_passes):
+        ds = pair[0]
+        log_grid = LambdaGrid((0.5, 1.0, 1.5))
+        linear_grid = LambdaGrid((0.5, 1.0, 1.5), spacing="linear")
+        first = cumulant_curve(ds, log_grid)
+        other = cumulant_curve(ds, LambdaGrid((0.5, 1.0)))
+        same_values = cumulant_curve(ds, linear_grid)
+        assert grid_passes == [3, 2, 3]
+        assert same_values.grid is linear_grid and same_values is not first
+        assert same_values.j_values == first.j_values and other.j_values == first.j_values[:2]
+        assert ds._curve is same_values
+        # Only the last grid is held: the first one now makes a pass again.
+        assert cumulant_curve(ds, log_grid) is not first
+        assert grid_passes == [3, 2, 3, 3]
+
+    def test_copies_and_pickles_start_empty(self, pair, grid_passes):
+        ds = pair[0]
+        curve = cumulant_curve(ds)
+        for clone in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
+            assert clone._curve is None
+            assert clone == ds and hash(clone) == hash(ds)
+            assert cumulant_curve(clone) is not curve
+        assert grid_passes == [64] * 4
+
+    def test_a_hit_has_the_bits_of_a_fresh_pass(self):
+        rng = np.random.default_rng(37)
+        losses = rng.lognormal(0.0, 1.5, size=5000)
+        ds = from_losses(losses)
+        curve = cumulant_curve(ds)
+        fresh = cumulant_curve(from_losses(losses.copy()))
+        held = cumulant_curve(ds, LambdaGrid.log_spaced(1e-3, 1e3, 64))
+        assert held is curve
+        assert np.array(held.j_values).tobytes() == np.array(fresh.j_values).tobytes()
+        assert np.array(held.j_derivs).tobytes() == np.array(fresh.j_derivs).tobytes()
+        assert held.summary == fresh.summary
 
 
 class TestAgainstOracle:

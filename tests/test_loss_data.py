@@ -11,6 +11,7 @@ import pickle
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -432,6 +433,21 @@ class TestSummaries:
         s = summarize(from_losses(1e300 * np.array([0.0, 0.3, 1.0, 2.5])))
         assert s.variance == math.inf
         assert s.empirical_loss == math.fsum([0.0, 0.3e300, 1e300, 2.5e300]) / 4
+
+    @pytest.mark.parametrize("losses", [
+        [0.0, 2e154],
+        [0.0, 1e154, 3e154, 2.5e154],
+        [1.7e154, 0.0, 1e-300, 1.3e154, 5.0],
+        [0.0] * 6 + [3e154],
+        [0.0, 1.5e154] * 3,
+    ])
+    def test_variance_inside_the_range_is_finite(self, losses):
+        # Each square, or their sum, passes the float64 range; the variance does not.
+        s = summarize(LossDataset(losses))
+        mean = Fraction(s.empirical_loss)
+        exact = sum((Fraction(v) - mean) ** 2 for v in losses) / len(losses)
+        assert exact < Fraction(2) ** 1024
+        assert abs(Fraction(s.variance) - exact) <= Fraction(math.ulp(s.variance)), s.variance
 
     def test_overflowing_sum_rejected(self):
         with pytest.raises(ValidationError, match="sum of the losses overflows float64"):

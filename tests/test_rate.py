@@ -1,5 +1,6 @@
 """Rate and inverse-rate solvers: identities, saturation, and oracle checks."""
 
+import copy
 import importlib
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from ratefn import (
     ModelMeta,
     SolverFailure,
     compare_smoothness,
+    cumulant_curve,
     cumulant_derivative,
     estimate_cumulant,
     exact_cumulant,
@@ -426,23 +428,38 @@ class TestKernelMemory:
         summarize(ds)  # cached on the dataset; the first summary lists the losses as Python floats
         return ds
 
+    @staticmethod
+    def _peak(thunk) -> int:
+        tracemalloc.start()
+        try:
+            thunk()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("call", ["estimate-1", "estimate-1e3", "rate", "grid-inverse-rate"])
     def test_peak_below_one_and_a_half_datasets(self, ds, call):
         solver = RateSolver(ds)
         gap, _ = _gap_and_b_max(ds)
+        # A copy holds no curve, so the grid call makes a pass of its own.
+        fresh = copy.copy(ds)
+        summarize(fresh)
+        assert fresh._curve is None
         thunk = {
             "estimate-1": lambda: estimate_cumulant(ds, 1.0),
             "estimate-1e3": lambda: estimate_cumulant(ds, 1e3),
             "rate": lambda: solver.rate(0.999 * gap),
-            "grid-inverse-rate": lambda: grid_inverse_rate(ds, 0.1, LambdaGrid.default()),
+            "grid-inverse-rate": lambda: grid_inverse_rate(fresh, 0.1, LambdaGrid.default()),
         }[call]
-        tracemalloc.start()
-        try:
-            thunk()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._peak(thunk)
         assert peak < 1.5 * ds.losses.nbytes, peak / ds.losses.nbytes
+
+    def test_a_held_curve_takes_no_pass_memory(self, ds):
+        held = copy.copy(ds)
+        summarize(held)
+        cumulant_curve(held)
+        peak = self._peak(lambda: grid_inverse_rate(held, 0.1, LambdaGrid.default()))
+        assert peak < 0.01 * ds.losses.nbytes, peak / ds.losses.nbytes
 
 
 class TestKernelPasses:
