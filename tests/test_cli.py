@@ -624,6 +624,20 @@ def test_overflowing_variance_prints_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("losses", ["1.5e308,1.5e308", "0,1.7e308,1.7e308"])
+def test_overflowing_loss_sum_gets_a_mean(tmp_path, capsys, losses):
+    # The sum of the losses passes the float64 range, which once refused the dataset.
+    path = tmp_path / "big.csv"
+    path.write_text("sample_id,loss\n" + "".join(f"s{i},{v}\n" for i, v in enumerate(losses.split(","))))
+    for argv in (["rate", "--a", "0.5"], ["inverse-rate", "--s", "0.1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([argv[0], "--input", str(path), *argv[1:]]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert strict_json(out)["kind"] == argv[0].replace("-", "_")
+
+
 # Files for the rejected-input cases below, written into the test's directory.
 BAD_INPUTS = {
     "text-value.json": '{"values": [0, "x"], "probs": [0.5, 0.5]}',

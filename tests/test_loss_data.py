@@ -449,9 +449,30 @@ class TestSummaries:
         assert exact < Fraction(2) ** 1024
         assert abs(Fraction(s.variance) - exact) <= Fraction(math.ulp(s.variance)), s.variance
 
-    def test_overflowing_sum_rejected(self):
-        with pytest.raises(ValidationError, match="sum of the losses overflows float64"):
-            summarize(from_losses([1.5e308, 1.5e308]))
+    @pytest.mark.parametrize("losses", [[1.5e308, 1.5e308], [0.0, 1.7e308, 1.7e308]])
+    def test_mean_of_an_overflowing_sum(self, losses):
+        # The sum passes the float64 range; the mean, the exact sum over the count, does not.
+        with pytest.raises(OverflowError):
+            math.fsum(losses)
+        s = summarize(from_losses(losses))
+        exact = sum(map(Fraction, losses)) / len(losses)
+        assert abs(Fraction(s.empirical_loss) - exact) <= Fraction(math.ulp(s.empirical_loss)), s.empirical_loss
+        assert summarize(from_losses([1.5e308, 1.5e308])).empirical_loss == 1.5e308
+
+
+def _loop_variance(values, mean):
+    """The variance's definition as a loop over Python floats: where a square
+    or the sum overflows, the deviations are scaled by a power of two."""
+    try:
+        return math.fsum((v - mean) ** 2 for v in values) / len(values)
+    except OverflowError:
+        pass
+    _, k = math.frexp(max(max(values) - mean, mean - min(values)))
+    scaled = math.fsum(math.ldexp(v - mean, -k) ** 2 for v in values) / len(values)
+    try:
+        return math.ldexp(scaled, 2 * k)
+    except OverflowError:
+        return math.inf
 
 
 def _loop_summary(values):
@@ -460,8 +481,117 @@ def _loop_summary(values):
     mean = max(math.fsum(values) / count, min(values))
     lo = min(values)
     ties = sum(1 for v in values if v - lo <= 1e-12)
-    variance = 0.0 if ties == count else math.fsum((v - mean) ** 2 for v in values) / count
+    variance = 0.0 if ties == count else _loop_variance(values, mean)
     return count, mean, lo, ties, variance
+
+
+def _exact_sum_of(values):
+    """The exact sum of the floats ``values``, as a Fraction."""
+    unit = 1 << 1074  # every float is a multiple of 2**-1074
+    return Fraction(sum(n * (unit // d) for n, d in map(float.as_integer_ratio, values)), unit)
+
+
+# Finite floats from the whole range: zeros, subnormals, the normal limits,
+# and values near the largest float.
+_SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0,
+                     2.0 ** 1023, 1.7e308, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+)
+
+
+class TestExactSum:
+    """``_exact_sum`` and the summary it gives, against ``math.fsum`` and
+    loops over Python floats. The sizes straddle ``_EXACT_MIN`` (1024), where
+    binning takes over from fsum, and ``_FLOAT_BLOCK`` (8192)."""
+
+    @staticmethod
+    def _values(pool, size, seed, signed=False, spread=0):
+        # Values drawn from the pool, each scaled by 2**-j, 0 <= j < spread, and given a random sign.
+        rng = np.random.default_rng(seed)
+        values = np.asarray(pool)[rng.integers(len(pool), size=size)]
+        if spread:
+            values = np.ldexp(values, -rng.integers(spread, size=size))
+        if signed:
+            values = np.where(rng.random(size) < 0.5, -values, values)
+        return values
+
+    @staticmethod
+    def _check_sum(values):
+        floats = values.tolist()
+        try:
+            expected = math.fsum(floats)
+        except OverflowError:
+            expected = None
+        if expected is None:
+            # fsum refuses a sum that overflows only on the way, which the
+            # exact sum gives; float() of a Fraction rounds correctly.
+            exact = _exact_sum_of(floats)
+            if abs(exact) >= Fraction(2) ** 1024 - Fraction(2) ** 970:
+                with pytest.raises(OverflowError):
+                    loss_data._exact_sum(values)
+            else:
+                assert loss_data._exact_sum(values) == float(exact)
+        else:
+            assert loss_data._exact_sum(values).hex() == expected.hex()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(_SUMMANDS, min_size=1, max_size=8), st.sampled_from([1, 2, 5, 1023, 1024, 8191, 8192, 8193]),
+           st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from([0, 60, 1100]))
+    def test_sum_mean_and_variance_keep_the_loops_bits(self, pool, size, seed, signed, spread):
+        self._check_sum(self._values(pool, size, seed, signed, spread))
+        losses = self._values(pool, size, seed, spread=spread)
+        floats = losses.tolist()
+        s = summarize(LossDataset(losses))
+        try:
+            total = math.fsum(floats)
+        except OverflowError:
+            exact = _exact_sum_of(floats) / size
+            assert abs(Fraction(s.empirical_loss) - exact) <= Fraction(math.ulp(s.empirical_loss))
+        else:
+            assert s.empirical_loss.hex() == max(total / size, min(floats)).hex()
+        mean = s.empirical_loss
+        assert loss_data._variance(losses, mean).hex() == _loop_variance(floats, mean).hex()
+
+    @pytest.mark.parametrize("spread", [40, 1100])
+    def test_many_blocks_and_exponents(self, monkeypatch, spread):
+        # 313 blocks of 16 values whose exponents span 40, or nearly all 2100, bins.
+        monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", 16)
+        rng = np.random.default_rng(spread)
+        losses = np.ldexp(rng.exponential(1.0, 5000), rng.integers(-spread, 1000 if spread > 40 else 1, size=5000))
+        floats = losses.tolist()
+        assert loss_data._exact_sum(losses).hex() == math.fsum(floats).hex()
+        self._check_sum(np.where(rng.random(5000) < 0.5, -losses, losses))
+        s = summarize(from_losses(losses))
+        got = (s.count, s.empirical_loss, s.min_loss, s.variance)
+        expected = _loop_summary(floats)
+        assert [float(x).hex() for x in got] == [float(x).hex() for i, x in enumerate(expected) if i != 3]
+
+    def test_no_python_float_per_loss(self, monkeypatch):
+        losses = np.random.default_rng(8).exponential(1.0, 100_000)
+        expected = _loop_summary(losses.tolist())
+
+        def no_floats(values):
+            raise AssertionError("losses listed as Python floats")
+
+        monkeypatch.setattr(loss_data, "_floats", no_floats)
+        s = summarize(from_losses(losses))
+        assert (s.empirical_loss, s.variance) == (expected[1], expected[4])
+
+    def test_summary_and_variance_peak_below_a_float_array(self):
+        # A loss array of 2e5 floats takes 1.6 MB. The mask that finds the
+        # first minimum takes an eighth of that, and the blocks of the sums
+        # about a sixth; listing the losses as Python floats took 7.5 MB.
+        losses = np.random.default_rng(9).exponential(1.0, 200_000)
+        summarize(from_losses(losses[:50_000])).variance  # imports and caches settle first
+        ds = from_losses(losses)
+        tracemalloc.start()
+        try:
+            assert summarize(ds).variance > 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * losses.nbytes, peak
 
 
 class TestColumnarDataset:

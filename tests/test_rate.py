@@ -425,7 +425,7 @@ class TestKernelMemory:
     @pytest.fixture(scope="class")
     def ds(self):
         ds = from_losses(np.random.default_rng(3).exponential(size=100_000))
-        summarize(ds)  # cached on the dataset; the first summary lists the losses as Python floats
+        summarize(ds)  # cached on the dataset, so no call below computes it
         return ds
 
     @staticmethod
