@@ -11,13 +11,15 @@ stands in for the training loss.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .cumulant import LambdaGrid, cumulant_curve, estimate_cumulant
+from .cumulant import LambdaGrid, cumulant_curve, estimate_cumulant, tilted_moments
 from .errors import (
     DimensionMismatch,
     InvalidA,
@@ -29,7 +31,7 @@ from .errors import (
     ZeroVariance,
     check_real,
 )
-from .loss_data import LossDataset, ModelMeta, group_sizes, reduce_augmented, summarize
+from .loss_data import LossDataset, ModelMeta, _exact_mean, group_sizes, reduce_augmented, summarize
 from .rate import InverseRateEvaluation, RateSolver, inverse_rate, rate
 
 DOMINANCE_SLACK = 1e-12
@@ -205,7 +207,7 @@ def _default_a_values(ds_a: LossDataset, ds_b: LossDataset) -> tuple[float, ...]
     if not gaps:
         return (1e-3,)
     top = 0.95 * min(gaps)
-    return tuple(top * k / 12 for k in range(1, 13))
+    return tuple(_product(top, (k,), 12.0) for k in range(1, 13))
 
 
 def compare_smoothness(
@@ -290,7 +292,7 @@ def interpolator_ordering(
     solver_a = RateSolver(ds_a)
     beta = solver_a.inverse_rate(s).value
     if a_values is None:
-        a_values = tuple(beta * k / 8 for k in range(1, 9)) if beta > 0 else (1e-6,)
+        a_values = tuple(_product(beta, (k,), 8.0) for k in range(1, 9)) if beta > 0 else (1e-6,)
     a_values = [check_real(a, InvalidA, "deviation a", "non-negative") for a in a_values]
     solver_b = RateSolver(ds_b)
     beta_smooth_ok = all(_rate_dominates(solver_a, solver_b, a) for a in a_values if a > 0)
@@ -324,14 +326,22 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
     sizes = group_sizes(ds_grouped)
     flat_curve = cumulant_curve(ds_grouped, grid)
     reduced_curve = cumulant_curve(reduced, grid)
-    gaps = tuple(jf - jr for jf, jr in zip(flat_curve.j_values, reduced_curve.j_values))
+    gaps = [jf - jr for jf, jr in zip(flat_curve.j_values, reduced_curve.j_values)]
     mean_flat = flat_curve.summary.empirical_loss
     mean_reduced = reduced_curve.summary.empirical_loss
+    # Where both cumulants pass the float64 range, inf - inf is NaN: the gap is
+    # taken from their parts, J = lam*(mean - min) + log(mean(exp(-lam*(loss - min)))).
+    past = [k for k, gap in enumerate(gaps) if gap != gap]
+    if past:
+        lams = [grid.values[k] for k in past]
+        spread = (mean_flat - flat_curve.summary.min_loss) - (mean_reduced - reduced_curve.summary.min_loss)
+        for k, lam, log_flat, log_reduced in zip(past, lams, _log_means(ds_grouped, lams), _log_means(reduced, lams)):
+            gaps[k] = lam * spread + (log_flat - log_reduced)
     return DAReport(
         lambdas=grid.values,
         j_flat=flat_curve.j_values,
         j_reduced=reduced_curve.j_values,
-        gaps=gaps,
+        gaps=tuple(gaps),
         mean_flat=mean_flat,
         mean_reduced=mean_reduced,
         equal_group_sizes=bool(sizes.min() == sizes.max()),
@@ -339,55 +349,33 @@ def da_inequality_check(ds_grouped: LossDataset, grid: LambdaGrid | None = None)
     )
 
 
-def _quadratic(lam: float, coefficient: float) -> float:
-    """``lam**2 * coefficient / 2``, infinite for an infinite coefficient even
-    where ``lam**2`` underflows to zero.
-
-    Where ``lam**2 / 2`` falls below the normal range it would lose digits,
-    so ``lam * coefficient`` is taken first: it stays normal whenever the
-    result is.
-    """
-    if math.isinf(coefficient):
-        return math.inf
-    half_square = 0.5 * lam * lam
-    if half_square < sys.float_info.min:
-        return 0.5 * (lam * coefficient) * lam
-    return half_square * coefficient
+def _log_means(ds: LossDataset, lams: Sequence[float]) -> list[float]:
+    """``log(mean(exp(-lam*(loss - min))))`` at each tilt: the cumulant less ``lam*(mean - min)``."""
+    lo, x = summarize(ds).min_loss, ds.losses
+    return [log_total - math.log(x.size) for log_total, _ in tilted_moments(x, lams, lo, float(x.max()) - lo)]
 
 
-def _sqrt_2sq(s: float, q: float) -> float:
-    """``sqrt(2*s*q)`` for positive ``s`` and non-negative ``q``.
-
-    Where the product overflows or falls below the normal range, it is
-    formed from the factors' significands and its power of two is halved
-    outside the root. That rounds as the plain form would with an unbounded
-    exponent, so the result is infinite only when its value lies beyond the
-    float64 range, and keeps its digits when the product would not.
-    """
-    product = 2.0 * s * q
-    if sys.float_info.min <= product < math.inf or math.isinf(q):
-        return math.sqrt(product)
-    (s_frac, s_exp), (q_frac, q_exp) = math.frexp(s), math.frexp(q)
-    power = s_exp + q_exp + 1  # 2*s*q = s_frac * q_frac * 2**power
+def _product(coefficient: float, factors: Sequence[float], divisor: float = 1.0, root: bool = False) -> float:
+    """``coefficient * f1 * f2 * ... / divisor``, or its square root, for a
+    positive coefficient and divisor and non-negative factors: the plain
+    left-to-right form, bit for bit, where every partial product and the
+    quotient are normal; otherwise the significands' product with its power
+    of two applied once (halved outside the root), which is infinite only
+    past the float64 range. An infinite factor gives ``inf``, a zero factor
+    or an infinite divisor 0."""
+    partials = list(accumulate(factors, operator.mul, initial=coefficient))
+    partials.append(partials[-1] / divisor)
+    if all(sys.float_info.min <= p < math.inf for p in partials):
+        return math.sqrt(partials[-1]) if root else partials[-1]
+    # math.frexp keeps an infinity or a zero as its significand, which carries it through.
+    parts = [math.frexp(v) for v in (coefficient, *factors)]
+    fraction, exponent = math.frexp(divisor)
+    significand = math.prod(f for f, _ in parts) / fraction
+    power = sum(e for _, e in parts) - exponent
+    if root:
+        significand, power = math.sqrt(math.ldexp(significand, power % 2)), power // 2
     try:
-        return math.ldexp(math.sqrt(math.ldexp(s_frac * q_frac, power % 2)), power // 2)
-    except OverflowError:
-        return math.inf
-
-
-def _half_square_over(a: float, q: float) -> float:
-    """``a*a / (2*q)`` for positive ``a`` and ``q``.
-
-    Where ``a*a`` leaves the normal range or ``2*q`` overflows, the quotient
-    is formed from the significands and its power of two applied after, which
-    rounds as the plain form would with an unbounded exponent.
-    """
-    square, twice = a * a, 2.0 * q
-    if sys.float_info.min <= square < math.inf and twice < math.inf:
-        return square / twice
-    (a_frac, a_exp), (q_frac, q_exp) = math.frexp(a), math.frexp(q)
-    try:
-        return math.ldexp(a_frac * a_frac / q_frac, 2 * a_exp - q_exp - 1)
+        return math.ldexp(significand, power)
     except OverflowError:
         return math.inf
 
@@ -404,7 +392,7 @@ def variance_taylor(ds: LossDataset, lam: float) -> ApproxReport:
     lam = check_real(lam, InvalidLambda, "tilt")
     summary = summarize(ds)
     exact = estimate_cumulant(ds, lam)
-    approx = _quadratic(lam, summary.variance)
+    approx = _product(0.5, (lam, lam, summary.variance))
     return ApproxReport("lambda", lam, exact, approx, _abs_error(exact, approx))
 
 
@@ -420,12 +408,12 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
         x = check_real(x, InvalidA, "deviation")
         if summary.variance == 0.0:
             raise ZeroVariance("rate approximation needs positive loss variance")
-        approx = _half_square_over(x, summary.variance)
+        approx = _product(0.5, (x, x), summary.variance)
         exact = rate(ds, x).value
         return ApproxReport("a", x, exact, approx, _abs_error(exact, approx))
     if mode == "inverse_rate":
         x = check_real(x, InvalidS, "budget")
-        approx = _sqrt_2sq(x, summary.variance)
+        approx = _product(2.0, (x, summary.variance), root=True)
         exact = inverse_rate(ds, x).value
         return ApproxReport("s", x, exact, approx, _abs_error(exact, approx))
     raise InvalidA(f"mode must be 'rate' or 'inverse_rate', got {mode!r}")
@@ -488,13 +476,13 @@ def covariance_taylor(
         quad = float(projected @ projected) / len(ds)
     if not math.isfinite(quad):
         quad = _scaled_quadratic_form(grads, delta)
-    approx = _quadratic(lam, quad)
+    approx = _product(0.5, (lam, lam, quad))
     exact = estimate_cumulant(ds, lam)
     report = ApproxReport("lambda", lam, exact, approx, _abs_error(exact, approx))
     inv_approx = None
     if s is not None:
         s = check_real(s, InvalidS, "budget")
-        inv_approx = _sqrt_2sq(s, quad)
+        inv_approx = _product(2.0, (s, quad), root=True)
     return CovarianceTaylor(report=report, quadratic_form=quad, inverse_rate_approx=inv_approx)
 
 
@@ -508,6 +496,8 @@ def gradient_norm_bound(
 
     The cumulant bound is ``m_const * mean_grad_norm_sq * lam**2`` and the
     inverse-rate bound is ``sqrt(s) * sqrt(m_const * mean_grad_norm_sq)``.
+    The mean is the norms' ``math.fsum`` over their count, or past the
+    float64 range their exact sum over it, rounded once.
     ``m_const`` comes from a smoothness assumption the caller owns, so the
     bounds are reported without being checked against the data.
     """
@@ -516,7 +506,7 @@ def gradient_norm_bound(
     norms = ds.grad_norm_sq
     if norms is None or np.isnan(norms).any():
         raise MissingGradNorms("every record needs a grad_norm_sq value")
-    g2 = math.fsum(norms.tolist()) / len(ds)
+    g2 = _exact_mean(norms)
     coefficient = m_const * g2
     bound_j = None
     if lam is not None:

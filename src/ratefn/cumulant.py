@@ -47,6 +47,9 @@ EXP_CUTOFF = -745.2
 # A block of tilts holds at most max(M, _BLOCK_FLOATS) exponents.
 _BLOCK_FLOATS = 65536
 _NO_CONTEXT = contextlib.nullcontext()
+# Values weighted in [0, 1] sum to at most the weights' total times the largest
+# value; below this power of two, with room for round-off, no such sum overflows.
+_DOT_LIMIT = 2.0 ** 1023
 
 
 def _grid_args(lo, hi, count) -> tuple[float, float, int]:
@@ -163,7 +166,7 @@ def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
                 np.multiply(x, factor, out=z)
         _exp_in_place(z, reach)
         totals = z.sum(axis=1).tolist() if z.ndim == 2 else [float(z.sum())]
-        tilted = [dot / total for dot, total in zip(_row_dots(z, x), totals)]
+        tilted = _tilted_means(z, x, totals, lo + top)
         logs = map(math.log, totals)
         if curvature:
             z *= x
@@ -173,6 +176,21 @@ def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
         else:
             moments += zip(logs, tilted)
     return moments
+
+
+def _tilted_means(z: np.ndarray, x: np.ndarray, totals: list[float], peak: float) -> list[float]:
+    """``row @ x / total`` for each row of ``z`` and its total; ``peak`` is ``max(x)``.
+
+    A sum that passes the float64 range is taken again on ``x / _DOT_LIMIT``
+    and its mean scaled back, which keeps its digits: a power of two commutes
+    with the rounding (values below 2 lose bits far under the sum's last one).
+    The other rows keep their bits."""
+    if max(totals) * peak < _DOT_LIMIT:
+        return [dot / total for dot, total in zip(_row_dots(z, x), totals)]
+    with np.errstate(over="ignore"):
+        dots = _row_dots(z, x)
+    lows = _row_dots(z, x / _DOT_LIMIT)
+    return [dot / total if dot < math.inf else low / total * _DOT_LIMIT for dot, low, total in zip(dots, lows, totals)]
 
 
 def _row_dots(z: np.ndarray, x: np.ndarray) -> list[float]:

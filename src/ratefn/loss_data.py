@@ -1,17 +1,18 @@
 """Loading, validation, and summaries of per-sample loss data.
 
-Losses are natural-log losses (nats) and must be non-negative and finite.
-One constructor takes a dataset's samples, in order, as read-only columns: a
+Losses are natural-log losses (nats) and must be non-negative and finite. One
+constructor takes a dataset's samples, in order, as read-only columns: a
 float64 loss array, sample ids, and optional group ids, squared input-gradient
 norms and parameter-gradient vectors. Every estimate is a function of the
 multiset of loss values. The summary sums exactly and rounds once, as
 ``math.fsum`` would, but bins the values by exponent in numpy blocks instead
 of making a Python float per loss; so reordering samples leaves it bit for bit
-the same, and a sum past the float64 range still gives a mean. The cumulant
-and rate passes add in array order, so a reordering can move their results in
-the last bits. The summary is computed once per dataset and cached on it; its
-variance, which only the quadratic approximations read, is computed on first
-read.
+the same. Every mean (of the losses, of a group, of the gradient norms) is
+``math.fsum`` over the count, or past the float64 range the exact sum over it,
+rounded once. The cumulant and rate passes add in array order, so a reordering
+can move their results in the last bits. The summary is computed once per
+dataset and cached on it; its variance, which only the quadratic
+approximations read, is computed on first read.
 
 A dataset keeps its group labels as an int32 code per sample, -1 for no
 group, and a tuple of the distinct labels in order of first appearance, so
@@ -683,17 +684,23 @@ def _rounded(total: int, exponent: int, count: int = 1) -> float:
     return (total << exponent) / count if exponent >= 0 else total / (count << -exponent)
 
 
-def _summary_of(losses: np.ndarray) -> DatasetSummary:
-    # The mean is fsum's sum over the count, as a loop over Python floats
-    # would give it. The minimum is the first minimal element, as min() gives
-    # it, so a minimum of zero keeps the sign of the first zero; np.argmin
-    # would copy the read-only losses. The ties are counted a block at a
-    # time, so no float temporary is as long as the losses.
-    count = len(losses)
+def _exact_mean(values: np.ndarray) -> float:
+    """``math.fsum`` of the values over their count, as a loop over Python
+    floats would give it; where that sum lies past the float64 range, the
+    exact sum over the count, rounded once."""
     try:
-        mean = _exact_sum(losses) / count
+        return _exact_sum(values) / len(values)
     except OverflowError:
-        mean = _rounded(*_exact_total(losses), count)
+        return _rounded(*_exact_total(values), len(values))
+
+
+def _summary_of(losses: np.ndarray) -> DatasetSummary:
+    # The minimum is the first minimal element, as min() gives it, so a
+    # minimum of zero keeps the sign of the first zero; np.argmin would copy
+    # the read-only losses. The ties are counted a block at a time, so no
+    # float temporary is as long as the losses.
+    count = len(losses)
+    mean = _exact_mean(losses)
     lo = float(losses[np.argmax(losses == losses.min())])
     mean = max(mean, lo)
     bar = TIE_TOL * (mean - lo)
@@ -742,47 +749,28 @@ def reduce_augmented(ds: LossDataset) -> LossDataset:
 
     Every record must carry a group id. Each group becomes a sample named
     ``str(label)``, in order of first appearance; gradient annotations do
-    not survive the reduction. Unequal group sizes are
-    allowed (each group still contributes its own mean) but warned about,
-    because only equal sizes preserve the grand mean exactly. A group whose
-    sum of losses lies beyond the float64 range raises ``ValidationError``.
+    not survive the reduction. Unequal group sizes are allowed (each group
+    still contributes its own mean) but warned about, because only equal
+    sizes preserve the grand mean exactly. Each mean is the group's
+    ``math.fsum`` over its size; where that sum lies past the float64
+    range, the exact sum over the size, rounded once.
     """
     sizes = group_sizes(ds)
     codes, labels = ds._groups
-    largest = int(sizes.max())
-    if sizes.min() != largest:
-        warnings.warn(
-            UnequalGroupsWarning(
-                f"group sizes differ ({np.unique(sizes).tolist()}); grand mean becomes a mean of group means"
-            )
-        )
+    if sizes.min() != sizes.max():
+        message = f"group sizes differ ({np.unique(sizes).tolist()}); grand mean becomes a mean of group means"
+        warnings.warn(UnequalGroupsWarning(message))
     # math.fsum is correctly rounded, so summing each group in code order
-    # gives the same mean as summing it in record order. The sorted losses
-    # become Python floats a block of whole groups at a time: at most
-    # _FLOAT_BLOCK losses, or one group that holds more. Groups written one
+    # gives the same mean as summing it in record order. Groups written one
     # after another have their codes in order already, and need no sort.
     by_group = ds.losses
     if not (codes[1:] >= codes[:-1]).all():
         by_group = by_group[np.argsort(codes, kind="stable")]
-    bounds = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=bounds[1:])
-    step = max(1, _FLOAT_BLOCK // largest)
-    means = np.empty(len(sizes), dtype=np.float64)
-    for first in range(0, len(sizes), step):
-        ends = bounds[first:first + step + 1].tolist()
-        base = ends[0]
-        block = by_group[base:ends[-1]].tolist()
-        if base:
-            ends = [end - base for end in ends]
-        spans = list(zip(ends, ends[1:]))
-        try:
-            means[first:first + len(spans)] = [math.fsum(block[start:end]) / (end - start) for start, end in spans]
-        except OverflowError:
-            for k, (start, end) in enumerate(spans, start=first):
-                try:
-                    math.fsum(block[start:end])
-                except OverflowError:
-                    raise ValidationError(f"the sum of the losses of group {labels[k]!r} overflows float64") from None
+    floats = iter(_floats(by_group))
+    try:
+        means = np.fromiter((math.fsum(islice(floats, n)) / n for n in sizes.tolist()), np.float64, len(sizes))
+    except OverflowError:
+        means = np.fromiter(map(_exact_mean, np.split(by_group, np.cumsum(sizes[:-1]))), np.float64, len(sizes))
     # str() on each of 2048 string labels takes 0.1 ms, so it runs only when some label is not a string.
     try:
         ids = _pack_ids(labels)

@@ -1,5 +1,6 @@
 """Bounds, smoothness verdicts, augmentation checks, and quadratic approximations."""
 
+import functools
 import math
 import sys
 import warnings
@@ -129,6 +130,16 @@ class TestCompareSmoothness:
                 assert verdict.rate_dominance_on >= 0.15
 
 
+    def test_default_deviations_past_a_twelfth_of_the_range(self):
+        # 0.95 * gap * 12 passes the float64 range; each deviation does not.
+        ds = from_losses([1e308, 1.5e308])
+        verdict = compare_smoothness(ds, ds)
+        top = Fraction(0.95 * 2.5e307)
+        for k, a in enumerate(verdict.a_values, start=1):
+            assert abs(Fraction(a) - top * k / 12) <= Fraction(math.ulp(a))
+        assert verdict.verdict == "smoother"
+
+
 class TestInterpolatorOrdering:
     def test_premise_violation_is_reported_not_raised(self, bernoulli_ds):
         claim = interpolator_ordering(
@@ -156,6 +167,12 @@ class TestInterpolatorOrdering:
         assert claim.holdout_mean_a == claim.holdout_mean_b == 0.5
         assert claim.holdout_consistent
         assert claim.beta <= 0.5
+
+    def test_default_deviations_past_an_eighth_of_the_range(self):
+        ds = from_losses([0.0, 1.7e308])
+        claim = interpolator_ordering(0.0, ds, ds, ModelMeta(10, 100, 0.05))
+        assert 8 * Fraction(claim.beta) > Fraction(sys.float_info.max)
+        assert claim.beta_smooth_ok
 
     def test_non_finite_deviation_is_rejected_not_skipped(self, bernoulli_ds):
         for bad in (math.nan, math.inf, -0.1):
@@ -390,16 +407,17 @@ def _within_one_ulp(result: float, exact: Fraction) -> bool:
 
 
 class TestApproximationRange:
-    """The quadratic approximations keep their digits where a plain product
-    would leave the float64 range: a tilt squared below the normal range, or
-    ``2*s*q`` past its top. Elsewhere they keep the plain form's bits."""
+    """``_product``, the one form of the quadratic approximations, keeps its
+    digits where a plain product would leave the float64 range: a tilt
+    squared below the normal range, or ``2*s*q`` past its top. Elsewhere it
+    keeps the plain form's bits."""
 
     @pytest.mark.parametrize("lam, coefficient", [
         (1e-160, 1e308), (1e-155, 1e300), (1e-200, 1e308), (3e-170, 7.7e307),
         (2**-511, 3.0), (2**-510.5, 1.7e308), (1.1e-154, 1.3e-10), (1e-160, 1e-10),
     ])
     def test_a_tiny_tilt_squares_within_one_ulp(self, lam, coefficient):
-        result = analysis._quadratic(lam, coefficient)
+        result = analysis._product(0.5, (lam, lam, coefficient))
         assert _within_one_ulp(result, Fraction(lam) ** 2 * Fraction(coefficient) / 2), result
 
     @pytest.mark.parametrize("s, q", [
@@ -408,19 +426,28 @@ class TestApproximationRange:
     ])
     def test_a_product_out_of_the_normal_range_roots_within_one_ulp(self, s, q):
         assert not sys.float_info.min <= 2.0 * s * q < math.inf
-        result = analysis._sqrt_2sq(s, q)
+        result = analysis._product(2.0, (s, q), root=True)
         assert _within_one_ulp(result, _exact_root(2 * Fraction(s) * Fraction(q))), result
 
+    @pytest.mark.parametrize("root", [False, True])
+    def test_edges_give_inf_or_zero(self, root):
+        # An infinite factor, even beside a tiny one; a zero factor, even beside
+        # a huge one; an infinite divisor.
+        assert analysis._product(0.5, (1e-300, math.inf), 1e300, root=root) == math.inf
+        assert analysis._product(2.0, (1e300, 1e300, 0.0), root=root) == 0.0
+        assert analysis._product(0.5, (1e300, 1e300), math.inf, root=root) == 0.0
+
     def test_a_root_beyond_the_range_is_infinite(self):
-        assert analysis._sqrt_2sq(1.3e308, 1.3e308) == analysis._sqrt_2sq(1.0, math.inf) == math.inf
-        assert analysis._sqrt_2sq(1e-300, 0.0) == 0.0
-        assert analysis._half_square_over(1e300, 1e-300) == math.inf
+        root = functools.partial(analysis._product, 2.0, root=True)
+        assert root((1.3e308, 1.3e308)) == root((1.0, math.inf)) == math.inf
+        assert root((1e-300, 0.0)) == 0.0
+        assert analysis._product(0.5, (1e300, 1e300), 1e-300) == math.inf
 
     @pytest.mark.parametrize("x, coefficient", [(0.01, 0.25), (1e-100, 3.0), (2.0, 1e300), (1e-150, 1e-10)])
     def test_the_plain_range_keeps_the_plain_bits(self, x, coefficient):
-        assert analysis._quadratic(x, coefficient) == 0.5 * x * x * coefficient
-        assert analysis._sqrt_2sq(x, coefficient) == math.sqrt(2.0 * x * coefficient)
-        assert analysis._half_square_over(x, coefficient) == x * x / (2.0 * coefficient)
+        assert analysis._product(0.5, (x, x, coefficient)) == 0.5 * x * x * coefficient
+        assert analysis._product(2.0, (x, coefficient), root=True) == math.sqrt(2.0 * x * coefficient)
+        assert analysis._product(0.5, (x, x), coefficient) == x * x / (2.0 * coefficient)
 
     def test_reports_use_both_forms(self):
         lam = 1e-160
@@ -462,7 +489,7 @@ class TestApproximationRange:
     ])
     def test_a_square_or_twice_the_variance_out_of_range_within_one_ulp(self, a, q):
         assert not (sys.float_info.min <= a * a < math.inf and 2.0 * q < math.inf)
-        result = analysis._half_square_over(a, q)
+        result = analysis._product(0.5, (a, a), q)
         assert _within_one_ulp(result, Fraction(a) ** 2 / (2 * Fraction(q))), result
 
 
@@ -488,3 +515,9 @@ class TestGradientNormBound:
     def test_missing_norms(self, bernoulli_ds):
         with pytest.raises(MissingGradNorms):
             gradient_norm_bound(bernoulli_ds, m_const=1.0, s=0.01)
+
+    def test_norms_whose_sum_overflows(self):
+        # fsum over the norms overflows; their mean does not.
+        report = gradient_norm_bound(self._dataset([1e308, 1e308]), m_const=1.0, s=0.01, lam=0.5)
+        assert report.mean_grad_norm_sq == report.j_coefficient == 1e308
+        assert report.bound_j == 2.5e307

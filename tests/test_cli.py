@@ -653,6 +653,49 @@ BAD_INPUTS = {
 META = ["--p", "10", "--n", "1000", "--delta", "0.05"]
 
 
+# Every subcommand that reads a loss file, run on grouped losses whose sums pass
+# the float64 range; "{meta}" expands to the model flags.
+PAST_THE_RANGE = [
+    ["cumulant"], ["rate", "--a", "1e307"], ["inverse-rate", "--s", "0.1"], ["grid-inverse-rate", "--s", "0.1"],
+    ["bound", "{meta}"], ["compare", "--input-b", "{file}"],
+    ["compare", "--input-b", "{file}", "--a-grid", "1e306:1e307:3:log"],
+    ["interpolator-check", "--input-b", "{file}", "--train-loss-a", "0", "{meta}"],
+    ["augment", "--output", "{out}"], ["da-check"], ["taylor", "--mode", "j", "--x", "0.1"],
+    ["taylor", "--mode", "rate", "--x", "1e307"], ["taylor", "--mode", "inverse-rate", "--x", "0.1"],
+    ["taylor", "--mode", "covariance", "--x", "0.1", "--theta-delta", "1"],
+    ["grad-bound", "--m-const", "1", "--s", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_RANGE, ids=lambda argv: "-".join(a for a in argv if a[0] != "{"))
+def test_losses_past_the_range_exit_cleanly(tmp_path, capsys, argv):
+    # At lam = 1e-3 the two 1e308 lanes have weight 1, so the tilted sum passes the range too.
+    path = tmp_path / "big.csv"
+    path.write_text("sample_id,loss,group_id\ns0,1e308,g0\ns1,1.5e308,g0\ns2,1.5e308,g1\ns3,1e308,g1\n")
+    flag = "--input-a" if argv[0] in ("compare", "interpolator-check") else "--input"
+    argv = [argv[0], flag, str(path), *argv[1:]]
+    argv = [word for arg in argv for word in (META if arg == "{meta}" else [arg])]
+    argv = [arg.replace("{file}", str(path)).replace("{out}", str(tmp_path / "out.csv")) for arg in argv]
+    _assert_exits_cleanly(argv, capsys)
+
+
+def test_norms_past_the_range_exit_cleanly(tmp_path, capsys):
+    path = tmp_path / "norms.jsonl"
+    path.write_text("".join('{"sample_id": "s%d", "loss": 0.5, "grad_norm_sq": 1e308}\n' % i for i in range(2)))
+    _assert_exits_cleanly(["grad-bound", "--input", str(path), "--m-const", "1", "--s", "0.1"], capsys)
+
+
+def _assert_exits_cleanly(argv, capsys):
+    """Exit 0, or exit 2 with a message; no warning and no traceback."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err and "Warning" not in err
+    assert code == 0 and err == "" or code == 2 and err.startswith(f"{argv[0]}: ")
+
+
 class TestRejectedScalars:
     """Malformed or out-of-range arguments and input values exit 2 with a message
     naming them, never with a traceback."""

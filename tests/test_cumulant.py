@@ -4,6 +4,8 @@ import copy
 import importlib
 import math
 import pickle
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,6 +281,43 @@ class TestGridKernel:
             assert _curve_reprs(losses, [1e3]) == _per_tilt(losses, [1e3])
         assert curve.j_values == (math.inf,)
         assert curve.j_derivs == (5e307,)
+
+
+def _fraction_derivative(losses, lam):
+    """The mean less the tilted mean, in exact arithmetic on the float weights."""
+    lo = min(losses)
+    weights = [Fraction(math.exp(-lam * (v - lo))) for v in losses]
+    tilted = sum(w * Fraction(v) for w, v in zip(weights, losses)) / sum(weights)
+    return sum(map(Fraction, losses)) / len(losses) - tilted
+
+
+class TestTiltedMeanPastTheRange:
+    """A tilted weighted sum past the float64 range is taken on scaled losses,
+    so J' stays in [0, mean - min] and numpy warns of no overflow."""
+
+    @pytest.mark.parametrize("losses", [[1e308, 1e308, 1.5e308], [1.5e308, 1.5e308], [0.0, 1.5e308, 1.5e308]])
+    def test_derivative_against_fractions(self, losses):
+        ds = from_losses(losses)
+        lams = (1e-310, 2e-308, 1e-307, 1e-3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = cumulant_curve(ds, LambdaGrid(lams))
+            lone = [cumulant_derivative(ds, lam) for lam in lams]
+        assert list(curve.j_derivs) == lone
+        for lam, derivative in zip(lams, lone):
+            assert derivative == pytest.approx(float(_fraction_derivative(losses, lam)), rel=1e-12, abs=0.0), lam
+
+    def test_the_kernel_example(self):
+        # At lam = 1e-3 the 1.5e308 lane has weight 0, so J' is the mean less the minimum.
+        ds = from_losses([1e308, 1e308, 1.5e308])
+        assert cumulant_derivative(ds, 1e-3) == pytest.approx(1e308 / 6, rel=1e-12)
+
+    def test_cumulant_keeps_its_bits(self):
+        # J is formed from the unscaled weights, so scaling its tilted mean leaves it as it was.
+        ds = from_losses([1e308, 1e308, 1.5e308])
+        s, lams = summarize(ds), (1e-310, 2e-308, 1e-3)
+        expected = [_two_pass_cumulant(ds.losses, lam, s.empirical_loss, s.min_loss) for lam in lams]
+        assert cumulant_curve(ds, LambdaGrid(lams)).j_values == tuple(expected)
 
 
 @pytest.fixture

@@ -762,12 +762,49 @@ class TestReduceAugmented:
         assert summarize(reduce_augmented(ds)).empirical_loss == summarize(ds).empirical_loss
 
     @pytest.mark.parametrize("block", [1, 1 << 13])
-    def test_overflowing_group_sum_names_the_group(self, monkeypatch, block):
+    def test_exact_mean_of_an_overflowing_group(self, monkeypatch, block):
+        # The losses of group 'big' sum past the float64 range, which once refused the dataset.
         monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", block)
-        ds = from_losses([0.5, 1.7e308, 0.5, 1.7e308, 1.0, 1.0], group_ids=["a", "big", "a", "big", "c", "c"])
-        for check in (reduce_augmented, da_inequality_check):
-            with pytest.raises(ValidationError, match="^the sum of the losses of group 'big' overflows float64$"):
-                check(ds)
+        ds = from_losses([0.5, 1.7e308, 0.5, 1.3e308, 1.0, 1.0], group_ids=["a", "big", "a", "big", "c", "c"])
+        reduced = reduce_augmented(ds)
+        assert reduced.sample_ids == ("a", "big", "c")
+        a, big, c = reduced.losses.tolist()
+        exact = (Fraction(1.7e308) + Fraction(1.3e308)) / 2
+        assert (a, c) == (0.5, 1.0)
+        assert abs(Fraction(big) - exact) <= Fraction(math.ulp(big))
+        report = da_inequality_check(ds)
+        assert report.mean_reduced == summarize(reduced).empirical_loss
+        assert not any(map(math.isnan, report.gaps))
+
+    @pytest.mark.parametrize("case", ["shuffled", "unequal", "long", "overflow"])
+    def test_means_keep_the_bits_of_fsum_over_the_size(self, monkeypatch, case):
+        # Groups interleaved, of unequal sizes, longer than a block of floats,
+        # or beside a group whose sum overflows: every mean that fsum can form
+        # keeps its bits.
+        rng = np.random.default_rng(28)
+        sizes = {"shuffled": [4] * 50, "unequal": rng.integers(1, 9, 50).tolist(), "long": [3, 40, 1, 17],
+                 "overflow": [2, 1100, 3, 5]}[case]
+        if case == "long":
+            monkeypatch.setattr(loss_data, "_FLOAT_BLOCK", 16)
+        labels = [f"g{k}" for k, size in enumerate(sizes) for _ in range(size)]
+        losses = (rng.exponential(1.0, len(labels)) * 10.0 ** rng.integers(-8, 8, len(labels))).tolist()
+        if case == "overflow":
+            losses[:2] = [1.7e308, 1.6e308]
+        if case == "shuffled":
+            order = rng.permutation(len(labels))
+            labels, losses = [labels[i] for i in order], [losses[i] for i in order]
+        groups = {g: [v for v, h in zip(losses, labels) if h == g] for g in dict.fromkeys(labels)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnequalGroupsWarning)
+            reduced = reduce_augmented(from_losses(losses, group_ids=labels))
+        assert reduced.sample_ids == tuple(groups)
+        for (label, values), mean in zip(groups.items(), reduced.losses.tolist()):
+            try:
+                expected = math.fsum(values) / len(values)
+            except OverflowError:
+                assert label == "g0" and mean == float((Fraction(1.7e308) + Fraction(1.6e308)) / 2)
+            else:
+                assert mean.hex() == expected.hex(), label
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(0.0, 1e300), st.sampled_from(["a", "b", "c", "d\xe9", "e"])),

@@ -1,9 +1,10 @@
 """Byte-identity guard: every subcommand's output on small fixed inputs.
 
 Each case runs one ``ratefn`` subcommand in-process on the fixture files in
-``tests/data`` and hashes both the ``--output`` file and the stdout summary
-(with the temporary directory replaced by ``<tmp>``). The recorded SHA-256
-digests pin every output byte, so a refactor that moves any digit fails here.
+``tests/data``, or on small files written into a temporary directory, and
+hashes both the ``--output`` file and the stdout summary (with the temporary
+directory replaced by ``<tmp>``). The recorded SHA-256 digests pin every
+output byte, so a refactor that moves any digit fails here.
 
 When an output is meant to change, print the new digests with
 ``PYTHONPATH=src python tests/test_output_digests.py`` and update ``DIGESTS``
@@ -25,6 +26,12 @@ DATA = Path(__file__).parent / "data"
 A, B = str(DATA / "a.csv"), str(DATA / "b.csv")
 GROUPED, GRADS, LAW = str(DATA / "grouped.csv"), str(DATA / "grads.jsonl"), str(DATA / "law.json")
 META = ["--p", "10", "--n", "1000", "--delta", "0.05"]
+
+# Files written into the working directory; "{tmp}" in an argv names it.
+INPUTS = {
+    # Two finite losses whose sum lies beyond the float64 range, in one group.
+    "overflow-group.csv": "sample_id,loss,group_id\ns0,1.7e308,g0\ns1,1.7e308,g0\ns2,0.5,g1\ns3,0.5,g1\n",
+}
 
 # name -> (argv without --output, output file name)
 CASES = {
@@ -52,7 +59,9 @@ CASES = {
                             *META, "--epsilon", "0.01"], "out.json"),
     "augment-csv": (["augment", "--input", GROUPED], "out.csv"),
     "augment-jsonl": (["augment", "--input", GRADS, "--format", "jsonl"], "out.jsonl"),
+    "augment-group-overflow": (["augment", "--input", "{tmp}/overflow-group.csv"], "out.csv"),
     "da-check-json": (["da-check", "--input", GROUPED], "out.json"),
+    "da-check-group-overflow": (["da-check", "--input", "{tmp}/overflow-group.csv"], "out.json"),
     "da-check-csv": (["da-check", "--input", GRADS, "--format", "csv", "--grid", "0.1:10:9:log"], "out.csv"),
     "taylor-j": (["taylor", "--input", A, "--mode", "j", "--x", "0.5"], "out.json"),
     "taylor-rate": (["taylor", "--input", A, "--mode", "rate", "--x", "0.1"], "out.json"),
@@ -160,9 +169,17 @@ DIGESTS = {
         "ac82a7025f74b6005132262d9b8af68b2a65df1599fef82f415cfda7a73e5885",
         "405763119b415f152f816d3f288c5839a2d4f515cf50f119122d82e254145ca5",
     ),
+    "augment-group-overflow": (
+        "4e57cfa4e47ee5a4024179db46289ee11451dd5850915fd5b7e6dc0d62fca6e1",
+        "18fb202d1bcbb79de49025b7defe61781b5a22a4b9a7b98f9ab9f60e8f84d500",
+    ),
     "da-check-json": (
         "955a3b90b70c4691f12b5738c557f3ab464f341ce03a7a2381590efdf89f3cbb",
         "debd4d3aa91443608cc3e21f7bc251382a8d35398354f2126749e6ef793dc252",
+    ),
+    "da-check-group-overflow": (
+        "86a61e1395a83e6f8c7e0ebdf60e4d445e875e3e96a050b2416c612c57cc54c9",
+        "80c747f7c83375c42da4bc10da72c133d0e7b4ebfea5d0802a3b909e059221d0",
     ),
     "da-check-csv": (
         "e1ebb3676a0d4b50ea9ea4d4ff1c154c703775f286afd5b17d646abaf398994e",
@@ -227,13 +244,19 @@ DIGESTS = {
 }
 
 
+def case_argv(name: str, workdir: Path) -> list[str]:
+    """Write the input files into ``workdir``; return the case's argv naming it."""
+    for filename, text in INPUTS.items():
+        (workdir / filename).write_text(text, encoding="utf-8")
+    return [arg.replace("{tmp}", str(workdir)) for arg in CASES[name][0]]
+
+
 def case_digests(name: str, workdir: Path) -> tuple[str, str]:
     """Run one case in ``workdir``; return the digests of its output file and stdout."""
-    argv, filename = CASES[name]
-    out = workdir / filename
+    out = workdir / CASES[name][1]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert run([*argv, "--output", str(out)]) == 0
+        assert run([*case_argv(name, workdir), "--output", str(out)]) == 0
     summary = stdout.getvalue().replace(str(workdir), "<tmp>")
     return hashlib.sha256(out.read_bytes()).hexdigest(), hashlib.sha256(summary.encode()).hexdigest()
 
@@ -251,10 +274,10 @@ def test_output_bytes_unchanged(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(name for name, (_, out) in CASES.items() if out.endswith((".json", ".jsonl"))))
 def test_json_outputs_are_strict(name, tmp_path):
-    argv, filename = CASES[name]
+    filename = CASES[name][1]
     out = tmp_path / filename
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run([*argv, "--output", str(out)]) == 0
+        assert run([*case_argv(name, tmp_path), "--output", str(out)]) == 0
     text = out.read_text(encoding="utf-8")
     for document in text.splitlines() if filename.endswith(".jsonl") else [text]:
         strict_json(document)

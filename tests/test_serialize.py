@@ -39,7 +39,7 @@ from ratefn import (
 )
 from ratefn.cli import run
 from ratefn.serialize import SCHEMA_VERSION, reports_to_csv, to_json_text
-from test_output_digests import CASES
+from test_output_digests import CASES, case_argv
 
 _PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
 
@@ -197,9 +197,8 @@ def test_every_command_report_matches(name, tmp_path, monkeypatch):
         return text
 
     monkeypatch.setattr(serialize, "to_json_text", recording)
-    argv, filename = CASES[name]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run([*argv, "--output", str(tmp_path / filename)]) == 0
+        assert run([*case_argv(name, tmp_path), "--output", str(tmp_path / CASES[name][1])]) == 0
     assert rendered
     for payload, kind, text in rendered:
         assert text == reference_json_text(payload, kind)
