@@ -129,7 +129,6 @@ class TestCompareSmoothness:
             if verdict.verdict == "beta_smoother":
                 assert verdict.rate_dominance_on >= 0.15
 
-
     def test_default_deviations_past_a_twelfth_of_the_range(self):
         # 0.95 * gap * 12 passes the float64 range; each deviation does not.
         ds = from_losses([1e308, 1.5e308])
