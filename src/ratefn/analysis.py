@@ -32,7 +32,7 @@ from .errors import (
     check_real,
 )
 from .loss_data import LossDataset, ModelMeta, _exact_mean, group_sizes, reduce_augmented, summarize
-from .rate import InverseRateEvaluation, RateSolver, inverse_rate, rate
+from .rate import InverseRateEvaluation, RateSolver, _solver, inverse_rate, rate
 
 DOMINANCE_SLACK = 1e-12
 
@@ -245,7 +245,7 @@ def compare_smoothness(
 
     beta_eff = check_real(beta, InvalidA, "beta") if beta is not None else a_values[-1]
     rate_dominance_on = 0.0
-    solver_a, solver_b = RateSolver(ds_a), RateSolver(ds_b)
+    solver_a, solver_b = _solver(ds_a, hold=False), _solver(ds_b, hold=False)
     for a in a_values:
         if not _rate_dominates(solver_a, solver_b, a):
             break
@@ -289,12 +289,12 @@ def interpolator_ordering(
     train_loss_a = check_real(train_loss_a, ValidationError, "train_loss_a", "non-negative")
     premise_ok = train_loss_a <= eps
     s = _budget(meta)
-    solver_a = RateSolver(ds_a)
+    solver_a = _solver(ds_a, hold=False)
     beta = solver_a.inverse_rate(s).value
     if a_values is None:
         a_values = tuple(_product(beta, (k,), 8.0) for k in range(1, 9)) if beta > 0 else (1e-6,)
     a_values = [check_real(a, InvalidA, "deviation a", "non-negative") for a in a_values]
-    solver_b = RateSolver(ds_b)
+    solver_b = _solver(ds_b, hold=False)
     beta_smooth_ok = all(_rate_dominates(solver_a, solver_b, a) for a in a_values if a > 0)
     mean_a = summarize(ds_a).empirical_loss
     mean_b = summarize(ds_b).empirical_loss
@@ -497,9 +497,11 @@ def gradient_norm_bound(
     The cumulant bound is ``m_const * mean_grad_norm_sq * lam**2`` and the
     inverse-rate bound is ``sqrt(s) * sqrt(m_const * mean_grad_norm_sq)``.
     The mean is the norms' ``math.fsum`` over their count, or past the
-    float64 range their exact sum over it, rounded once.
-    ``m_const`` comes from a smoothness assumption the caller owns, so the
-    bounds are reported without being checked against the data.
+    float64 range their exact sum over it, rounded once. Both bounds are
+    formed by :func:`_product`, so each is ``inf`` only where it lies past
+    the float64 range, even where ``j_coefficient`` does. ``m_const`` comes
+    from a smoothness assumption the caller owns, so the bounds are reported
+    without being checked against the data.
     """
     m_const = check_real(m_const, ValidationError, "m_const")
     s = check_real(s, InvalidS, "budget")
@@ -507,17 +509,16 @@ def gradient_norm_bound(
     if norms is None or np.isnan(norms).any():
         raise MissingGradNorms("every record needs a grad_norm_sq value")
     g2 = _exact_mean(norms)
-    coefficient = m_const * g2
     bound_j = None
     if lam is not None:
         lam = check_real(lam, InvalidLambda, "tilt")
-        bound_j = coefficient * lam * lam
+        bound_j = _product(m_const, (g2, lam, lam))
     return GradNormBound(
         m_const=m_const,
         s=s,
         mean_grad_norm_sq=g2,
-        j_coefficient=coefficient,
-        bound_iinv=math.sqrt(s) * math.sqrt(coefficient),
+        j_coefficient=m_const * g2,
+        bound_iinv=math.sqrt(s) * _product(m_const, (g2,), root=True),
         lam=lam,
         bound_j=bound_j,
     )

@@ -14,7 +14,11 @@ One kernel, ``tilted_moments``, makes every exp pass over losses: the
 cumulant entry points here and the rate solvers (which also take the tilted
 variance, so J, J' and J'' come from one pass). Every grid pass goes through
 ``cumulant_curve``, and a dataset holds the last curve computed on it.
-It evaluates tilts in blocks, one row of exponents per tilt, built in place.
+It evaluates tilts in blocks, one row of exponents per tilt, built in place
+in a buffer that each thread holds and reuses: it grows only, to at most
+``max(M, _BLOCK_FLOATS)`` floats for the largest ``M`` the thread has
+passed over, so a pass allocates nothing the size of the losses once the
+thread has made one as large.
 ``exp`` is slow on arguments whose result underflows, so lanes at or below
 ``EXP_CUTOFF`` are set to zero without calling it; their ``exp`` is exactly
 ``0.0``, so every value stays bit for bit what a plain per-tilt pass gives.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +52,8 @@ EXP_CUTOFF = -745.2
 # A block of tilts holds at most max(M, _BLOCK_FLOATS) exponents.
 _BLOCK_FLOATS = 65536
 _NO_CONTEXT = contextlib.nullcontext()
+# Each thread's exponent buffer; see _exponents.
+_held = threading.local()
 # Values weighted in [0, 1] sum to at most the weights' total times the largest
 # value; below this power of two, with room for round-off, no such sum overflows.
 _DOT_LIMIT = 2.0 ** 1023
@@ -127,6 +134,16 @@ def _exp_in_place(z: np.ndarray, largest: float) -> None:
         np.exp(z, out=z)
 
 
+def _exponents(size: int) -> np.ndarray:
+    """The first ``size`` floats of this thread's exponent buffer, which is
+    replaced by a larger one when it is shorter. Its values are whatever the
+    last pass left; every pass writes each lane it reads."""
+    row = getattr(_held, "row", None)
+    if row is None or row.size < size:
+        row = _held.row = np.empty(size)
+    return row[:size]
+
+
 def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
                    curvature: bool = False) -> list[tuple[float, ...]]:
     """The one exp pass: at each tilt ``t`` of ``lams``, ``log(sum(exp(-t*(x - lo))))``
@@ -138,13 +155,20 @@ def tilted_moments(x: np.ndarray, lams: Sequence[float], lo: float, top: float,
     ``max(x) - lo``: once a block's largest ``t*top`` passes ``-EXP_CUTOFF``,
     lanes that underflow skip ``exp``. Tilts go in blocks of rows
     ``-t*(x - lo)`` built in place, at most ``max(M, _BLOCK_FLOATS)``
-    exponents, the only temporary array as large as ``x``. Each row sums
+    exponents, in the calling thread's held buffer (see :func:`_exponents`):
+    after a thread's first pass over ``M`` losses no pass allocates an array
+    as large as ``x``, apart from the underflow mask of a large tilt. No
+    view of the buffer outlives the call. Each row sums
     pairwise as a 1-D pass does, and its tilted mean is one dot product of
     its own, all rows of a block in one stacked call (see :func:`_row_dots`).
     """
     rows = max(_BLOCK_FLOATS // x.size, 1)
     # A lone tilt takes a 1-D row and a scalar factor, on which numpy's per-call cost is lower.
-    z = np.empty(x.size) if len(lams) == 1 else np.empty((min(rows, len(lams)), x.size))
+    if len(lams) == 1:
+        z = _exponents(x.size)
+    else:
+        rows = min(rows, len(lams))
+        z = _exponents(rows * x.size).reshape(rows, x.size)
     moments = []
     for start in range(0, len(lams), rows):
         block = lams[start:start + rows]

@@ -376,7 +376,8 @@ class LossDataset:
     """
 
     __slots__ = ("losses", "model_id", "grad_norm_sq", "grad_theta",
-                 "_sample_ids", "_id_tuple", "_groups", "_group_ids", "_summary", "_curve")
+                 "_sample_ids", "_id_tuple", "_groups", "_group_ids", "_summary", "_curve",
+                 "__weakref__")
 
     def __init__(
         self,

@@ -10,6 +10,14 @@ kernel, ``tilted_moments``, returns all three, so every figure below is free
 of the loss scale; ``grid_inverse_rate`` reads J from the dataset's
 cumulant curve.
 
+``rate``, ``inverse_rate`` and ``rate_curve`` hold the solver of the last
+dataset they solved on, with ``d``, and reuse it while they are called on
+that dataset; a call on another dataset drops it before building its own,
+so at most one such ``d`` is held. The dataset itself is held weakly, and
+the solver goes with it. The two-dataset analyses use the held solver of
+either dataset but hold none of their own. With the kernel's exponent row, held per thread,
+a repeated top-level solve allocates nothing the size of the losses.
+
 The optima solve an increasing equation: ``K'(mu) = a/gap`` for the rate
 and the Bregman gap ``B(mu) = mu*K'(mu) - K(mu) = s`` (slope ``mu*K''``) for
 the inverse. Newton steps are kept inside a bracket that every evaluation
@@ -27,6 +35,7 @@ any solving.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -123,9 +132,11 @@ def _newton(fdf: Callable[[float], tuple[float, float, float]], target: float, m
 class RateSolver:
     """Rate and inverse-rate solves on one dataset's cumulant in normalized units.
 
-    Holds the normalized losses ``d`` (one array of the dataset's length), so
-    repeated solves on a dataset share them; each evaluation adds one array
-    of the same length for its exp pass (and a boolean mask at large tilts).
+    Holds the normalized losses ``d`` (one read-only array of the dataset's
+    length), so repeated solves on a dataset share them; each evaluation's
+    exp pass runs in the calling thread's held exponent row (see
+    ``cumulant.tilted_moments``) and adds only a boolean mask at large
+    tilts. A solver may be shared between threads.
     """
 
     def __init__(self, ds: LossDataset):
@@ -136,6 +147,7 @@ class RateSolver:
         if self.gap > 0.0:
             d = ds.losses - s.min_loss
             d /= self.gap
+            d.flags.writeable = False
             self.d = d
             self.log_count = math.log(s.count)
             # K''(0) is the variance of d, at least 1/(count - 1) with min 0 and
@@ -193,6 +205,36 @@ class RateSolver:
         return InverseRateEvaluation(s=s, value=value, lambda_star=mu / self.gap, saturated=False, b_max=self.b_max)
 
 
+# (weak reference to the dataset, its solver) of the last top-level solve, or None.
+_last: tuple[weakref.ref, RateSolver] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the held solver once its dataset is collected."""
+    global _last
+    held = _last
+    if held is not None and held[0] is ref:
+        _last = None
+
+
+def _solver(ds: LossDataset, hold: bool = True) -> RateSolver:
+    """The held solver when it belongs to ``ds``; otherwise a new one, held in
+    its place, or with ``hold`` false not held, which leaves the held one be.
+
+    A held entry always pairs a dataset with its own solver, so threads that
+    race here need no lock: the loser of a race builds one solver more."""
+    global _last
+    held = _last
+    if held is not None and held[0]() is ds:
+        return held[1]
+    if not hold:
+        return RateSolver(ds)
+    _last = None  # free the old solver's d before building the new one
+    solver = RateSolver(ds)
+    _last = (weakref.ref(ds, _forget), solver)
+    return solver
+
+
 def rate(ds: LossDataset, a: float, tol: float = DEFAULT_TOL) -> RateEvaluation:
     """Rate of deviating ``a`` below the mean: ``sup_{lam>0} lam*a - J(lam)``.
 
@@ -201,7 +243,7 @@ def rate(ds: LossDataset, a: float, tol: float = DEFAULT_TOL) -> RateEvaluation:
     ``tol*(mean - min)``.
     """
     a = check_real(a, InvalidA, "deviation a")
-    return RateSolver(ds).rate(a, check_real(tol, ValidationError, "tol", "non-negative"))
+    return _solver(ds).rate(a, check_real(tol, ValidationError, "tol", "non-negative"))
 
 
 def inverse_rate(ds: LossDataset, s: float, tol: float = DEFAULT_TOL) -> InverseRateEvaluation:
@@ -212,7 +254,7 @@ def inverse_rate(ds: LossDataset, s: float, tol: float = DEFAULT_TOL) -> Inverse
     ``lam*J'(lam) - J(lam) = s`` and the value never exceeds the mean loss.
     """
     s = check_real(s, InvalidS, "budget s")
-    return RateSolver(ds).inverse_rate(s, check_real(tol, ValidationError, "tol", "non-negative"))
+    return _solver(ds).inverse_rate(s, check_real(tol, ValidationError, "tol", "non-negative"))
 
 
 def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRateEvaluation:
@@ -242,5 +284,5 @@ def rate_curve(ds: LossDataset, a_values: Sequence[float], tol: float = DEFAULT_
     if any(b <= a for a, b in zip(checked, checked[1:])):
         raise InvalidA("a_values must be strictly increasing")
     tol = check_real(tol, ValidationError, "tol", "non-negative")
-    solver = RateSolver(ds)
+    solver = _solver(ds)
     return [solver.rate(a, tol) for a in checked]

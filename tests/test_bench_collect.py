@@ -12,13 +12,14 @@ bench_collect = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_collect)
 
 
-def _write(directory: Path, workload: str, seed: int, trace: int, metrics: dict, failed: int = 0) -> None:
+def _write(directory: Path, workload: str, seed: int, trace: int, metrics: dict, failed: int = 0,
+           operations=None) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     report = {
         "environment": {"numpy": "x"},
         "metrics": {name: {"value": value, "unit": "u"} for name, value in metrics.items()},
         "failures": {"op": {"count": failed}} if failed else {},
-        "operations": [None] * 10,
+        "operations": operations or [["op", 0.001, None, 0]] * 10,
     }
     (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(report))
 
@@ -46,7 +47,27 @@ def test_collects_medians_quartiles_and_pairs(tmp_path):
     assert solve["per_layer"]["rate.ns_per_loss_solve"]["change"]["median"] == 11.0
     assert "pairs" not in solve["per_layer"]["rate.ns_per_loss_solve"]
     assert solve["failures"]["change"]["trace0"] == {"failed": 1, "attempted": 50}
-    assert result["workloads"]["cli_200k"] == {"end_to_end": {}, "per_layer": {}, "failures": {}}
+    assert result["workloads"]["cli_200k"] == {"end_to_end": {}, "per_layer": {}, "failures": {},
+                                               "operation_ms_p50": {}}
+
+
+def test_operation_medians_pool_the_untraced_runs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(3):
+        # Each run holds two calls of "rate" and one of "curve"; the wall times are in seconds.
+        _write(parent, "solve_1e5", seed, 0, {"op_ms_p50": 1.0},
+               operations=[["rate", 0.001 * (seed + 1), None, 0], ["curve", 0.010, None, 0],
+                           ["rate", 0.002 * (seed + 1), "SolverFailure: x", 0]])
+        _write(change, "solve_1e5", seed, 0, {"op_ms_p50": 1.0},
+               operations=[["rate", 0.0005, None, 0], ["curve", 0.010 + 0.001 * seed, None, 0]])
+    _write(change, "solve_1e5", 7, 1, {"rate.solves": 3.0}, operations=[["traced", 9.0, None, 0]])
+    out = tmp_path / "BENCH.json"
+    assert bench_collect.main(["--parent", str(parent), "--change", str(change), "--output", str(out)]) == 0
+    medians = json.loads(out.read_text())["workloads"]["solve_1e5"]["operation_ms_p50"]
+    # parent "rate": 1, 2, 3 ms and 2, 4, 6 ms, so the median is 2.5 ms
+    assert medians["rate"] == pytest.approx({"parent": 2.5, "change": 0.5})
+    assert medians["curve"] == pytest.approx({"parent": 10.0, "change": 11.0})
+    assert "traced" not in medians
 
 
 def test_missing_directory_exits_2(tmp_path):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -683,6 +684,19 @@ def test_norms_past_the_range_exit_cleanly(tmp_path, capsys):
     path = tmp_path / "norms.jsonl"
     path.write_text("".join('{"sample_id": "s%d", "loss": 0.5, "grad_norm_sq": 1e308}\n' % i for i in range(2)))
     _assert_exits_cleanly(["grad-bound", "--input", str(path), "--m-const", "1", "--s", "0.1"], capsys)
+
+
+def test_bounds_in_range_past_an_overflowing_coefficient(tmp_path, capsys):
+    # m_const * mean = 1e309 passes the range, but sqrt(0.1 * 1e309) = 1e154
+    # and 1e309 * 1e-320 = 1e-11 do not.
+    path = tmp_path / "norms.jsonl"
+    path.write_text("".join('{"sample_id": "s%d", "loss": 0.5, "grad_norm_sq": 1e308}\n' % i for i in range(2)))
+    argv = ["grad-bound", "--input", str(path), "--m-const", "10", "--s", "0.1", "--lambda", "1e-160"]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["j_coefficient"] == "inf"
+    assert payload["bound_iinv"] == pytest.approx(1e154, rel=1e-15)
+    assert payload["bound_j"] == pytest.approx(float(10 * Fraction(1e308) * Fraction(1e-160) ** 2), rel=1e-15)
 
 
 def _assert_exits_cleanly(argv, capsys):

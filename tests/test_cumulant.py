@@ -4,6 +4,7 @@ import copy
 import importlib
 import math
 import pickle
+import threading
 import warnings
 from fractions import Fraction
 
@@ -24,6 +25,9 @@ from ratefn import (
     expand_to_dataset,
     from_losses,
     grid_inverse_rate,
+    inverse_rate,
+    rate,
+    rate_curve,
     reduce_augmented,
     summarize,
 )
@@ -281,6 +285,64 @@ class TestGridKernel:
             assert _curve_reprs(losses, [1e3]) == _per_tilt(losses, [1e3])
         assert curve.j_values == (math.inf,)
         assert curve.j_derivs == (5e307,)
+
+
+def _kernel_values(sets):
+    """Curves, lone-tilt passes and solves on copies of ``sets``, as float hex strings."""
+    values = []
+    for ds in sets:
+        fresh = copy.copy(ds)  # holds no curve, so the grid pass is made here
+        s = summarize(fresh)
+        gap = s.empirical_loss - s.min_loss
+        curve = cumulant_curve(fresh)
+        values += curve.j_values + curve.j_derivs
+        values += [estimate_cumulant(fresh, lam) for lam in (1e-3, 1.0, 1e3)]
+        values += [cumulant_derivative(fresh, 1.0)]
+        for ev in (rate(fresh, 0.5 * gap), inverse_rate(fresh, 0.1), *rate_curve(fresh, (0.2 * gap, 0.9 * gap))):
+            values += [ev.value, ev.lambda_star]
+    return [float(v).hex() for v in values]
+
+
+def _in_a_new_thread(function, *args):
+    result = []
+    thread = threading.Thread(target=lambda: result.append(function(*args)))
+    thread.start()
+    thread.join()
+    return result[0]
+
+
+class TestHeldExponentRow:
+    """Each thread reuses one exponent buffer; what a larger pass left in it
+    never reaches a value."""
+
+    def test_a_dirty_row_gives_the_bits_of_a_new_one(self):
+        rng = np.random.default_rng(30)
+        large = from_losses(rng.exponential(size=200_000))
+        # 1e5 losses take one row per tilt; 1000 losses take blocks of 64 rows.
+        sets = [from_losses(rng.lognormal(0.0, 1.5, size=100_000)), from_losses(rng.exponential(size=1000))]
+
+        def dirty():
+            cumulant_curve(large)
+            estimate_cumulant(large, 2.0)
+            assert cumulant_module._held.row.size == 200_000
+            return _kernel_values(sets)
+
+        def clean():
+            assert getattr(cumulant_module._held, "row", None) is None
+            return _kernel_values(sets)
+
+        assert _in_a_new_thread(dirty) == _in_a_new_thread(clean)
+
+    def test_the_row_grows_only(self):
+        def sizes():
+            grown = []
+            for size in (10, 100_000, 50, 70_000, 120_000):
+                estimate_cumulant(from_losses(np.arange(float(size))), 1.0)
+                grown.append(cumulant_module._held.row.size)
+            cumulant_curve(from_losses(np.arange(10.0)))  # 64 tilts in one block of 640 exponents
+            return grown + [cumulant_module._held.row.size]
+
+        assert _in_a_new_thread(sizes) == [10, 100_000, 100_000, 100_000, 120_000, 120_000]
 
 
 def _fraction_derivative(losses, lam):

@@ -1,10 +1,14 @@
 """Rate and inverse-rate solvers: identities, saturation, and oracle checks."""
 
 import copy
+import gc
 import importlib
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +507,100 @@ class TestKernelPasses:
         built.clear()
         interpolator_ordering(0.0, ds_a, ds_b, ModelMeta(10, 1000, 0.05))
         assert sorted(built) == ["A", "B"]
+
+
+def _solves(ds, count):
+    """``count`` alternating top-level rate and inverse-rate values on ``ds``."""
+    gap, _ = _gap_and_b_max(ds)
+    return [(rate(ds, gap * (k + 1) / (count + 2)) if k % 2 else inverse_rate(ds, 0.01 * (k + 1))).value
+            for k in range(count)]
+
+
+class TestHeldSolver:
+    """``rate`` and ``inverse_rate`` reuse the solver of the last dataset they
+    solved on, and let it go with that dataset."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = RateSolver.__init__
+
+        def counted(self, ds):
+            built.append(ds.model_id)
+            init(self, ds)
+
+        monkeypatch.setattr(RateSolver, "__init__", counted)
+        monkeypatch.setattr(rate_module, "_last", None)
+        return built
+
+    def test_a_repeated_solve_builds_nothing(self, built):
+        ds = from_losses(np.random.default_rng(11).exponential(size=100_000), model_id="exp")
+        gap, _ = _gap_and_b_max(ds)
+        first = rate(ds, 0.5 * gap)
+        tracemalloc.start()
+        try:
+            second = rate(ds, 0.5 * gap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first
+        assert peak < 0.05 * ds.losses.nbytes, peak / ds.losses.nbytes
+        inverse_rate(ds, 0.1)
+        rate_curve(ds, (0.1 * gap, 0.2 * gap))
+        assert built == ["exp"]
+
+    def test_another_dataset_replaces_the_solver(self, built):
+        rng = np.random.default_rng(12)
+        a, b = from_losses(rng.exponential(size=50), model_id="A"), from_losses(rng.exponential(size=50), model_id="B")
+        for ds in (a, a, b, b, a):
+            inverse_rate(ds, 0.1)
+        assert built == ["A", "B", "A"]
+
+    def test_analyses_use_the_held_solver_and_keep_it(self, built):
+        rng = np.random.default_rng(15)
+        a, b = from_losses(rng.exponential(size=50), model_id="A"), from_losses(rng.exponential(size=50), model_id="B")
+        inverse_rate(b, 0.1)
+        held = rate_module._last
+        compare_smoothness(a, b)
+        interpolator_ordering(0.0, a, b, ModelMeta(10, 1000, 0.05))
+        assert built == ["B", "A", "A"]
+        assert rate_module._last is held
+
+    def test_the_solver_goes_with_its_dataset(self, built):
+        ds = from_losses(np.random.default_rng(13).exponential(size=1000))
+        rate(ds, 0.1)
+        d = weakref.ref(rate_module._last[1].d)
+        del ds
+        gc.collect()
+        assert rate_module._last is None
+        assert d() is None
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["one-dataset", "two-datasets"])
+    def test_threads_get_the_sequential_bits(self, shared):
+        # Four threads, more than the cores, switching often: each holds its
+        # own exponent row and takes the shared solver or replaces it.
+        rng = np.random.default_rng(14)
+        first = from_losses(rng.exponential(size=20_000))
+        sets = [first, first if shared else from_losses(rng.lognormal(0.0, 1.5, size=20_000))] * 2
+        expected = [_solves(copy.copy(ds), 24) for ds in sets]
+        results = [None] * len(sets)
+        start = threading.Barrier(len(sets))
+
+        def work(k):
+            start.wait()
+            results[k] = _solves(sets[k], 24)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(sets))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [[v.hex() for v in r] for r in results] == [[v.hex() for v in r] for r in expected]
 
 
 # (fixture, solver, a or s) -> (value, lambda_star) of the bisection solver

@@ -24,6 +24,10 @@ sides, in which the change is better, worse or tied, by the metric's
 
 Per-layer metrics that read zero in every run (a layer the workload never
 calls) are left out. Failed operations are summed per side and workload.
+``operation_ms_p50`` gives, for each operation name of a workload, each
+side's median wall time in milliseconds over the operation records of all
+its untraced runs, so a change in ``op_ms_p50`` can be traced to the
+operations that moved.
 """
 
 from __future__ import annotations
@@ -100,16 +104,28 @@ def failures(reports: dict) -> dict:
     return {"failed": failed, "attempted": attempted}
 
 
+def operation_medians(reports: dict) -> dict:
+    """``{name: median wall ms}`` over the operation records of ``reports``."""
+    walls: dict = {}
+    for report in reports.values():
+        for name, wall_s, *_ in report["operations"]:
+            walls.setdefault(name, []).append(wall_s)
+    return {name: statistics.median(values) * 1e3 for name, values in walls.items()}
+
+
 def collect(parent_runs: dict, change_runs: dict, declared: dict) -> dict:
     workloads = {}
     for workload in (w["name"] for w in declared["workloads"]):
-        entry: dict = {"end_to_end": {}, "per_layer": {}, "failures": {}}
+        entry: dict = {"end_to_end": {}, "per_layer": {}, "failures": {}, "operation_ms_p50": {}}
         for trace, section, metrics in ((0, "end_to_end", declared["end_to_end"]),
                                         (1, "per_layer", declared["per_layer"])):
             sides = {"parent": parent_runs.get((workload, trace), {}), "change": change_runs.get((workload, trace), {})}
             for side, reports in sides.items():
                 if reports:
                     entry["failures"].setdefault(side, {})[f"trace{trace}"] = failures(reports)
+                if reports and trace == 0:
+                    for name, ms in operation_medians(reports).items():
+                        entry["operation_ms_p50"].setdefault(name, {})[side] = ms
             for metric in metrics:
                 values = {side: metric_values(reports, metric["name"]) for side, reports in sides.items()}
                 if trace == 1 and not any(v for side in values.values() for v in side.values()):
