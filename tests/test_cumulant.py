@@ -303,9 +303,9 @@ def _kernel_values(sets):
     return [float(v).hex() for v in values]
 
 
-def _in_a_new_thread(function, *args):
+def _in_a_new_thread(function):
     result = []
-    thread = threading.Thread(target=lambda: result.append(function(*args)))
+    thread = threading.Thread(target=lambda: result.append(function()))
     thread.start()
     thread.join()
     return result[0]
