@@ -11,10 +11,7 @@ stands in for the training loss.
 from __future__ import annotations
 
 import math
-import operator
-import sys
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -357,16 +354,13 @@ def _log_means(ds: LossDataset, lams: Sequence[float]) -> list[float]:
 
 def _product(coefficient: float, factors: Sequence[float], divisor: float = 1.0, root: bool = False) -> float:
     """``coefficient * f1 * f2 * ... / divisor``, or its square root, for a
-    positive coefficient and divisor and non-negative factors: the plain
-    left-to-right form, bit for bit, where every partial product and the
-    quotient are normal; otherwise the significands' product with its power
-    of two applied once (halved outside the root), which is infinite only
-    past the float64 range. An infinite factor gives ``inf``, a zero factor
+    positive coefficient and divisor and non-negative factors, formed as the
+    significands' product with its power of two applied once (halved outside
+    the root), so it is infinite only past the float64 range. Where every
+    partial product of the plain left-to-right form and its quotient are
+    normal, scaling by a power of two commutes with each rounding, so this
+    gives that form's bits. An infinite factor gives ``inf``, a zero factor
     or an infinite divisor 0."""
-    partials = list(accumulate(factors, operator.mul, initial=coefficient))
-    partials.append(partials[-1] / divisor)
-    if all(sys.float_info.min <= p < math.inf for p in partials):
-        return math.sqrt(partials[-1]) if root else partials[-1]
     # math.frexp keeps an infinity or a zero as its significand, which carries it through.
     parts = [math.frexp(v) for v in (coefficient, *factors)]
     fraction, exponent = math.frexp(divisor)
@@ -420,7 +414,8 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
 
 
 def _scaled_quadratic_form(grads: np.ndarray, delta: np.ndarray) -> float:
-    """``mean(((grads - mean) @ delta)**2)`` where a plain product overflows.
+    """``mean(((grads - mean) @ delta)**2)`` where a plain product or the
+    gradients' column sum overflows.
 
     The gradients, the displacement and then the projections are each scaled
     by a power of two that brings their largest magnitude below one. Such
@@ -454,10 +449,9 @@ def covariance_taylor(
     With ``q`` the quadratic form of the displacement under the gradient
     covariance, the cumulant approximation is ``lam**2 * q / 2`` and, when a
     budget ``s`` is supplied, the matching inverse-rate approximation is
-    ``sqrt(2*s*q)``. A gradient column whose sum lies beyond the float64
-    range raises ``ValidationError``. Where a product in ``q`` overflows,
-    ``q`` is recomputed on operands scaled by powers of two, so it is
-    infinite only when its value lies beyond the float64 range.
+    ``sqrt(2*s*q)``. Where a gradient column's sum or a product in ``q``
+    overflows, ``q`` is recomputed on operands scaled by powers of two, so it
+    is infinite only when its value lies beyond the float64 range.
     """
     lam = check_real(lam, InvalidLambda, "tilt")
     grads = ds.grad_theta
@@ -469,10 +463,7 @@ def covariance_taylor(
             f"gradient vectors have length {grads.shape[1]}, displacement has {delta.shape[0]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = grads.mean(axis=0)
-        if not np.isfinite(mean).all():
-            raise ValidationError("the sum of the grad_theta vectors overflows float64")
-        projected = (grads - mean) @ delta
+        projected = (grads - grads.mean(axis=0)) @ delta
         quad = float(projected @ projected) / len(ds)
     if not math.isfinite(quad):
         quad = _scaled_quadratic_form(grads, delta)

@@ -24,7 +24,7 @@ from . import analysis, oracle, serialize
 from .cumulant import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_SIZE, LambdaGrid, cumulant_curve
 from .errors import InputError, InvalidA, InvalidS, ParseError, RatefnError, ValidationError, check_real, input_file
 from .loss_data import ModelMeta, dump_dataset, load_dataset, reduce_augmented
-from .rate import DEFAULT_TOL, RateSolver, grid_inverse_rate, rate_curve
+from .rate import DEFAULT_TOL, grid_inverse_rate, inverse_rate, rate_curve
 
 _DEFAULT_GRID = f"{DEFAULT_GRID_LO!r}:{DEFAULT_GRID_HI!r}:{DEFAULT_GRID_SIZE}:log"  # LambdaGrid.default()
 
@@ -213,12 +213,8 @@ def _cmd_inverse_rate(args):
     s_values = list(args.s or [])
     if not s_values:
         raise InvalidS("--s is required")
-    # One solver for every budget, as rate_curve does; the checks keep the
-    # order of inverse_rate's: the budget, then --tol, then the summary.
     budgets = [check_real(s, InvalidS, "budget s") for s in sorted(set(s_values))]
-    tol = check_real(args.tol, ValidationError, "tol", "non-negative")
-    solver = RateSolver(ds)
-    evals = [solver.inverse_rate(s, tol) for s in budgets]
+    evals = [inverse_rate(ds, s, args.tol) for s in budgets]
     text = _render(args, "inverse_rate", *evals)
     if len(evals) == 1:
         ev = evals[0]

@@ -718,9 +718,10 @@ def _variance(losses: np.ndarray, mean: float) -> float:
     once as ``math.fsum`` rounds it and divided by the count; no Python float
     is made per loss. Where a square or the sum overflows, each deviation is
     scaled by ``2**-k``, with ``k`` the exponent of the largest one, and the
-    result scaled back. A power of two commutes with the rounding, so that
-    gives the plain form's value with an unbounded exponent, infinite only
-    when it lies past the range.
+    result scaled back, infinite only when it lies past the range. The
+    squares are Python's ``**``, which is not always correctly rounded, so a
+    scaled square, and with it this fallback, can differ from the plain form
+    by an ulp.
     """
     try:
         return _exact_sum(losses, mean) / len(losses)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratefn import (
     DimensionMismatch,
@@ -137,6 +139,22 @@ class TestCompareSmoothness:
         for k, a in enumerate(verdict.a_values, start=1):
             assert abs(Fraction(a) - top * k / 12) <= Fraction(math.ulp(a))
         assert verdict.verdict == "smoother"
+
+    def test_crossing_pair_cumulants_cross_past_the_grid(self):
+        ds_a, ds_b = _crossing_pair()
+        assert estimate_cumulant(ds_a, 1e6) == pytest.approx(100087.486, abs=5e-4)
+        assert estimate_cumulant(ds_b, 1e6) == pytest.approx(99999.307, abs=5e-4)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the smoother verdict tests only the grid's tilts")
+    def test_crossing_pair_is_not_smoother(self):
+        ds_a, ds_b = _crossing_pair()
+        assert compare_smoothness(ds_a, ds_b).verdict != "smoother"
+
+
+def _crossing_pair():
+    """ROADMAP item 1's counterexample: A's cumulant lies below B's on the
+    default grid, which ends at a tilt of 1e3, but above it at 1e6."""
+    return from_losses([0.1001] * 99_999 + [0.0]), from_losses([0.0, 0.2])
 
 
 class TestInterpolatorOrdering:
@@ -447,6 +465,27 @@ class TestApproximationRange:
         assert analysis._product(0.5, (x, x, coefficient)) == 0.5 * x * x * coefficient
         assert analysis._product(2.0, (x, coefficient), root=True) == math.sqrt(2.0 * x * coefficient)
         assert analysis._product(0.5, (x, x), coefficient) == x * x / (2.0 * coefficient)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 3), root=st.booleans())
+    def test_drawn_operands_in_the_plain_range_keep_the_plain_bits(self, data, count, root):
+        # Each binary exponent is drawn from the range that keeps the running
+        # product and the quotient normal, so the draws span the normal range.
+        def normal(lo, hi):
+            fraction = data.draw(st.floats(0.5, 1.0, exclude_max=True))
+            return math.ldexp(fraction, data.draw(st.integers(max(lo, -1021), min(hi, 1024))))
+
+        partials, factors = [normal(-1021, 1024)], []
+        for _ in range(count):
+            power = math.frexp(partials[-1])[1]
+            factors.append(normal(-1020 - power, 1024 - power))
+            partials.append(partials[-1] * factors[-1])
+        power = math.frexp(partials[-1])[1]
+        divisor = normal(power - 1023, power + 1021)
+        partials.append(partials[-1] / divisor)
+        assert all(sys.float_info.min <= p < math.inf for p in partials)
+        expected = math.sqrt(partials[-1]) if root else partials[-1]
+        assert analysis._product(partials[0], factors, divisor, root=root) == expected
 
     def test_reports_use_both_forms(self):
         lam = 1e-160

@@ -350,20 +350,38 @@ class TestTaylorCommands:
         assert out == ('{\n  "abs_error": "inf",\n  "approx": "inf",\n  "exact": "inf",\n  "kind": "taylor",\n'
                        '  "quantity": "lambda",\n  "schema_version": "1",\n  "x": 1e+300\n}\n')
 
-    def test_overflowing_gradient_sum_is_refused(self, tmp_path, capsys):
-        # A gradient column summing past the float64 range made the quadratic
-        # form NaN, written as bare NaN tokens with exit 0.
+    def test_overflowing_gradient_sum_gets_the_exact_form(self, tmp_path, capsys):
+        # A gradient column summing past the float64 range once made the
+        # quadratic form NaN; the centred projections are all 0 along (1, -1).
         path = tmp_path / "grads.jsonl"
         path.write_text("".join('{"sample_id": "%s", "loss": 0.5, "grad_theta": %s}\n' % row for row in (
             ("a", "[1.7e308, 1.7e308]"), ("b", "[1.7e308, 1.7e308]"), ("c", "[-1.0, -1.0]"))))
         out = tmp_path / "out.json"
         argv = ["taylor", "--input", str(path), "--mode", "covariance", "--x", "1", "--theta-delta", "1,-1",
                 "--s-budget", "0.1", "--output", str(out)]
-        assert run(argv) == 2
+        assert run(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "taylor: ValidationError: the sum of the grad_theta vectors overflows float64\n"
-        assert not out.exists()
+        assert captured.err == ""
+        text = out.read_text()
+        assert "nan" not in text.lower() and "nan" not in captured.out.lower()
+        assert strict_json(text)["quadratic_form"] == 0.0
+
+    def test_overflowing_gradient_sum_within_one_ulp(self, tmp_path, capsys):
+        rows = [(1.7e308, 1.0), (1.7e308, -1.0), (-1.0, 3.0)]
+        delta = (1e-300, 1.0)
+        path = tmp_path / "grads.jsonl"
+        path.write_text("".join('{"sample_id": "s%d", "loss": 0.5, "grad_theta": [%r, %r]}\n' % (i, *row)
+                                for i, row in enumerate(rows)))
+        assert run(["taylor", "--input", str(path), "--mode", "covariance", "--x", "1",
+                    "--theta-delta", "%r,%r" % delta]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        form = strict_json(captured.out)["quadratic_form"]
+        exact_rows = [[Fraction(g) for g in row] for row in rows]
+        mean = [sum(column) / len(rows) for column in zip(*exact_rows)]
+        projected = [sum((g - m) * Fraction(d) for g, m, d in zip(row, mean, delta)) for row in exact_rows]
+        exact = sum(p * p for p in projected) / len(rows)
+        assert abs(Fraction(form) - exact) <= Fraction(math.ulp(form)), (form, float(exact))
 
     @pytest.mark.parametrize("rows, form", [
         # Each product overflows and the two cancel: the exact form is 0.

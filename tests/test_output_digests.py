@@ -31,6 +31,9 @@ META = ["--p", "10", "--n", "1000", "--delta", "0.05"]
 INPUTS = {
     # Two finite losses whose sum lies beyond the float64 range, in one group.
     "overflow-group.csv": "sample_id,loss,group_id\ns0,1.7e308,g0\ns1,1.7e308,g0\ns2,0.5,g1\ns3,0.5,g1\n",
+    # Two gradient vectors whose sum lies beyond the float64 range in both components.
+    "overflow-grads.jsonl": "".join('{"sample_id": "%s", "loss": 0.5, "grad_theta": %s}\n' % row for row in (
+        ("a", "[1.7e308, 1.7e308]"), ("b", "[1.7e308, 1.7e308]"), ("c", "[-1.0, -1.0]"))),
 }
 
 # name -> (argv without --output, output file name)
@@ -68,6 +71,8 @@ CASES = {
     "taylor-inverse-rate": (["taylor", "--input", B, "--mode", "inverse-rate", "--x", "0.05"], "out.json"),
     "taylor-covariance": (["taylor", "--input", GRADS, "--mode", "covariance", "--x", "0.5",
                            "--theta-delta", "0.1,-0.2,0.3", "--s-budget", "0.05"], "out.json"),
+    "taylor-covariance-grad-overflow": (["taylor", "--input", "{tmp}/overflow-grads.jsonl", "--mode", "covariance",
+                                         "--x", "1", "--theta-delta", "1,-1", "--s-budget", "0.1"], "out.json"),
     "grad-bound": (["grad-bound", "--input", GROUPED, "--m-const", "2", "--s", "0.1", "--lambda", "0.5"], "out.json"),
     "grad-bound-jsonl": (["grad-bound", "--input", GRADS, "--m-const", "0.5", "--s", "0.01"], "out.json"),
     "oracle-exact-json": (["oracle-exact", "--dist", LAW, "--lambda", "0.5", "--a", "0.3"], "out.json"),
@@ -200,6 +205,10 @@ DIGESTS = {
     "taylor-covariance": (
         "a3bd516d874498ed2baf58469c6f902d154f2d5ceed774fa067f65aaa1aae208",
         "8e31dac2025b6f75b3a9667f9fee0f26213cadd01d1ab09e2876d830d8036915",
+    ),
+    "taylor-covariance-grad-overflow": (
+        "efc01538e0008220bdb44dd522a19bb8d499c47b6de0ecee574af3c01a9ff914",
+        "2eae7645086ccba1fd9ff37deffcf513024dae06528c23dd910fd2ae860676ed",
     ),
     "grad-bound": (
         "283b28be7bba0f698ee7daaccb42eea6b5fbf1ffb267d16c74279cd38c5611e5",
