@@ -351,8 +351,8 @@ class TestTaylorCommands:
                        '  "quantity": "lambda",\n  "schema_version": "1",\n  "x": 1e+300\n}\n')
 
     def test_overflowing_gradient_sum_gets_the_exact_form(self, tmp_path, capsys):
-        # A gradient column summing past the float64 range once made the
-        # quadratic form NaN; the centred projections are all 0 along (1, -1).
+        # Each gradient column's sum passes the float64 range, and the centred
+        # projections along (1, -1) are all 0.
         path = tmp_path / "grads.jsonl"
         path.write_text("".join('{"sample_id": "%s", "loss": 0.5, "grad_theta": %s}\n' % row for row in (
             ("a", "[1.7e308, 1.7e308]"), ("b", "[1.7e308, 1.7e308]"), ("c", "[-1.0, -1.0]"))))
