@@ -417,22 +417,33 @@ def _scaled_quadratic_form(grads: np.ndarray, delta: np.ndarray) -> float:
     """``mean(((grads - mean) @ delta)**2)`` where a plain product or the
     gradients' column sum overflows.
 
-    The gradients, the displacement and then the projections are each scaled
-    by a power of two that brings their largest magnitude below one. Such
-    scaling changes no digit of a value it keeps in the normal range, so no
-    product overflows and the form is infinite only when its value lies
-    beyond the float64 range.
+    Each gradient column is scaled below one by its own power of two,
+    centred and scaled again to bring its deviations below one; its
+    contributions, with the displacement's exponent added, are aligned to the
+    largest exponent among the columns that contribute. Such scaling changes
+    no digit of a value it keeps in the normal range, so this gives the
+    plain form's bits on operands scaled into the range and is infinite only
+    when its value lies beyond it.
     """
-    def exponent(values: np.ndarray) -> int:
-        return math.frexp(float(np.abs(values).max()))[1]
+    def exponent(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+        return np.frexp(np.abs(values).max(axis=axis))[1]
 
-    g_exp, d_exp = exponent(grads) + 1, exponent(delta)  # + 1: centring at most doubles a magnitude
-    scaled = np.ldexp(grads, -g_exp)
-    projected = (scaled - scaled.mean(axis=0)) @ np.ldexp(delta, -d_exp)
-    p_exp = exponent(projected)
+    g_exp = exponent(grads, 0)
+    centred = np.ldexp(grads, -g_exp)
+    centred -= centred.mean(axis=0)
+    c_exp = exponent(centred, 0)
+    fraction, d_exp = np.frexp(delta)
+    col_exp = g_exp + c_exp + d_exp
+    live = centred.any(axis=0) & (fraction != 0)
+    if not live.any():
+        return 0.0
+    top = int(col_exp[live].max())
+    # A column that contributes nothing keeps a finite weight: its products are 0.
+    projected = np.ldexp(centred, -c_exp) @ np.ldexp(fraction, np.minimum(col_exp - top, 0))
+    p_exp = int(exponent(projected))
     projected = np.ldexp(projected, -p_exp)
     try:
-        return math.ldexp(float(projected @ projected) / len(grads), 2 * (g_exp + d_exp + p_exp))
+        return math.ldexp(float(projected @ projected) / len(grads), 2 * (top + p_exp))
     except OverflowError:
         return math.inf
 

@@ -243,7 +243,8 @@ def rate(ds: LossDataset, a: float, tol: float = DEFAULT_TOL) -> RateEvaluation:
     ``tol*(mean - min)``.
     """
     a = check_real(a, InvalidA, "deviation a")
-    return _solver(ds).rate(a, check_real(tol, ValidationError, "tol", "non-negative"))
+    tol = check_real(tol, ValidationError, "tol", "non-negative")
+    return _solver(ds).rate(a, tol)
 
 
 def inverse_rate(ds: LossDataset, s: float, tol: float = DEFAULT_TOL) -> InverseRateEvaluation:
@@ -254,7 +255,8 @@ def inverse_rate(ds: LossDataset, s: float, tol: float = DEFAULT_TOL) -> Inverse
     ``lam*J'(lam) - J(lam) = s`` and the value never exceeds the mean loss.
     """
     s = check_real(s, InvalidS, "budget s")
-    return _solver(ds).inverse_rate(s, check_real(tol, ValidationError, "tol", "non-negative"))
+    tol = check_real(tol, ValidationError, "tol", "non-negative")
+    return _solver(ds).inverse_rate(s, tol)
 
 
 def grid_inverse_rate(ds: LossDataset, s: float, grid: LambdaGrid) -> InverseRateEvaluation:

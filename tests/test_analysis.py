@@ -402,6 +402,10 @@ class TestCovarianceTaylor:
         ([[1.7e308], [-1.7e308], [-1.7e308]], [1.0]),
         # Plain products, for contrast.
         ([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]], [2.0, -1.5]),
+        # A column sum overflows, but that column has no deviation or no
+        # displacement: the small column alone gives the form, 1e-40.
+        ([[1.7e308, 1e-20], [1.7e308, -1e-20]], [1.0, 1.0]),
+        ([[1.7e308, 1e-20], [1.7e308, -1e-20]], [0.0, 1.0]),
     ])
     def test_overflowing_products_match_the_exact_form(self, grads, delta):
         expected = self._exact_form(grads, delta)
@@ -412,6 +416,22 @@ class TestCovarianceTaylor:
             assert result.quadratic_form == math.inf
         else:
             assert result.quadratic_form == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), columns=st.integers(1, 4))
+    def test_scaled_form_keeps_the_plain_bits(self, data, rows, columns):
+        # Exponents within +-100 keep every plain operand, product and square
+        # normal, where scaling by powers of two changes no digit.
+        def draws(count):
+            def drawn(values):
+                return np.array(data.draw(st.lists(values, min_size=count, max_size=count)))
+
+            fractions = drawn(st.sampled_from([-1.0, 0.0, 1.0])) * drawn(st.floats(0.5, 1.0, exclude_max=True))
+            return np.ldexp(fractions, drawn(st.integers(-100, 100)))
+
+        grads, delta = draws(rows * columns).reshape(rows, columns), draws(columns)
+        projected = (grads - grads.mean(axis=0)) @ delta
+        assert analysis._scaled_quadratic_form(grads, delta) == float(projected @ projected) / rows
 
 
 def _exact_root(value: Fraction) -> Fraction:

@@ -263,6 +263,26 @@ class TestInverseRateCommands:
         assert [ev["value"] for ev in payload["evaluations"]] == [ev.value for ev in expected]
         assert [ev["lambda_star"] for ev in payload["evaluations"]] == [ev.lambda_star for ev in expected]
 
+    def test_bad_tol_builds_no_solver(self, monkeypatch, capsys):
+        built = []
+        init = RateSolver.__init__
+
+        def counted(self, ds):
+            built.append(ds.model_id)
+            init(self, ds)
+
+        monkeypatch.setattr(RateSolver, "__init__", counted)
+        path = DATA / "a.csv"
+        assert run(["inverse-rate", "--input", str(path), "--s", "0.1", "--tol", "-1"]) == 2
+        assert run(["rate", "--input", str(path), "--a", "0.1", "--tol", "-1"]) == 2
+        assert capsys.readouterr().err.count("ValidationError: tol") == 2
+        ds = ratefn.load_dataset(path)
+        with pytest.raises(ratefn.ValidationError):
+            ratefn.inverse_rate(ds, 0.1, -1.0)
+        with pytest.raises(ratefn.ValidationError):
+            ratefn.rate(ds, 0.1, math.nan)
+        assert built == []
+
 
 class TestAugmentAndDaCheck:
     def test_augment_writes_reduced_dataset(self, grouped_csv, tmp_path, capsys):
@@ -366,22 +386,41 @@ class TestTaylorCommands:
         assert "nan" not in text.lower() and "nan" not in captured.out.lower()
         assert strict_json(text)["quadratic_form"] == 0.0
 
-    def test_overflowing_gradient_sum_within_one_ulp(self, tmp_path, capsys):
-        rows = [(1.7e308, 1.0), (1.7e308, -1.0), (-1.0, 3.0)]
-        delta = (1e-300, 1.0)
+    @staticmethod
+    def _exact_form(rows, delta):
+        exact_rows = [[Fraction(g) for g in row] for row in rows]
+        mean = [sum(column) / len(rows) for column in zip(*exact_rows)]
+        projected = [sum((g - m) * Fraction(d) for g, m, d in zip(row, mean, delta)) for row in exact_rows]
+        return sum(p * p for p in projected) / len(rows)
+
+    def _covariance_form(self, rows, delta, tmp_path, capsys):
         path = tmp_path / "grads.jsonl"
         path.write_text("".join('{"sample_id": "s%d", "loss": 0.5, "grad_theta": [%r, %r]}\n' % (i, *row)
                                 for i, row in enumerate(rows)))
         assert run(["taylor", "--input", str(path), "--mode", "covariance", "--x", "1",
-                    "--theta-delta", "%r,%r" % delta]) == 0
+                    "--theta-delta", "%r,%r" % delta, "--s-budget", "0.5"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        form = strict_json(captured.out)["quadratic_form"]
-        exact_rows = [[Fraction(g) for g in row] for row in rows]
-        mean = [sum(column) / len(rows) for column in zip(*exact_rows)]
-        projected = [sum((g - m) * Fraction(d) for g, m, d in zip(row, mean, delta)) for row in exact_rows]
-        exact = sum(p * p for p in projected) / len(rows)
+        return strict_json(captured.out)
+
+    def test_overflowing_gradient_sum_within_one_ulp(self, tmp_path, capsys):
+        rows = [(1.7e308, 1.0), (1.7e308, -1.0), (-1.0, 3.0)]
+        delta = (1e-300, 1.0)
+        form = self._covariance_form(rows, delta, tmp_path, capsys)["quadratic_form"]
+        exact = self._exact_form(rows, delta)
         assert abs(Fraction(form) - exact) <= Fraction(math.ulp(form)), (form, float(exact))
+
+    @pytest.mark.parametrize("delta", [(1.0, 1.0), (0.0, 1.0)])
+    def test_overflowing_gradient_sum_keeps_a_small_column(self, delta, tmp_path, capsys):
+        # The huge column's sum overflows, but it has no deviation (or no
+        # displacement), so the small column holds the whole form, 1e-40.
+        rows = [(1.7e308, 1e-20), (1.7e308, -1e-20)]
+        payload = self._covariance_form(rows, delta, tmp_path, capsys)
+        exact = self._exact_form(rows, delta)
+        form = payload["quadratic_form"]
+        assert form == float(exact) and abs(Fraction(form) - exact) <= Fraction(math.ulp(form))
+        assert payload["report"]["approx"] == form / 2
+        assert payload["inverse_rate_approx"] == math.sqrt(form)
 
     @pytest.mark.parametrize("rows, form", [
         # Each product overflows and the two cancel: the exact form is 0.
