@@ -386,14 +386,14 @@ class TestTaylorCommands:
         assert "nan" not in text.lower() and "nan" not in captured.out.lower()
         assert strict_json(text)["quadratic_form"] == 0.0
 
-    @staticmethod
-    def _exact_form(rows, delta):
-        exact_rows = [[Fraction(g) for g in row] for row in rows]
-        mean = [sum(column) / len(rows) for column in zip(*exact_rows)]
-        projected = [sum((g - m) * Fraction(d) for g, m, d in zip(row, mean, delta)) for row in exact_rows]
-        return sum(p * p for p in projected) / len(rows)
-
-    def _covariance_form(self, rows, delta, tmp_path, capsys):
+    @pytest.mark.parametrize("rows, delta", [
+        ([(1.7e308, 1.0), (1.7e308, -1.0), (-1.0, 3.0)], (1e-300, 1.0)),
+        # The huge column has no deviation, or no displacement, so the small
+        # column alone gives the form, 1e-40.
+        ([(1.7e308, 1e-20), (1.7e308, -1e-20)], (1.0, 1.0)),
+        ([(1.7e308, 1e-20), (1.7e308, -1e-20)], (0.0, 1.0)),
+    ])
+    def test_overflowing_gradient_sum_within_one_ulp(self, rows, delta, tmp_path, capsys):
         path = tmp_path / "grads.jsonl"
         path.write_text("".join('{"sample_id": "s%d", "loss": 0.5, "grad_theta": [%r, %r]}\n' % (i, *row)
                                 for i, row in enumerate(rows)))
@@ -401,24 +401,14 @@ class TestTaylorCommands:
                     "--theta-delta", "%r,%r" % delta, "--s-budget", "0.5"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        return strict_json(captured.out)
-
-    def test_overflowing_gradient_sum_within_one_ulp(self, tmp_path, capsys):
-        rows = [(1.7e308, 1.0), (1.7e308, -1.0), (-1.0, 3.0)]
-        delta = (1e-300, 1.0)
-        form = self._covariance_form(rows, delta, tmp_path, capsys)["quadratic_form"]
-        exact = self._exact_form(rows, delta)
-        assert abs(Fraction(form) - exact) <= Fraction(math.ulp(form)), (form, float(exact))
-
-    @pytest.mark.parametrize("delta", [(1.0, 1.0), (0.0, 1.0)])
-    def test_overflowing_gradient_sum_keeps_a_small_column(self, delta, tmp_path, capsys):
-        # The huge column's sum overflows, but it has no deviation (or no
-        # displacement), so the small column holds the whole form, 1e-40.
-        rows = [(1.7e308, 1e-20), (1.7e308, -1e-20)]
-        payload = self._covariance_form(rows, delta, tmp_path, capsys)
-        exact = self._exact_form(rows, delta)
+        payload = strict_json(captured.out)
         form = payload["quadratic_form"]
-        assert form == float(exact) and abs(Fraction(form) - exact) <= Fraction(math.ulp(form))
+        exact_rows = [[Fraction(g) for g in row] for row in rows]
+        mean = [sum(column) / len(rows) for column in zip(*exact_rows)]
+        projected = [sum((g - m) * Fraction(d) for g, m, d in zip(row, mean, delta)) for row in exact_rows]
+        exact = sum(p * p for p in projected) / len(rows)
+        assert abs(Fraction(form) - exact) <= Fraction(math.ulp(form)), (form, float(exact))
+        # With --x 1 and --s-budget 0.5 the approximations are q / 2 and sqrt(q).
         assert payload["report"]["approx"] == form / 2
         assert payload["inverse_rate_approx"] == math.sqrt(form)
 
