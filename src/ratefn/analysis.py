@@ -10,13 +10,14 @@ stands in for the training loss.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cumulant import LambdaGrid, cumulant_curve, estimate_cumulant, tilted_moments
+from .cumulant import CumulantCurve, LambdaGrid, cumulant_curve, estimate_cumulant, held_curve, tilted_moments
 from .errors import (
     DimensionMismatch,
     InvalidA,
@@ -29,9 +30,12 @@ from .errors import (
     check_real,
 )
 from .loss_data import LossDataset, ModelMeta, _exact_mean, group_sizes, reduce_augmented, summarize
-from .rate import InverseRateEvaluation, RateSolver, _solver, inverse_rate, rate
+from .rate import DEFAULT_TOL, TILT_CAP, InverseRateEvaluation, RateSolver, _solver, inverse_rate, rate
 
 DOMINANCE_SLACK = 1e-12
+# Rounding allowed for a value the kernel or a tangent forms, relative to the
+# magnitudes that form it: 2**-40 is 8192 ulps (see _rate_bounds).
+_ROUNDING = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -187,15 +191,78 @@ def generalization_bound(
     )
 
 
-def _rate_dominates(solver_a: RateSolver, solver_b: RateSolver, a: float) -> bool:
-    # A saturated rate is infinite, so it dominates anything.
-    eval_a = solver_a.rate(a)
-    if eval_a.saturated:
+def _rate_bounds(curve: CumulantCurve, a: float, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+    """``(lower, upper, margin)`` for the rate at a deviation ``0 < a < mean - min``
+    from a cumulant curve, without a pass: ``lower <= I(a) <= upper``, and
+    ``RateSolver.rate(a, tol)`` gives a value within ``margin`` of ``[lower, upper]``.
+
+    Convex duality gives both bounds. Each tilt ``lam`` of the curve bounds
+    the rate from below, ``I(a) >= lam*a - J(lam)``, and so does 0. The
+    tangents of J at two tilts whose J' bracket ``a`` lie below J, so
+    ``lam*a - J(lam)`` is at most its value on the larger tangent, and the
+    rate is at most ``lam*a - T(lam)`` at any tilt, with ``T`` the smaller
+    tangent there; this takes the tilt where they cross. Tilt 0 counts as a
+    tangent point, where ``J = J' = 0`` exactly, so deviations left of the
+    grid are bracketed too. With no bracket, or one that reaches past the
+    solver's ``TILT_CAP``, the upper bound is ``inf``, and so is the margin:
+    nothing then bounds where the solver's tilt lies, or whether it finds one.
+
+    The margin. The bracket's J' lie at least ``tol*(mean - min)`` from
+    ``a``, with room for their rounding, so the solver's tilt, whose J' is
+    within that of ``a``, lies in the bracket with the optimum; as
+    ``lam*a - J(lam)`` is concave, its value there is at most
+    ``tol*(mean - min)`` times the bracket's width, and so at most
+    ``tol*(mean - min)*lam_hi``, below the rate (``lam_hi`` is the
+    bracket's top tilt). Every other figure, the curve's J and J', the
+    solver's value, these bounds, is a sum of terms no larger than
+    ``lam_hi*mean`` (``lam*a``, J at most ``lam*(mean - min)``, a tilted mean
+    of the losses at most ``mean``) or the log of a sum of at most ``count``
+    exps. Each is rounded within a few ulps of those magnitudes times
+    ``log2(count)`` for the pairwise sums, far inside ``_ROUNDING``
+    (8192 ulps). So the margin is ``tol*(mean - min)*lam_hi +
+    _ROUNDING*(1 + log(count) + lam_hi*mean)``, a bound on what rounding
+    and ``tol`` can move, not a figure fitted to data.
+    """
+    s = curve.summary
+    mean, gap = s.empirical_loss, s.empirical_loss - s.min_loss
+    lams, js, slopes = (0.0, *curve.grid.values), (0.0, *curve.j_values), (0.0, *curve.j_derivs)
+    reach = tol * gap + 2.0 * _ROUNDING * mean
+    lo = bisect.bisect_right(slopes, a - reach) - 1
+    hi = bisect.bisect_left(slopes, a + reach)
+    if (lo < 0 or hi == len(lams) or not (slopes[lo] <= a - reach and slopes[hi] >= a + reach)
+            or lams[hi] * gap > TILT_CAP):
+        return max(0.0, *(lam * a - j for lam, j in zip(lams, js))), math.inf, math.inf
+    lower = max(0.0, *(lams[k] * a - js[k] for k in range(lo, hi + 1)))
+    step = lams[hi] - lams[lo]
+    # The tangents cross at lams[lo] + t*step, with t in [0, 1] for a convex J.
+    t = (slopes[hi] - (js[hi] - js[lo]) / step) / (slopes[hi] - slopes[lo])
+    lam = lams[lo] + min(max(t, 0.0), 1.0) * step
+    upper = lam * a - min(js[lo] + slopes[lo] * (lam - lams[lo]), js[hi] + slopes[hi] * (lam - lams[hi]))
+    margin = tol * gap * lams[hi] + _ROUNDING * (1.0 + math.log(s.count) + lams[hi] * mean)
+    return lower, upper, margin
+
+
+def _rate_dominates(solver_a: RateSolver, solver_b: RateSolver, a: float,
+                    curve_a: CumulantCurve | None = None, curve_b: CumulantCurve | None = None) -> bool:
+    """Whether A's solved rate at ``a`` is at least B's less ``DOMINANCE_SLACK``.
+
+    A saturated rate is infinite, so it dominates anything. Given both
+    datasets' curves, the answer comes from :func:`_rate_bounds` when the
+    bounds separate by more than their margins, and the slack for a "no";
+    otherwise, or without curves, both rates are solved.
+    """
+    if solver_a.saturates(a):
         return True
-    eval_b = solver_b.rate(a)
-    if eval_b.saturated:
+    if solver_b.saturates(a):
         return False
-    return eval_a.value >= eval_b.value - DOMINANCE_SLACK
+    if curve_a is not None and curve_b is not None:
+        lower_a, upper_a, margin_a = _rate_bounds(curve_a, a)
+        lower_b, upper_b, margin_b = _rate_bounds(curve_b, a)
+        if lower_a - upper_b > margin_a + margin_b:
+            return True
+        if lower_b - upper_a > margin_a + margin_b + DOMINANCE_SLACK:
+            return False
+    return solver_a.rate(a).value >= solver_b.rate(a).value - DOMINANCE_SLACK
 
 
 def _default_a_values(ds_a: LossDataset, ds_b: LossDataset) -> tuple[float, ...]:
@@ -225,14 +292,22 @@ def compare_smoothness(
     dominates B's on all tested deviations up to ``beta`` (``max(a_values)``
     when ``beta`` is not given). Otherwise the pair is incomparable at the
     tested resolution.
+
+    Each deviation is first decided from the two curves this call computes:
+    their tangents bound each rate from both sides (:func:`_rate_bounds`),
+    and where the bounds separate by more than their margins, which cover
+    the curves' rounding and the solver's ``tol``, they prove what the two
+    solved rates would give. Only where they overlap, or where either
+    curve does not bracket the deviation, are both rates solved. So every
+    reported value is the one solving every rate gives.
     """
     if grid is None:
         grid = LambdaGrid.default()
     if a_values is None:
         a_values = _default_a_values(ds_a, ds_b)
     a_values = tuple(check_real(a, InvalidA, "deviation a") for a in a_values)
-    if any(b <= a for a, b in zip(a_values, a_values[1:])):
-        raise InvalidA("a_values must be positive and strictly increasing")
+    if not a_values or any(b <= a for a, b in zip(a_values, a_values[1:])):
+        raise InvalidA("a_values must be non-empty, positive and strictly increasing")
 
     curve_a = cumulant_curve(ds_a, grid)
     curve_b = cumulant_curve(ds_b, grid)
@@ -244,7 +319,7 @@ def compare_smoothness(
     rate_dominance_on = 0.0
     solver_a, solver_b = _solver(ds_a, hold=False), _solver(ds_b, hold=False)
     for a in a_values:
-        if not _rate_dominates(solver_a, solver_b, a):
+        if not _rate_dominates(solver_a, solver_b, a, curve_a, curve_b):
             break
         rate_dominance_on = a
 
@@ -281,6 +356,13 @@ def interpolator_ordering(
     ``beta_smooth_ok`` checks it on the tested deviations ``a_values`` only,
     not between them (see the ROADMAP). A violated training-loss premise is
     reported, not raised.
+
+    When both datasets hold a cumulant curve (:func:`cumulant.held_curve`,
+    on any grid), each deviation is decided from the curves' tangent bounds
+    where they separate, as in :func:`compare_smoothness`, and solved
+    elsewhere; without both, every deviation is solved. The call computes
+    no curve of its own: on two fresh 2e5-loss sets, two grid passes cost
+    more than the solves they would save. ``beta`` is always solved.
     """
     eps = meta.epsilon if epsilon is None else check_real(epsilon, ValidationError, "epsilon", "non-negative")
     train_loss_a = check_real(train_loss_a, ValidationError, "train_loss_a", "non-negative")
@@ -291,8 +373,11 @@ def interpolator_ordering(
     if a_values is None:
         a_values = tuple(_product(beta, (k,), 8.0) for k in range(1, 9)) if beta > 0 else (1e-6,)
     a_values = [check_real(a, InvalidA, "deviation a", "non-negative") for a in a_values]
+    if not a_values:
+        raise InvalidA("a_values must be non-empty")
     solver_b = _solver(ds_b, hold=False)
-    beta_smooth_ok = all(_rate_dominates(solver_a, solver_b, a) for a in a_values if a > 0)
+    curves = held_curve(ds_a), held_curve(ds_b)
+    beta_smooth_ok = all(_rate_dominates(solver_a, solver_b, a, *curves) for a in a_values if a > 0)
     mean_a = summarize(ds_a).empirical_loss
     mean_b = summarize(ds_b).empirical_loss
     return OrderingClaim(
@@ -413,6 +498,23 @@ def variance_rate_approx(ds: LossDataset, mode: str, x: float) -> ApproxReport:
     raise InvalidA(f"mode must be 'rate' or 'inverse_rate', got {mode!r}")
 
 
+def _centred(columns: np.ndarray) -> np.ndarray:
+    """The columns less their means, centred a second time where that helps.
+
+    The rounding of a column's mean stays in every centred value. Where the
+    centred values still sum to more than the bound on their sum's own
+    rounding, ``count * 2**-53`` times the sum of their magnitudes, that sum
+    is this error, and subtracting its mean takes it out (the corrected
+    two-pass algorithm of Chan, Golub and LeVeque, The American Statistician
+    37, 1983). Elsewhere the sum is rounding noise, and the column is left.
+    """
+    centred = columns - columns.mean(axis=0)
+    residual = centred.sum(axis=0)
+    noise = len(columns) * 2.0 ** -53 * np.abs(centred).sum(axis=0)
+    centred -= np.where(np.abs(residual) > noise, residual / len(columns), 0.0)
+    return centred
+
+
 def _scaled_quadratic_form(grads: np.ndarray, delta: np.ndarray) -> float:
     """``mean(((grads - mean) @ delta)**2)`` where a plain product or the
     gradients' column sum overflows.
@@ -429,8 +531,7 @@ def _scaled_quadratic_form(grads: np.ndarray, delta: np.ndarray) -> float:
         return np.frexp(np.abs(values).max(axis=axis))[1]
 
     g_exp = exponent(grads, 0)
-    centred = np.ldexp(grads, -g_exp)
-    centred -= centred.mean(axis=0)
+    centred = _centred(np.ldexp(grads, -g_exp))
     c_exp = exponent(centred, 0)
     fraction, d_exp = np.frexp(delta)
     col_exp = g_exp + c_exp + d_exp
@@ -474,7 +575,7 @@ def covariance_taylor(
             f"gradient vectors have length {grads.shape[1]}, displacement has {delta.shape[0]}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        projected = (grads - grads.mean(axis=0)) @ delta
+        projected = _centred(grads) @ delta
         quad = float(projected @ projected) / len(ds)
     if not math.isfinite(quad):
         quad = _scaled_quadratic_form(grads, delta)

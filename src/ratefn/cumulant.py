@@ -276,10 +276,16 @@ def cumulant_curve(ds: LossDataset, grid: LambdaGrid | None = None) -> CumulantC
     """
     if grid is None:
         grid = LambdaGrid.default()
-    held = ds._curve
+    held = held_curve(ds)
     if held is not None and held.grid == grid:
         return held
     j_values, j_derivs = zip(*cumulant_pairs(ds, grid.values))
     curve = CumulantCurve(grid=grid, j_values=j_values, j_derivs=j_derivs, summary=summarize(ds))
     object.__setattr__(ds, "_curve", curve)
     return curve
+
+
+def held_curve(ds: LossDataset) -> CumulantCurve | None:
+    """The curve ``ds`` holds from its last :func:`cumulant_curve` call, on
+    whatever grid that was, or ``None``; never makes a pass."""
+    return ds._curve

@@ -171,9 +171,14 @@ class RateSolver:
         ell, tilted, variance = self.terms(mu)
         return -mu * tilted - ell, mu * variance, ell
 
+    def saturates(self, a: float, tol: float = DEFAULT_TOL) -> bool:
+        """Whether the rate at a checked deviation ``a`` saturates: ``a`` at or
+        beyond ``(mean - min)*(1 - tol)``, where ``rate`` reports ``inf``."""
+        return a >= self.gap * (1.0 - tol)
+
     def rate(self, a: float, tol: float = DEFAULT_TOL) -> RateEvaluation:
         """Rate at a checked deviation ``a``; see ``rate``."""
-        if a >= self.gap * (1.0 - tol):
+        if self.saturates(a, tol):
             return RateEvaluation(a=a, value=math.inf, lambda_star=math.inf, saturated=True)
         alpha = a / self.gap
         # K' <= mu*max(d)**2/4 keeps the root above `lo`; the start is K' ~ mu*var.

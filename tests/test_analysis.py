@@ -19,6 +19,7 @@ from ratefn import (
     MissingGradients,
     MissingGradNorms,
     ModelMeta,
+    SolverFailure,
     UnequalGroupsWarning,
     ZeroVariance,
     compare_smoothness,
@@ -40,6 +41,8 @@ from ratefn import (
     variance_taylor,
 )
 from ratefn import analysis, loss_data
+from ratefn.cumulant import held_curve
+from ratefn.rate import RateSolver
 from conftest import binary_kl, random_dataset
 
 LN2 = math.log(2.0)
@@ -150,6 +153,10 @@ class TestCompareSmoothness:
         ds_a, ds_b = _crossing_pair()
         assert compare_smoothness(ds_a, ds_b).verdict != "smoother"
 
+    def test_empty_deviations_are_rejected(self, bernoulli_ds, two_point_ds):
+        with pytest.raises(InvalidA):
+            compare_smoothness(bernoulli_ds, two_point_ds, a_values=())
+
 
 def _crossing_pair():
     """ROADMAP item 1's counterexample: A's cumulant lies below B's on the
@@ -195,6 +202,138 @@ class TestInterpolatorOrdering:
         for bad in (math.nan, math.inf, -0.1):
             with pytest.raises(InvalidA):
                 interpolator_ordering(0.0, bernoulli_ds, bernoulli_ds, ModelMeta(10, 100, 0.05), a_values=[bad])
+
+    def test_empty_deviations_are_rejected(self, bernoulli_ds, two_point_ds):
+        with pytest.raises(InvalidA):
+            interpolator_ordering(0.0, bernoulli_ds, two_point_ds, ModelMeta(10, 100, 0.05), a_values=())
+
+    def test_held_curves_give_the_same_claim(self):
+        rng = np.random.default_rng(34)
+        meta = ModelMeta(10, 50_000, 0.05)
+        for k in range(20):
+            xa, xb = _shaped(rng, rng.integers(2, 3000)), _shaped(rng, rng.integers(2, 3000))
+            held = from_losses(xa), from_losses(xb)
+            for ds in held:
+                cumulant_curve(ds, _GRIDS[k % 2])
+            bare = from_losses(xa), from_losses(xb)
+            assert interpolator_ordering(0.0, *held, meta) == interpolator_ordering(0.0, *bare, meta)
+            # The claim reads curves the datasets hold; it computes none.
+            assert held_curve(bare[0]) is None and held_curve(bare[1]) is None
+
+
+# The default grid and a coarse 16-tilt one.
+_GRIDS = (LambdaGrid.default(), LambdaGrid.log_spaced(1e-2, 1e2, 16))
+_SHAPES = {
+    "exponential": lambda rng, n: rng.exponential(1.0, n),
+    "uniform": lambda rng, n: rng.uniform(0.0, 1.0, n),
+    "lognormal": lambda rng, n: rng.lognormal(0.0, rng.uniform(0.1, 3.0), n),
+    "two-point": lambda rng, n: np.where(rng.random(n) < rng.uniform(0.05, 0.95), 0.0, 1.0),
+    "near-tied": lambda rng, n: np.where(rng.random(n) < 0.5, 0.0, 1.0) + rng.uniform(0.0, 1e-9, n),
+}
+
+
+def _shaped(rng, size, scale=1.0, shape=None):
+    """``size`` losses of a named or drawn shape, times ``scale``, with at least two distinct values."""
+    x = _SHAPES[shape or rng.choice(sorted(_SHAPES))](rng, int(size))
+    x[0], x[-1] = 0.0, max(x[-1], 1.0)
+    return x * scale
+
+
+def _solved_dominance(solver_a, solver_b, a, *curves):
+    """The rule before the tangent bounds: solve both rates at every deviation."""
+    eval_a = solver_a.rate(a)
+    if eval_a.saturated:
+        return True
+    eval_b = solver_b.rate(a)
+    if eval_b.saturated:
+        return False
+    return eval_a.value >= eval_b.value - analysis.DOMINANCE_SLACK
+
+
+class TestRateBounds:
+    """``_rate_bounds`` brackets the solved rate from a curve's tangents, and
+    the analyses' verdicts stay those of solving every rate."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(sorted(_SHAPES)), size=st.integers(2, 2000),
+           scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]), coarse=st.booleans(),
+           fractions=st.lists(st.one_of(
+               st.floats(1e-9, 1.0, exclude_max=True),
+               st.floats(-12.0, -1.0).map(lambda k: 1.0 - 10.0**k),  # near the gap
+               st.floats(-9.0, -3.0).map(lambda k: 10.0**k),  # left of the grid
+           ), min_size=1, max_size=8))
+    def test_solved_rate_lies_within_the_bounds(self, seed, shape, size, scale, coarse, fractions):
+        ds = from_losses(_shaped(np.random.default_rng(seed), size, scale, shape))
+        curve, solver = cumulant_curve(ds, _GRIDS[coarse]), RateSolver(ds)
+        for a in (f * solver.gap for f in fractions):
+            if a <= 0.0 or solver.saturates(a):
+                continue
+            lower, upper, margin = analysis._rate_bounds(curve, a)
+            assert 0.0 <= lower <= upper + margin
+            try:
+                solved = solver.rate(a).value
+            except SolverFailure:  # ROADMAP item 2: the tilt cap, never within a bracket
+                assert margin == math.inf
+                continue
+            assert lower - margin <= solved <= upper + margin, (a, lower, upper, margin)
+
+    def test_tilt_zero_brackets_deviations_left_of_the_grid(self):
+        ds = from_losses(np.random.default_rng(35).lognormal(0.0, 2.0, 5000))
+        curve, solver = cumulant_curve(ds), RateSolver(ds)
+        a = 0.5 * curve.j_derivs[0]
+        lower, upper, margin = analysis._rate_bounds(curve, a)
+        assert upper < math.inf and margin < 1e-9
+        assert lower - margin <= solver.rate(a).value <= upper + margin
+
+    def test_no_bracket_gives_no_upper_bound(self, bernoulli_ds):
+        curve = cumulant_curve(bernoulli_ds)
+        # Past the last tilt's J', which is within 1e-300 of the gap.
+        lower, upper, margin = analysis._rate_bounds(curve, 0.5 * (1 - 1e-12))
+        assert upper == margin == math.inf
+        assert lower > 0.0
+
+    def test_verdicts_equal_the_always_solve_loop(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        meta = ModelMeta(10, 50_000, 0.05)
+        solves = {}
+        solve = RateSolver.rate
+
+        def counted(self, a, tol=analysis.DEFAULT_TOL):
+            solves[rule] = solves.get(rule, 0) + 1
+            return solve(self, a, tol)
+
+        monkeypatch.setattr(RateSolver, "rate", counted)
+        for k, (xa, xb, kwargs) in enumerate(_pairs(rng, 300)):
+            results = {}
+            for rule in (analysis._rate_dominates, _solved_dominance):
+                ds_a, ds_b = from_losses(xa), from_losses(xb)
+                with monkeypatch.context() as patch:
+                    patch.setattr(analysis, "_rate_dominates", rule)
+                    results[rule] = (compare_smoothness(ds_a, ds_b, **kwargs),
+                                     interpolator_ordering(0.0, ds_a, ds_b, meta))
+            assert results[analysis._rate_dominates] == results[_solved_dominance], k
+        # The bounds decide over a thousand deviations without solving.
+        assert solves[_solved_dominance] - solves[analysis._rate_dominates] > 1000, solves
+
+
+def _pairs(rng, count):
+    """``count`` seeded (losses A, losses B, compare_smoothness keywords):
+    ROADMAP item 1's crossing pair, then identical pairs, pairs apart by
+    1e-12, and unrelated ones, at loss scales 1e-6 to 1e6, on either grid,
+    some with explicit deviations and beta."""
+    yield from ((ds.losses, other.losses, {}) for ds, other in (_crossing_pair(), _crossing_pair()[::-1]))
+    for k in range(count - 2):
+        scale = 10.0 ** rng.uniform(-6.0, 6.0) if k % 3 == 0 else 1.0
+        xa = _shaped(rng, rng.integers(2, 3000), scale)
+        xb = (xa.copy(), xa * (1 + 1e-12), xa + 1e-12 * scale * rng.random(xa.size),
+              _shaped(rng, rng.integers(2, 3000), scale), _shaped(rng, rng.integers(2, 3000), scale))[k % 5]
+        kwargs = {"grid": _GRIDS[k % 2]}
+        if k % 4 == 1:
+            top = min(x.mean() - x.min() for x in (xa, xb))
+            kwargs["a_values"] = tuple(np.sort(rng.uniform(0.0, 1.2, 6)) * top)
+        if k % 4 in (1, 2):
+            kwargs["beta"] = float(rng.uniform(0.1, 1.0) * (xa.mean() - xa.min()))
+        yield xa, xb, kwargs
 
 
 class TestDACheck:
@@ -390,6 +529,15 @@ class TestCovarianceTaylor:
         except OverflowError:
             return math.inf
 
+    def test_a_rounded_mean_is_not_counted_as_covariance(self):
+        # The mean of three 0.1 rounds up by 1.4e-17, which a single centring
+        # leaves in every row: q read 1.9e-34, where the exact form is 6.7e-41.
+        grads, delta = [[0.1, 1e-20], [0.1, -1e-20], [0.1, 0.0]], [1.0, 1.0]
+        expected = self._exact_form(grads, delta)
+        result = covariance_taylor(_grad_dataset(grads), delta, 1.0)
+        assert result.quadratic_form == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert analysis._scaled_quadratic_form(np.array(grads), np.array(delta)) == result.quadratic_form
+
     @pytest.mark.parametrize("grads, delta", [
         # Each product overflows, but the two cancel in every row: the form is 0.
         ([[1e308, 1e308], [-1e308, -1e308]], [10.0, -10.0]),
@@ -426,7 +574,7 @@ class TestCovarianceTaylor:
             return np.ldexp(fractions, drawn(st.integers(-100, 100)))
 
         grads, delta = draws(rows * columns).reshape(rows, columns), draws(columns)
-        projected = (grads - grads.mean(axis=0)) @ delta
+        projected = analysis._centred(grads) @ delta
         assert analysis._scaled_quadratic_form(grads, delta) == float(projected @ projected) / rows
 
 

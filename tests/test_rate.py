@@ -44,6 +44,7 @@ from conftest import binary_kl, random_dataset, random_distribution
 
 # The package attribute ``ratefn.rate`` is the function; this is the module.
 rate_module = importlib.import_module("ratefn.rate")
+cumulant_module = importlib.import_module("ratefn.cumulant")
 
 LN2 = math.log(2.0)
 DATA = Path(__file__).parent / "data"
@@ -68,6 +69,16 @@ class TestRate:
 
     def test_beyond_boundary_saturates(self, two_point_ds):
         assert rate(two_point_ds, 10.0).saturated
+
+    def test_saturates_is_the_rule_rate_applies(self):
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            ds = random_dataset(rng)
+            solver = RateSolver(ds)
+            for tol in (DEFAULT_TOL, 1e-3):
+                for fraction in (0.5, 1 - 2 * tol, 1 - tol, 1 - tol / 2, 1.0, 1.5):
+                    a = fraction * solver.gap
+                    assert solver.saturates(a, tol) == solver.rate(a, tol).saturated
 
     def test_invalid_deviations(self, two_point_ds):
         for bad in (0.0, -1.0, float("nan"), float("inf")):
@@ -490,6 +501,32 @@ class TestKernelPasses:
                 passes.append(0)
                 assert not inverse_rate(ds, s).saturated
         assert max(passes) <= 12, passes
+
+    def test_held_curves_decide_the_analyses_without_a_pass(self, large_sets, monkeypatch):
+        passes = []
+        kernel = rate_module.tilted_moments
+
+        def counted(*args, **kwargs):
+            passes.append(args[1])
+            return kernel(*args, **kwargs)
+
+        exp_ds, lognormal_ds = large_sets
+        for ds in large_sets:
+            cumulant_curve(ds)
+        meta = ModelMeta(10, 50_000, 0.05)
+        monkeypatch.setattr(rate_module, "tilted_moments", counted)
+        monkeypatch.setattr(cumulant_module, "tilted_moments", counted)
+        compare_smoothness(exp_ds, lognormal_ds)
+        assert passes == []
+        RateSolver(exp_ds).inverse_rate((10 / 50_000) * math.log(2 / 0.05))
+        beta_passes = list(passes)
+        passes.clear()
+        interpolator_ordering(0.0, exp_ds, lognormal_ds, meta)
+        assert passes == beta_passes
+        # Equal rates leave the bounds overlapping: those deviations are solved.
+        passes.clear()
+        compare_smoothness(exp_ds, exp_ds)
+        assert passes
 
     def test_one_solver_per_model(self, monkeypatch):
         rng = np.random.default_rng(7)
