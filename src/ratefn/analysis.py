@@ -191,41 +191,42 @@ def generalization_bound(
     )
 
 
-def _rate_bounds(curve: CumulantCurve, a: float, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
-    """``(lower, upper, margin)`` for the rate at a deviation ``0 < a < mean - min``
-    from a cumulant curve, without a pass: ``lower <= I(a) <= upper``, and
-    ``RateSolver.rate(a, tol)`` gives a value within ``margin`` of ``[lower, upper]``.
+def _rate_bounds(curve: CumulantCurve, a: float) -> tuple[float, float, float]:
+    """``(lower, upper, margin)`` for the rate at a deviation ``0 < a < mean - min``,
+    read from a cumulant curve without a pass: ``lower <= I(a) <= upper``,
+    and ``RateSolver.rate(a)`` gives a value within ``margin`` of them.
 
-    Convex duality gives both bounds. Each tilt ``lam`` of the curve bounds
-    the rate from below, ``I(a) >= lam*a - J(lam)``, and so does 0. The
-    tangents of J at two tilts whose J' bracket ``a`` lie below J, so
-    ``lam*a - J(lam)`` is at most its value on the larger tangent, and the
-    rate is at most ``lam*a - T(lam)`` at any tilt, with ``T`` the smaller
-    tangent there; this takes the tilt where they cross. Tilt 0 counts as a
-    tangent point, where ``J = J' = 0`` exactly, so deviations left of the
-    grid are bracketed too. With no bracket, or one that reaches past the
-    solver's ``TILT_CAP``, the upper bound is ``inf``, and so is the margin:
+    Convex duality gives both bounds. Every tilt bounds the rate from
+    below, ``I(a) >= lam*a - J(lam)``, tilt 0 included. The tangents of J
+    at two tilts whose J' bracket ``a`` lie below J, so ``lam*a - J(lam)``
+    is at most ``lam*a`` less the larger tangent, which is largest where
+    the tangents cross. Taken there as ``lam*a`` less the smaller tangent,
+    it bounds the rate from above wherever the rounded crossing lands.
+    Tilt 0, where ``J = J' = 0`` exactly, is a tangent point too, so
+    deviations left of the grid are bracketed. With no bracket, or one past
+    the solver's ``TILT_CAP``, the upper bound and the margin are ``inf``:
     nothing then bounds where the solver's tilt lies, or whether it finds one.
 
-    The margin. The bracket's J' lie at least ``tol*(mean - min)`` from
-    ``a``, with room for their rounding, so the solver's tilt, whose J' is
-    within that of ``a``, lies in the bracket with the optimum; as
-    ``lam*a - J(lam)`` is concave, its value there is at most
-    ``tol*(mean - min)`` times the bracket's width, and so at most
-    ``tol*(mean - min)*lam_hi``, below the rate (``lam_hi`` is the
-    bracket's top tilt). Every other figure, the curve's J and J', the
-    solver's value, these bounds, is a sum of terms no larger than
-    ``lam_hi*mean`` (``lam*a``, J at most ``lam*(mean - min)``, a tilted mean
-    of the losses at most ``mean``) or the log of a sum of at most ``count``
-    exps. Each is rounded within a few ulps of those magnitudes times
-    ``log2(count)`` for the pairwise sums, far inside ``_ROUNDING``
-    (8192 ulps). So the margin is ``tol*(mean - min)*lam_hi +
-    _ROUNDING*(1 + log(count) + lam_hi*mean)``, a bound on what rounding
-    and ``tol`` can move, not a figure fitted to data.
+    The margin, with ``tol`` the solver's ``DEFAULT_TOL``. The bracket's J'
+    lie at least ``tol*(mean - min)`` from ``a``, with room for their
+    rounding, so the solver's tilt, whose J' lies within that of ``a``, is
+    in the bracket with the optimum. As ``lam*a - J(lam)`` is concave with
+    slope ``a - J'``, the solver's value is at most
+    ``tol*(mean - min)*lam_hi`` below the rate, ``lam_hi`` being the
+    bracket's top tilt. Every figure besides, the curve's J and J', the
+    solver's value and these bounds, sums terms no larger than
+    ``lam_hi*mean`` (``lam*a``; J, at most ``lam*(mean - min)``; a tilted
+    mean of the losses, at most ``mean``) and the log of a sum of ``count``
+    exps, each rounded within a few ulps of those magnitudes times
+    ``log2(count)`` for a pairwise sum: far inside ``_ROUNDING``, 8192
+    ulps. So the margin, ``tol*(mean - min)*lam_hi +
+    _ROUNDING*(1 + log(count) + lam_hi*mean)``, bounds what rounding and
+    ``tol`` can move; it is not fitted to data.
     """
     s = curve.summary
     mean, gap = s.empirical_loss, s.empirical_loss - s.min_loss
     lams, js, slopes = (0.0, *curve.grid.values), (0.0, *curve.j_values), (0.0, *curve.j_derivs)
+    tol = DEFAULT_TOL
     reach = tol * gap + 2.0 * _ROUNDING * mean
     lo = bisect.bisect_right(slopes, a - reach) - 1
     hi = bisect.bisect_left(slopes, a + reach)
