@@ -287,7 +287,7 @@ class TestRateBounds:
 
     def test_no_bracket_gives_no_upper_bound(self, bernoulli_ds):
         curve = cumulant_curve(bernoulli_ds)
-        # Past the last tilt's J', which is within 1e-300 of the gap.
+        # The last tilt's J' is the gap itself in float64, less than tol*gap above `a`.
         lower, upper, margin = analysis._rate_bounds(curve, 0.5 * (1 - 1e-12))
         assert upper == margin == math.inf
         assert lower > 0.0
